@@ -383,32 +383,20 @@ ImprintMask ImprintsIndex::MaskForRange(double lo, double hi) const {
   uint32_t nbins = bins_.num_bins();
   uint32_t bin_lo = bins_.BinOf(lo);
   uint32_t bin_hi = bins_.BinOf(hi);
-  // Query mask: all bins from bin_lo to bin_hi inclusive.
+  // Query mask: all bins from bin_lo to bin_hi inclusive. Inner mask: the
+  // bins whose whole interval (upper(b-1), upper(b)] — (-inf, upper(0)]
+  // for bin 0 — lies inside [lo, hi]. That holds for every bin strictly
+  // between bin_lo and bin_hi; a boundary bin qualifies only when the
+  // query reaches both of its edges. Since BinOf(lo) == bin_lo puts lo
+  // above bin_lo's lower edge, bin_lo is inner only as bin 0 with
+  // lo == -inf, and a single-bin query [lo, hi] inside one bin never is.
   for (uint32_t b = bin_lo; b <= bin_hi && b < nbins; ++b) {
-    m.query |= uint64_t{1} << b;
+    const uint64_t bit = uint64_t{1} << b;
+    m.query |= bit;
+    const double lower =
+        b == 0 ? -std::numeric_limits<double>::infinity() : bins_.upper(b - 1);
+    if (lo <= lower && hi >= bins_.upper(b)) m.inner |= bit;
   }
-  // Inner mask: bins strictly inside the query range. A boundary bin is
-  // fully covered only when the query endpoint coincides with the bin edge;
-  // we include bin_hi when hi equals its upper bound, and bin_lo when lo
-  // lies at or below the previous bin's upper bound (i.e. lo is the bin's
-  // open lower edge — only possible for bin 0 with lo == -inf, so in
-  // practice the strict interior).
-  for (uint32_t b = bin_lo + 1; b < bin_hi && b < nbins; ++b) {
-    m.inner |= uint64_t{1} << b;
-  }
-  if (bin_hi < nbins && hi >= bins_.upper(bin_hi)) {
-    m.inner |= uint64_t{1} << bin_hi;
-  }
-  if (bin_lo > 0 && lo <= bins_.upper(bin_lo - 1)) {
-    // lo exactly on the open edge: every value of bin_lo is > upper(bin_lo-1)
-    // >= lo only when lo < all bin values, which needs strict comparison;
-    // since bins are (prev, cur] and lo <= prev bound, all bin values > lo.
-    m.inner |= uint64_t{1} << bin_lo;
-  } else if (bin_lo == 0 && lo <= -std::numeric_limits<double>::max()) {
-    m.inner |= uint64_t{1};
-  }
-  // The inner mask may never admit bins outside the query mask.
-  m.inner &= m.query;
   return m;
 }
 

@@ -59,7 +59,7 @@ struct ImprintsStorage {
 /// Query mask pair for a range predicate.
 struct ImprintMask {
   uint64_t query = 0;  ///< bins overlapping [lo, hi]
-  uint64_t inner = 0;  ///< bins fully inside (lo, hi) — no boundary checks
+  uint64_t inner = 0;  ///< bins fully inside [lo, hi] — no boundary checks
 };
 
 /// An immutable imprints index over one column.

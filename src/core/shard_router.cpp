@@ -223,9 +223,11 @@ Result<SelectionResult> ShardRouter::Execute(
   const uint64_t total_rows = view.total_rows;
   if (total_rows == 0) return result;
 
-  Box env = geometry.Envelope();
-  if (buffer > 0) env = env.Expanded(buffer);
-  if (env.empty()) return result;
+  // Prune and cover against the query window (geometry envelope ∩ x/y
+  // ranges), so a BETWEEN viewport prunes exactly like the equal box.
+  const QueryWindow window = MakeQueryWindow(
+      geometry, buffer, thematic, table_->x_column(), table_->y_column());
+  if (window.empty) return result;
 
   Timer query_timer;
 
@@ -261,24 +263,22 @@ Result<SelectionResult> ShardRouter::Execute(
     cache_->InsertSelection(cache_key, std::move(value));
   };
 
-  // ---- Prune: classify every shard against the query envelope before
-  // any imprint is consulted or built. Three outcomes:
-  //   pruned  — bbox misses the envelope; the shard contributes nothing.
-  //   covered — an unbuffered-equivalent box query fully contains the
-  //             shard's bbox and there are no thematic filters, so every
-  //             row qualifies (bbox-as-zonemap): the shard's full id range
-  //             is written straight into the merged result without
-  //             touching a single column. A covered shard contributes no
-  //             filter/refine stats — nothing was scanned.
+  // ---- Prune: classify every shard against the query window before any
+  // imprint is consulted or built. Three outcomes:
+  //   pruned  — bbox misses the window; the shard contributes nothing.
+  //   covered — the window's coverage box (box geometry ∩ x/y ranges)
+  //             fully contains the shard's bbox and no other column is
+  //             filtered, so every row qualifies (bbox-as-zonemap): the
+  //             shard's full id range is written straight into the merged
+  //             result without touching a single column. A covered shard
+  //             contributes no filter/refine stats — nothing was scanned.
   //   scanned — everything else runs the shard engine's filter + refine.
   // Pruning is the headline win of sharding: a clustered viewport query
   // touches a handful of shards and never allocates whole-table state.
   GEOCOL_METRIC_COUNTER(c_pruned, "geocol_shards_pruned_total");
   GEOCOL_METRIC_COUNTER(c_scanned, "geocol_shards_scanned_total");
   GEOCOL_METRIC_COUNTER(c_covered, "geocol_shards_covered_total");
-  // A box with a positive buffer covers a shard iff the raw box does (the
-  // buffer only enlarges the qualifying region).
-  const bool coverable = thematic.empty() && geometry.is_box();
+  const bool coverable = window.residual.empty();
   struct ShardWork {
     size_t shard;
     int32_t branch;  ///< index into branches, or -1 for a covered shard
@@ -290,8 +290,8 @@ Result<SelectionResult> ShardRouter::Execute(
   scanned.reserve(view.shards.size());
   for (size_t i = 0; i < view.shards.size(); ++i) {
     const Box& bbox = view.shards[i]->bbox();
-    if (!bbox.Intersects(env)) continue;
-    if (coverable && geometry.box().Contains(bbox)) {
+    if (!bbox.Intersects(window.envelope)) continue;
+    if (coverable && window.coverage.Contains(bbox)) {
       work.push_back({i, -1});
       ++num_covered;
     } else {

@@ -1,6 +1,7 @@
 // The scatter-gather executor over a Hilbert-sharded table (DESIGN.md
-// §12). A query first prunes shards whose bbox misses its envelope —
-// before any imprint work — then scatters filter+refine across the
+// §12). A query first prunes shards whose bbox misses its query window
+// (the geometry envelope ∩ any x/y ranges, MakeQueryWindow) — before any
+// imprint work — then scatters filter+refine across the
 // surviving shards on one shared morsel pool, and merges the local
 // results in shard order. Because shards are contiguous runs of the
 // Hilbert-sorted row space and every shard computes its exact local
@@ -12,8 +13,9 @@
 // populations than one whole-table imprint, so the unsharded counters
 // are not reproducible, only the answers are).
 //
-// Covered shards (bbox-as-zonemap): a thematic-free box query that fully
-// contains a shard's bbox selects every one of its rows by construction,
+// Covered shards (bbox-as-zonemap): a box query (or a BETWEEN viewport)
+// with no ranges on other columns whose coverage box fully contains a
+// shard's bbox selects every one of its rows by construction,
 // so the router emits the shard's id range directly into the merged
 // result without touching a column. Row ids stay bit-identical; such a
 // shard contributes zero filter/refine stats (nothing was scanned), so

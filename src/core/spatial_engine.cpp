@@ -340,9 +340,13 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
   SelectionResult result;
   if (xcol->empty()) return result;
 
-  Box env = geometry.Envelope();
-  if (buffer > 0) env = env.Expanded(buffer);
-  if (env.empty()) return result;
+  // Ranges on x/y fold into the filter window; only the other columns'
+  // ranges remain as separate filter branches.
+  const QueryWindow window =
+      MakeQueryWindow(geometry, buffer, thematic, x_name_, y_name_);
+  if (window.empty) return result;
+  const Box& env = window.envelope;
+  const std::vector<AttributeRange>& residual = window.residual;
 
   GEOCOL_METRIC_COUNTER(c_queries, "geocol_queries_total");
   GEOCOL_METRIC_HISTOGRAM(h_query, "geocol_query_nanos");
@@ -385,8 +389,9 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
     cache_->InsertSelection(cache_key, std::move(value));
   };
 
-  // ---- Step 1: filter. Imprint range selections on x and y, intersected,
-  // then conjunctive thematic ranges, each narrowing the selection. With a
+  // ---- Step 1: filter. Imprint range selections on x and y over the
+  // query window, intersected, then the residual thematic ranges, each
+  // narrowing the selection. With a
   // pool, all filter branches execute concurrently into branch-local state
   // (selection, stats, profile); results merge in the serial order, so the
   // selection, stats and operator order are identical to serial execution.
@@ -403,12 +408,12 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
       Status status;
     };
     std::vector<FilterBranch> branches;
-    branches.reserve(2 + thematic.size());
+    branches.reserve(2 + residual.size());
     branches.push_back(
         {xcol, env.min_x, env.max_x, "filter.imprints.x", {}, {}, {}, {}});
     branches.push_back(
         {ycol, env.min_y, env.max_y, "filter.imprints.y", {}, {}, {}, {}});
-    for (const AttributeRange& attr : thematic) {
+    for (const AttributeRange& attr : residual) {
       GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
       if (col->size() != xcol->size()) {
         return Status::Corruption("thematic column length mismatch: " +
@@ -443,7 +448,7 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
       result.profile.Append(b.profile);
       Timer t;
       rows.And(b.rows);
-      result.profile.Add("filter.intersect." + thematic[i - 2].column,
+      result.profile.Add("filter.intersect." + residual[i - 2].column,
                          t.ElapsedNanos(), b.stats.rows_selected, rows.Count());
     }
   } else {
@@ -462,7 +467,7 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
           result.filter_x.rows_selected + result.filter_y.rows_selected,
           rows.Count());
     }
-    for (const AttributeRange& attr : thematic) {
+    for (const AttributeRange& attr : residual) {
       GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
       if (col->size() != xcol->size()) {
         return Status::Corruption("thematic column length mismatch: " +

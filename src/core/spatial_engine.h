@@ -5,7 +5,6 @@
 #ifndef GEOCOL_CORE_SPATIAL_ENGINE_H_
 #define GEOCOL_CORE_SPATIAL_ENGINE_H_
 
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,20 +14,13 @@
 #include "core/aggregate.h"
 #include "core/imprint_scan.h"
 #include "core/profile.h"
+#include "core/query_window.h"
 #include "core/refinement.h"
 #include "geom/geometry.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
 namespace geocol {
-
-/// A thematic range predicate on a non-spatial attribute
-/// (`classification BETWEEN 3 AND 5`, `intensity >= 100`, ...).
-struct AttributeRange {
-  std::string column;
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-};
 
 /// Query result cache binding of one engine (DESIGN.md §11).
 struct CacheOptions {
@@ -152,7 +144,9 @@ class SpatialQueryEngine {
                                                double d);
 
   /// General form: spatial predicate plus conjunctive thematic ranges.
-  /// `buffer` > 0 selects ST_DWithin semantics.
+  /// `buffer` > 0 selects ST_DWithin semantics. Ranges on the x/y columns
+  /// fold into the query window (MakeQueryWindow), so x and y are each
+  /// scanned once; an empty window answers empty without scanning.
   Result<SelectionResult> Select(const Geometry& geometry, double buffer,
                                  const std::vector<AttributeRange>& thematic);
 

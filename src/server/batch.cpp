@@ -8,6 +8,7 @@
 #include "columns/column.h"
 #include "columns/types.h"
 #include "core/native_range.h"
+#include "core/query_window.h"
 #include "simd/kernels.h"
 #include "util/timer.h"
 
@@ -105,33 +106,16 @@ bool BatchablePlan(const sql::PlannedQuery& plan) {
 }
 
 Result<Box> PlanViewport(const sql::PlannedQuery& plan) {
-  Box box;
-  if (plan.has_geometry) {
-    box = plan.geometry.Envelope();
-  } else {
-    const FlatTable& table = plan.engine->table();
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
-    box = Box(xc->Stats().min, yc->Stats().min, xc->Stats().max,
-              yc->Stats().max);
-  }
   // x/y attribute ranges (`x BETWEEN a AND b` parses as a range, not a
   // geometry) narrow the viewport: no row outside them can pass the
-  // member's own conjunction, so the shared scan may skip it. The
-  // intersection is exact — ClampRangeToType of max(lo)/min(hi) accepts
-  // a value iff both clamped ranges do — which keeps the fan-out
-  // bit-identical while the superset stays proportional to the actual
-  // viewports instead of the whole table.
-  for (const AttributeRange& a : plan.thematic) {
-    if (a.column == "x") {
-      box.min_x = std::max(box.min_x, a.lo);
-      box.max_x = std::min(box.max_x, a.hi);
-    } else if (a.column == "y") {
-      box.min_y = std::max(box.min_y, a.lo);
-      box.max_y = std::min(box.max_y, a.hi);
-    }
-  }
-  return box;
+  // member's own conjunction, so the shared scan may skip it. The fold is
+  // exact (see MakeQueryWindow), which keeps the fan-out bit-identical
+  // while the superset stays proportional to the actual viewports instead
+  // of the whole table. A member that can select nothing gets an empty box.
+  GEOCOL_ASSIGN_OR_RETURN(Geometry geometry, plan.QueryGeometry());
+  QueryWindow window =
+      MakeQueryWindow(geometry, plan.buffer, plan.thematic, "x", "y");
+  return window.empty ? Box() : window.envelope;
 }
 
 Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,

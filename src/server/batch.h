@@ -28,11 +28,12 @@ namespace server {
 /// (answers describe execution, not data).
 bool BatchablePlan(const sql::PlannedQuery& plan);
 
-/// The plan's effective selection box: the geometry envelope, or — for
-/// statements with no spatial predicate — the table extent from the x/y
-/// column stats, exactly as the solo executor substitutes it. Errors
-/// (missing x/y column) make the caller fall back to solo execution,
-/// which reproduces the same error.
+/// The plan's effective selection box: the query window of
+/// PlannedQuery::QueryGeometry() (the geometry envelope, or the table
+/// extent for statements with no spatial predicate) and the x/y ranges,
+/// exactly as the solo engine folds it; an empty box when the member can
+/// select nothing. Errors (missing x/y column) make the caller fall back
+/// to solo execution, which reproduces the same error.
 Result<Box> PlanViewport(const sql::PlannedQuery& plan);
 
 /// Output of one shared scan over a batch group.

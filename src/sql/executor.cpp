@@ -223,16 +223,9 @@ Result<ResultSet> ExecutePointCloud(const PlannedQuery& plan) {
       rows = std::move(kept);
     }
   } else {
-    Geometry query_geom = plan.geometry;
-    if (!plan.has_geometry) {
-      // No spatial predicate: the whole table extent is the query box; the
-      // imprint filter degenerates to full-line acceptance.
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
-      Box extent(xc->Stats().min, yc->Stats().min, xc->Stats().max,
-                 yc->Stats().max);
-      query_geom = Geometry(extent);
-    }
+    // No spatial predicate: the whole table extent is the query box, which
+    // any x/y ranges then narrow into the query window.
+    GEOCOL_ASSIGN_OR_RETURN(Geometry query_geom, plan.QueryGeometry());
     GEOCOL_ASSIGN_OR_RETURN(
         SelectionResult sel,
         plan.engine->Select(query_geom, plan.buffer, plan.thematic));
@@ -271,13 +264,9 @@ Result<ResultSet> ExecuteShardedPointCloud(const PlannedQuery& plan) {
   ShardsView view = router->View();
 
   // ---- Selection (the planner rejects NEAR on sharded tables).
-  Geometry query_geom = plan.geometry;
-  if (!plan.has_geometry) {
-    // No spatial predicate: the sharded extent is the query box — every
-    // shard bbox intersects it, so nothing is pruned and the per-shard
-    // imprint filters degenerate to full-line acceptance.
-    query_geom = Geometry(router->table().extent());
-  }
+  // No spatial predicate: the sharded extent is the query box; x/y ranges
+  // narrow it into the window the router prunes and covers against.
+  GEOCOL_ASSIGN_OR_RETURN(Geometry query_geom, plan.QueryGeometry());
   GEOCOL_ASSIGN_OR_RETURN(
       SelectionResult sel,
       router->Select(view, query_geom, plan.buffer, plan.thematic));

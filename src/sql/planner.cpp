@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/query_window.h"
 #include "geom/wkt.h"
 
 namespace geocol {
@@ -156,6 +157,16 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
   return pq;
 }
 
+Result<Geometry> PlannedQuery::QueryGeometry() const {
+  if (has_geometry) return geometry;
+  if (router != nullptr) return Geometry(router->table().extent());
+  const FlatTable& table = engine->table();
+  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
+  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
+  return Geometry(Box(xc->Stats().min, yc->Stats().min, xc->Stats().max,
+                      yc->Stats().max));
+}
+
 std::string PlannedQuery::Describe() const {
   std::string s;
   s += "plan for: " + stmt.ToString() + "\n";
@@ -169,14 +180,34 @@ std::string PlannedQuery::Describe() const {
             : std::string("vector layer (envelope R-tree)")) +
        " '" + stmt.table + "'\n";
   if (router != nullptr) {
-    s += "  step 0: bbox-prune shards against query envelope, "
+    s += "  step 0: bbox-prune shards against query window, "
          "scatter-gather the rest\n";
   }
-  if (has_geometry) {
+  // The fold the engine and router apply: ranges on x/y narrow the
+  // geometry envelope (or, without a geometry, the table extent). NEAR
+  // post-filters its ranges row by row instead, so nothing folds there.
+  QueryWindow window;
+  window.residual = thematic;
+  if (target == Target::kPointCloud && !near) {
+    if (Result<Geometry> g = QueryGeometry(); g.ok()) {
+      window = MakeQueryWindow(*g, buffer, thematic, "x", "y");
+    }
+  }
+  if (window.residual.size() < thematic.size()) {
+    const Box& w = window.envelope;
+    s += "  step 1: imprint filter on x/y over window [" +
+         std::to_string(w.min_x) + ", " + std::to_string(w.max_x) + "] x [" +
+         std::to_string(w.min_y) + ", " + std::to_string(w.max_y) +
+         "] (x/y ranges folded" + (window.empty ? "; empty, nothing scanned"
+                                                : "") +
+         ")\n";
+  } else if (has_geometry) {
     s += "  step 1: imprint filter on x/y over envelope of " +
          ToWkt(geometry) + (buffer > 0 ? " buffered " + std::to_string(buffer)
                                        : std::string()) +
          "\n";
+  }
+  if (has_geometry) {
     s += "  step 2: regular-grid refinement, exact tests on boundary cells\n";
   }
   if (near) {
@@ -184,7 +215,7 @@ std::string PlannedQuery::Describe() const {
          std::to_string(near_class) + " within " +
          std::to_string(near_distance) + " (per-feature two-step + union)\n";
   }
-  for (const AttributeRange& a : thematic) {
+  for (const AttributeRange& a : window.residual) {
     s += "  thematic: imprint filter on " + a.column + " in [" +
          std::to_string(a.lo) + ", " + std::to_string(a.hi) + "]\n";
   }

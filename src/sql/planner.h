@@ -49,6 +49,12 @@ struct PlannedQuery {
   // Merged attribute ranges (one entry per column).
   std::vector<AttributeRange> thematic;
 
+  /// The geometry a point-cloud selection runs over: the spatial
+  /// predicate, or — for statements without one — the table extent as a
+  /// box (x/y column stats of a flat or live table, the layout extent of
+  /// a sharded one). Errors only when a flat table lacks x or y.
+  Result<Geometry> QueryGeometry() const;
+
   /// Human-readable plan (EXPLAIN output).
   std::string Describe() const;
 };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -209,6 +210,95 @@ TEST(ImprintScanTest, SmallColumnIgnoresPool) {
   BitVector oracle;
   FullScanRangeSelect(*col, -5, 5, &oracle);
   EXPECT_TRUE(rows == oracle);
+}
+
+// Regression: a range inside one bin whose lower edge it does not reach
+// (`classification BETWEEN 3 AND 3` on a bin (1, 3]) must not mark that bin
+// inner — lines holding only that bin would be accepted whole, returning
+// the bin's other values too.
+TEST(ImprintScanTest, SingleBinRangeIsNotInner) {
+  std::vector<uint8_t> vals;
+  for (int run = 0; run < 200; ++run) {
+    vals.insert(vals.end(), 256, static_cast<uint8_t>(2 + run % 2));
+  }
+  auto col = Column::FromVector<uint8_t>("classification", vals);
+  auto bins = BinBounds::FromBounds({1, 3, 7});
+  ASSERT_TRUE(bins.ok());
+  auto ix = ImprintsIndex::BuildWithBins(*col, *bins);
+  ASSERT_TRUE(ix.ok());
+  const ImprintMask m = ix->MaskForRange(3, 3);
+  EXPECT_EQ(m.query, uint64_t{1} << 1);
+  EXPECT_EQ(m.inner, 0u);
+  BitVector rows;
+  ASSERT_TRUE(ImprintRangeSelect(*col, *ix, 3, 3, &rows).ok());
+  EXPECT_EQ(rows.Count(), vals.size() / 2);
+  // The whole bin is inner once the range reaches both of its edges.
+  EXPECT_EQ(ix->MaskForRange(1, 3).inner, uint64_t{1} << 1);
+  EXPECT_EQ(ix->MaskForRange(-std::numeric_limits<double>::infinity(), 1)
+                .inner,
+            uint64_t{1});
+}
+
+// Small-domain integer columns laid out in runs, so many cache lines hold
+// a single bin and take the full-line path; every single-value range and
+// every pair of bin edges / domain values must select exactly what the full
+// scan selects, under sampled (merged) and explicit bins.
+template <typename T>
+void CheckSmallDomainRanges(int min_v, int max_v, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<T> vals;
+  while (vals.size() < 6000) {
+    const T v = static_cast<T>(min_v + static_cast<int>(
+                                           rng.Uniform(max_v - min_v + 1)));
+    vals.insert(vals.end(), 1 + rng.Uniform(200), v);
+  }
+  auto col = Column::FromVector<T>("c", vals);
+  std::vector<ImprintsIndex> indexes;
+  for (uint32_t max_bins : {4u, 8u, 64u}) {
+    ImprintsOptions opts;
+    opts.max_bins = max_bins;
+    auto ix = ImprintsIndex::Build(*col, opts);
+    ASSERT_TRUE(ix.ok());
+    indexes.push_back(std::move(*ix));
+  }
+  auto bins = BinBounds::FromBounds(
+      {static_cast<double>(min_v + 1), static_cast<double>(min_v + 3),
+       static_cast<double>((min_v + max_v) / 2)});
+  ASSERT_TRUE(bins.ok());
+  auto explicit_ix = ImprintsIndex::BuildWithBins(*col, *bins);
+  ASSERT_TRUE(explicit_ix.ok());
+  indexes.push_back(std::move(*explicit_ix));
+
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const ImprintsIndex& ix : indexes) {
+    std::vector<double> points = {-inf, inf};
+    for (int v = min_v - 1; v <= max_v + 1; ++v) {
+      points.push_back(v);
+      points.push_back(v + 0.5);
+    }
+    for (uint32_t b = 0; b < ix.num_bins(); ++b) {
+      points.push_back(ix.bins().upper(b));
+    }
+    for (double lo : points) {
+      for (double hi : points) {
+        if (lo > hi) continue;
+        BitVector via_imprints, via_scan;
+        ASSERT_TRUE(ImprintRangeSelect(*col, ix, lo, hi, &via_imprints).ok());
+        ASSERT_TRUE(FullScanRangeSelect(*col, lo, hi, &via_scan).ok());
+        ASSERT_TRUE(via_imprints == via_scan)
+            << "bins=" << ix.num_bins() << " range [" << lo << ", " << hi
+            << "]: " << via_imprints.Count() << " vs " << via_scan.Count();
+      }
+    }
+  }
+}
+
+TEST(ImprintScanTest, SmallDomainUint8RangesMatchFullScan) {
+  CheckSmallDomainRanges<uint8_t>(0, 12, 71);
+}
+
+TEST(ImprintScanTest, SmallDomainInt16RangesMatchFullScan) {
+  CheckSmallDomainRanges<int16_t>(-9, 9, 72);
 }
 
 // ---------------- FullScanRangeSelect ----------------

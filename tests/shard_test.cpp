@@ -492,7 +492,9 @@ TEST(ShardRouterTest, ExplainAnalyzeShowsShardFooter) {
   for (const auto& row : ex->rows) {
     for (const auto& v : row) plan += v.ToString() + "\n";
   }
-  EXPECT_NE(plan.find("bbox-prune shards"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("bbox-prune shards against query window"),
+            std::string::npos)
+      << plan;
 
   // NEAR on a sharded table is rejected as unsupported, not misexecuted.
   Catalog with_layer;

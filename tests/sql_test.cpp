@@ -511,36 +511,19 @@ std::string NormalizeShape(const std::string& tree) {
   return out;
 }
 
-TEST(SqlExplainAnalyzeGoldenTest, SingleThreadedBoxQueryShape) {
-  // num_threads=1 executes the filter branches serially, so the span order
-  // is deterministic and the rendered tree shape is stable.
-  AhnGeneratorOptions gopts;
-  gopts.extent = Box(85000, 444000, 85100, 444100);
-  AhnGenerator gen(gopts);
-  auto table = gen.GenerateTable(5000);
-  ASSERT_TRUE(table.ok());
-  Catalog catalog;
-  EngineOptions eopts;
-  eopts.num_threads = 1;
-  ASSERT_TRUE(catalog.AddPointCloud("ahn2", *table, eopts).ok());
-  Session session(&catalog);
-
-  auto rs = session.Execute(
-      "EXPLAIN ANALYZE SELECT COUNT(*) FROM ahn2 WHERE ST_Within(pt, "
-      "'BOX(85010 444010, 85060 444060)')");
-  ASSERT_TRUE(rs.ok());
-
-  // Span-tree section only: everything after the "spans (...)" header.
+// The span-tree section of an EXPLAIN ANALYZE result (everything after the
+// "spans (...)" header), names and indentation only: each line is cut at
+// the first double space after the name starts (the padding before the
+// timing columns), and digits are normalised.
+std::string SpanShape(const ResultSet& rs) {
   std::string text;
   bool in_spans = false;
-  for (const auto& row : rs->rows) {
+  for (const auto& row : rs.rows) {
     if (row[0].text.rfind("spans (", 0) == 0) {
       in_spans = true;
       continue;
     }
     if (!in_spans) continue;
-    // Names and indentation only: cut each line at the first double space
-    // after the name starts (the padding before the timing columns).
     const std::string& line = row[0].text;
     size_t start = line.find_first_not_of(' ');
     if (start == std::string::npos) continue;
@@ -549,15 +532,90 @@ TEST(SqlExplainAnalyzeGoldenTest, SingleThreadedBoxQueryShape) {
                                                          : name_end);
     text += '\n';
   }
-  EXPECT_EQ(NormalizeShape(text),
+  return NormalizeShape(text);
+}
+
+// num_threads=1 executes the filter branches serially, so the span order
+// is deterministic and the rendered tree shape is stable.
+class SqlExplainAnalyzeGoldenTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    AhnGeneratorOptions gopts;
+    gopts.extent = Box(85000, 444000, 85100, 444100);
+    AhnGenerator gen(gopts);
+    auto table = gen.GenerateTable(5000);
+    ASSERT_TRUE(table.ok());
+    EngineOptions eopts;
+    eopts.num_threads = 1;
+    ASSERT_TRUE(catalog_.AddPointCloud("ahn2", *table, eopts).ok());
+    session_ = std::make_unique<Session>(&catalog_);
+  }
+
+  Catalog catalog_;
+  std::unique_ptr<Session> session_;
+};
+
+TEST_F(SqlExplainAnalyzeGoldenTest, SingleThreadedBoxQueryShape) {
+  auto rs = session_->Execute(
+      "EXPLAIN ANALYZE SELECT COUNT(*) FROM ahn2 WHERE ST_Within(pt, "
+      "'BOX(85010 444010, 85060 444060)')");
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(SpanShape(*rs),
             "  filter\n"
             "    filter.imprints.x\n"
             "    filter.imprints.y\n"
             "    filter.intersect\n"
             "  refine.none(box)\n"
             "  TOTAL (sum)\n"
-            "  WALL (critical path)\n")
-      << text;
+            "  WALL (critical path)\n");
+}
+
+// A BETWEEN viewport folds its x/y ranges into the query window: the same
+// two scans as the equal box, and no filter.imprints/intersect spans for
+// x and y as thematic ranges.
+TEST_F(SqlExplainAnalyzeGoldenTest, BetweenViewportFoldsIntoWindow) {
+  const std::string where =
+      " FROM ahn2 WHERE x BETWEEN 85010 AND 85060 AND "
+      "y BETWEEN 444010 AND 444060 AND classification BETWEEN 1 AND 6";
+  auto rs = session_->Execute("EXPLAIN ANALYZE SELECT COUNT(*)" + where);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(SpanShape(*rs),
+            "  filter\n"
+            "    filter.imprints.x\n"
+            "    filter.imprints.y\n"
+            "    filter.intersect\n"
+            "    filter.imprints.classification\n"
+            "    filter.intersect.classification\n"
+            "  refine.none(box)\n"
+            "  TOTAL (sum)\n"
+            "  WALL (critical path)\n");
+
+  auto ex = session_->Execute("EXPLAIN SELECT COUNT(*)" + where);
+  ASSERT_TRUE(ex.ok());
+  std::string plan;
+  for (const auto& row : ex->rows) plan += row[0].text + "\n";
+  EXPECT_NE(plan.find("  step 1: imprint filter on x/y over window "
+                      "[85010.000000, 85060.000000] x "
+                      "[444010.000000, 444060.000000] (x/y ranges folded)\n"),
+            std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("thematic: imprint filter on classification"),
+            std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("thematic: imprint filter on x"), std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("thematic: imprint filter on y"), std::string::npos)
+      << plan;
+
+  // Reversed comparisons leave an empty window: nothing is scanned.
+  auto empty = session_->Execute(
+      "EXPLAIN SELECT COUNT(*) FROM ahn2 WHERE x >= 85060 AND x <= 85010");
+  ASSERT_TRUE(empty.ok());
+  std::string empty_plan;
+  for (const auto& row : empty->rows) empty_plan += row[0].text + "\n";
+  EXPECT_NE(empty_plan.find("(x/y ranges folded; empty, nothing scanned)"),
+            std::string::npos)
+      << empty_plan;
 }
 
 }  // namespace
