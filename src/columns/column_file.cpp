@@ -11,10 +11,12 @@ namespace geocol {
 
 namespace {
 
-constexpr char kColumnMagicV1[4] = {'G', 'C', 'L', '1'};
-constexpr char kColumnMagicV2[4] = {'G', 'C', 'L', '2'};
-constexpr char kTableMagicV1[4] = {'G', 'C', 'T', '1'};
-constexpr char kTableMagicV2[4] = {'G', 'C', 'T', '2'};
+constexpr char kRawColumnMagic[4] = {'G', 'C', 'L', '2'};
+constexpr char kCompressedColumnMagic[4] = {'G', 'P', 'C', '1'};
+constexpr char kTableMagic[4] = {'G', 'C', 'T', '2'};
+
+/// GPC1 directory entry: codec u8 | stored bytes u32 | crc u32.
+constexpr size_t kCompressedDirEntryBytes = 1 + 4 + 4;
 
 constexpr uint64_t kMaxPlausibleRows = uint64_t{1} << 40;
 
@@ -29,45 +31,37 @@ std::string CrcHex(uint32_t crc) {
   return buf;
 }
 
-/// The parsed fixed-size part of a column file.
-struct ColumnFileHeader {
-  DataType type = DataType::kFloat64;
-  uint64_t count = 0;
-  uint32_t chunk_bytes = 0;       ///< 0 in legacy files
-  std::vector<uint32_t> chunk_crcs;
-  bool legacy = false;
-};
-
-Result<ColumnFileHeader> ReadColumnFileHeader(BinaryReader* r,
+/// Parses and verifies the header and chunk directory of a GCL2 or GPC1
+/// file — the one place that dispatches on the column-file magic — and
+/// checks that the file holds exactly the stored chunks. Leaves `r` at the
+/// first payload byte. `payload_crc` stays 0 for GCL2 files.
+Result<ColumnFileLayout> ReadColumnFileHeader(BinaryReader* r,
                                               const std::string& path) {
-  ColumnFileHeader h;
+  ColumnFileLayout h;
   char magic[4];
   GEOCOL_RETURN_NOT_OK(r->ReadBytes(magic, 4));
-  if (std::memcmp(magic, kColumnMagicV1, 4) == 0) {
-    h.legacy = true;
-  } else if (std::memcmp(magic, kColumnMagicV2, 4) != 0) {
+  if (std::memcmp(magic, kCompressedColumnMagic, 4) == 0) {
+    h.compressed = true;
+  } else if (std::memcmp(magic, kRawColumnMagic, 4) != 0) {
     return Status::Corruption("bad column file magic: " + path);
   }
 
   uint8_t type_byte = 0;
+  uint32_t header_crc = 0;
   GEOCOL_RETURN_NOT_OK(r->ReadScalar(&type_byte));
   GEOCOL_RETURN_NOT_OK(r->ReadScalar(&h.count));
-  if (!h.legacy) {
-    uint32_t header_crc = 0;
-    GEOCOL_RETURN_NOT_OK(r->ReadScalar(&h.chunk_bytes));
-    GEOCOL_RETURN_NOT_OK(r->ReadScalar(&header_crc));
-    uint32_t computed = Crc32c(magic, 4);
-    computed = Crc32cExtend(computed, &type_byte, 1);
-    computed = Crc32cExtend(computed, &h.count, 8);
-    computed = Crc32cExtend(computed, &h.chunk_bytes, 4);
-    if (computed != header_crc) {
-      return Status::Corruption("column file header crc mismatch (stored " +
-                                CrcHex(header_crc) + ", computed " +
-                                CrcHex(computed) + "): " + path);
-    }
-    if (h.chunk_bytes == 0 || h.chunk_bytes > (1u << 30)) {
-      return Status::Corruption("column file: bad chunk size: " + path);
-    }
+  GEOCOL_RETURN_NOT_OK(r->ReadScalar(&h.chunk_bytes));
+  if (h.compressed) GEOCOL_RETURN_NOT_OK(r->ReadScalar(&h.payload_crc));
+  GEOCOL_RETURN_NOT_OK(r->ReadScalar(&header_crc));
+  uint32_t computed = Crc32c(magic, 4);
+  computed = Crc32cExtend(computed, &type_byte, 1);
+  computed = Crc32cExtend(computed, &h.count, 8);
+  computed = Crc32cExtend(computed, &h.chunk_bytes, 4);
+  if (h.compressed) computed = Crc32cExtend(computed, &h.payload_crc, 4);
+  if (computed != header_crc) {
+    return Status::Corruption("column file header crc mismatch (stored " +
+                              CrcHex(header_crc) + ", computed " +
+                              CrcHex(computed) + "): " + path);
   }
   if (type_byte >= kNumDataTypes) {
     return Status::Corruption("bad column type byte " +
@@ -78,44 +72,126 @@ Result<ColumnFileHeader> ReadColumnFileHeader(BinaryReader* r,
     return Status::Corruption("column file: implausible row count " +
                               std::to_string(h.count) + ": " + path);
   }
-  if (!h.legacy) {
-    uint64_t payload = h.count * DataTypeSize(h.type);
-    GEOCOL_RETURN_NOT_OK(
-        r->ReadVector(&h.chunk_crcs, NumChunks(payload, h.chunk_bytes)));
+  if (h.chunk_bytes == 0 || h.chunk_bytes > (1u << 30) ||
+      h.chunk_bytes % DataTypeSize(h.type) != 0) {
+    return Status::Corruption("column file: bad chunk size: " + path);
+  }
+
+  const uint64_t payload = h.count * DataTypeSize(h.type);
+  const uint64_t nchunks = NumChunks(payload, h.chunk_bytes);
+  std::vector<uint8_t> dir;
+  GEOCOL_RETURN_NOT_OK(r->ReadVector(
+      &dir, nchunks * (h.compressed ? kCompressedDirEntryBytes : 4)));
+  h.chunks.resize(nchunks);
+  uint64_t offset = r->Tell();
+  for (uint64_t c = 0; c < nchunks; ++c) {
+    ColumnFileLayout::Chunk& ch = h.chunks[c];
+    ch.offset = offset;
+    if (h.compressed) {
+      const uint8_t* e = dir.data() + c * kCompressedDirEntryBytes;
+      if (e[0] > static_cast<uint8_t>(ColumnCodec::kDelta)) {
+        return Status::Corruption("column file: bad chunk codec: " + path);
+      }
+      ch.codec = static_cast<ColumnCodec>(e[0]);
+      std::memcpy(&ch.stored_bytes, e + 1, 4);
+      std::memcpy(&ch.crc, e + 5, 4);
+    } else {
+      ch.stored_bytes = static_cast<uint32_t>(
+          std::min<uint64_t>(h.chunk_bytes, payload - c * h.chunk_bytes));
+      std::memcpy(&ch.crc, dir.data() + c * 4, 4);
+    }
+    offset += ch.stored_bytes;
+  }
+  const uint64_t stored = offset - r->Tell();
+  if (r->Remaining() != stored) {
+    return Status::Corruption("column file size mismatch (payload " +
+                              std::to_string(r->Remaining()) + " bytes, " +
+                              std::to_string(stored) + " expected): " + path);
   }
   return h;
 }
 
-/// Reads (and, for v2, chunk-verifies) the payload into `out`; the exact
-/// file-size check also rejects truncated and padded files.
-Status ReadColumnPayload(BinaryReader* r, const ColumnFileHeader& h,
+/// Reads the payload into `out`, verifying every stored chunk's CRC and,
+/// for GPC1, decoding it and checking the whole-payload CRC.
+Status ReadColumnPayload(BinaryReader* r, const ColumnFileLayout& h,
                          const std::string& path, bool verify, uint8_t* out) {
-  uint64_t payload = h.count * DataTypeSize(h.type);
-  if (r->Remaining() != payload) {
-    return Status::Corruption("column file size mismatch (payload " +
-                              std::to_string(r->Remaining()) + " bytes, " +
-                              std::to_string(payload) + " expected): " + path);
-  }
-  if (h.legacy || !verify) {
-    return r->ReadBytes(out, payload);
-  }
-  // Verify chunk by chunk, while the freshly read bytes are hot in cache.
+  const uint64_t payload = h.count * DataTypeSize(h.type);
+  if (!h.compressed && !verify) return r->ReadBytes(out, payload);
   GEOCOL_METRIC_COUNTER(c_verifies, "geocol_crc_chunk_verifies_total");
   GEOCOL_METRIC_COUNTER(c_failures, "geocol_crc_failures_total");
-  for (uint64_t c = 0; c < h.chunk_crcs.size(); ++c) {
-    uint64_t off = c * h.chunk_bytes;
-    uint64_t len = std::min<uint64_t>(h.chunk_bytes, payload - off);
-    GEOCOL_RETURN_NOT_OK(r->ReadBytes(out + off, len));
-    uint32_t crc = Crc32c(out + off, len);
-    c_verifies.Increment();
-    if (crc != h.chunk_crcs[c]) {
-      c_failures.Increment();
-      return Status::Corruption("column chunk " + std::to_string(c) +
-                                " crc mismatch (stored " +
-                                CrcHex(h.chunk_crcs[c]) + ", computed " +
-                                CrcHex(crc) + "): " + path);
+  std::vector<uint8_t> scratch;  // stored bytes of a GPC1 chunk
+  for (uint64_t c = 0; c < h.chunks.size(); ++c) {
+    const ColumnFileLayout::Chunk& ch = h.chunks[c];
+    const uint64_t off = c * h.chunk_bytes;
+    uint8_t* stored = out + off;
+    if (h.compressed) {
+      scratch.resize(ch.stored_bytes);
+      stored = scratch.data();
+    }
+    GEOCOL_RETURN_NOT_OK(r->ReadBytes(stored, ch.stored_bytes));
+    // Verify chunk by chunk, while the freshly read bytes are hot in cache.
+    if (verify) {
+      uint32_t crc = Crc32c(stored, ch.stored_bytes);
+      c_verifies.Increment();
+      if (crc != ch.crc) {
+        c_failures.Increment();
+        return Status::Corruption("column chunk " + std::to_string(c) +
+                                  " crc mismatch (stored " + CrcHex(ch.crc) +
+                                  ", computed " + CrcHex(crc) + "): " + path);
+      }
+    }
+    if (h.compressed) {
+      const uint64_t len = std::min<uint64_t>(h.chunk_bytes, payload - off);
+      Status st = DecompressChunkPayload(h.type, ch.codec, stored,
+                                         ch.stored_bytes,
+                                         len / DataTypeSize(h.type), out + off);
+      if (!st.ok()) {
+        return Status::Corruption("column chunk " + std::to_string(c) + ": " +
+                                  st.message() + ": " + path);
+      }
     }
   }
+  if (h.compressed && verify && Crc32c(out, payload) != h.payload_crc) {
+    c_failures.Increment();
+    return Status::Corruption("column payload crc mismatch: " + path);
+  }
+  return Status::OK();
+}
+
+/// The generation/manifest-swap protocol of both table writers: the next
+/// generation's column files go under fresh names, so the files the
+/// current manifest references are never touched and the old table stays
+/// fully readable until the manifest swap.
+Status WriteTableGeneration(const FlatTable& table, const std::string& dir,
+                            bool compressed, uint64_t* total_bytes) {
+  GEOCOL_RETURN_NOT_OK(table.Validate());
+  GEOCOL_RETURN_NOT_OK(MakeDir(dir));
+  uint64_t gen = 1;
+  if (PathExists(dir + "/schema.gct")) {
+    auto old = ReadTableManifest(dir);
+    if (old.ok()) gen = old->generation + 1;
+  }
+  TableManifest m;
+  m.table_name = table.name();
+  m.generation = gen;
+  uint64_t total = 0;
+  for (const auto& col : table.columns()) {
+    std::string fname = col->name() + ".g" + std::to_string(gen) +
+                        (compressed ? ".gcz" : ".gcl");
+    const std::string path = dir + "/" + fname;
+    if (compressed) {
+      CompressionStats stats;
+      GEOCOL_RETURN_NOT_OK(WriteChunkedCompressedColumnFile(
+          *col, path, ColumnCodec::kAuto, &stats));
+      total += stats.compressed_bytes;
+    } else {
+      GEOCOL_RETURN_NOT_OK(WriteColumnFile(*col, path));
+    }
+    m.columns.push_back({col->name(), col->type(), fname});
+  }
+  GEOCOL_RETURN_NOT_OK(WriteTableManifest(dir, m));  // the commit point
+  CleanStaleTableFiles(dir, m);
+  if (total_bytes != nullptr) *total_bytes = total;
   return Status::OK();
 }
 
@@ -132,7 +208,7 @@ Status WriteColumnFile(const Column& column, const std::string& path) {
   const uint32_t chunk_bytes = kColumnChunkBytes;
 
   BufferWriter header;
-  header.WriteBytes(kColumnMagicV2, 4);
+  header.WriteBytes(kRawColumnMagic, 4);
   header.WriteScalar<uint8_t>(static_cast<uint8_t>(column.type()));
   header.WriteScalar<uint64_t>(column.size());
   header.WriteScalar<uint32_t>(chunk_bytes);
@@ -167,7 +243,7 @@ Result<ColumnPtr> ReadColumnFile(const std::string& path,
                                  bool verify_checksums) {
   BinaryReader r;
   GEOCOL_RETURN_NOT_OK(r.Open(path));
-  GEOCOL_ASSIGN_OR_RETURN(ColumnFileHeader h, ReadColumnFileHeader(&r, path));
+  GEOCOL_ASSIGN_OR_RETURN(ColumnFileLayout h, ReadColumnFileHeader(&r, path));
   auto col = std::make_shared<Column>(name, h.type);
   col->Reserve(h.count);
   std::vector<uint8_t> buf(h.count * DataTypeSize(h.type));
@@ -177,34 +253,97 @@ Result<ColumnPtr> ReadColumnFile(const std::string& path,
   return col;
 }
 
+Status WriteChunkedCompressedColumnFile(const Column& column,
+                                        const std::string& path,
+                                        ColumnCodec codec,
+                                        CompressionStats* stats) {
+  if (column.paged()) {
+    return Status::InvalidArgument(
+        "WriteChunkedCompressedColumnFile: paged columns are read-only "
+        "(reopen the table resident to rewrite)");
+  }
+  const uint8_t* payload = column.raw_data();
+  const uint64_t payload_bytes = column.raw_size_bytes();
+  const uint32_t chunk_bytes = kColumnChunkBytes;
+  const size_t width = column.width();
+  const uint64_t nchunks = NumChunks(payload_bytes, chunk_bytes);
+
+  BufferWriter header;
+  header.WriteBytes(kCompressedColumnMagic, 4);
+  header.WriteScalar<uint8_t>(static_cast<uint8_t>(column.type()));
+  header.WriteScalar<uint64_t>(column.size());
+  header.WriteScalar<uint32_t>(chunk_bytes);
+  header.WriteScalar<uint32_t>(Crc32c(payload, payload_bytes));
+  uint32_t header_crc = Crc32c(header.buffer().data(), header.size());
+
+  BufferWriter dir;
+  std::vector<std::vector<uint8_t>> compressed(nchunks);
+  uint64_t codec_counts[4] = {0, 0, 0, 0};
+  for (uint64_t c = 0; c < nchunks; ++c) {
+    uint64_t off = c * uint64_t{chunk_bytes};
+    uint64_t len = std::min<uint64_t>(chunk_bytes, payload_bytes - off);
+    ColumnCodec chosen = ColumnCodec::kRaw;
+    compressed[c] = CompressChunkPayload(column.type(), payload + off,
+                                         len / width, codec, &chosen);
+    dir.WriteScalar<uint8_t>(static_cast<uint8_t>(chosen));
+    dir.WriteScalar<uint32_t>(static_cast<uint32_t>(compressed[c].size()));
+    dir.WriteScalar<uint32_t>(
+        Crc32c(compressed[c].data(), compressed[c].size()));
+    ++codec_counts[static_cast<uint8_t>(chosen)];
+  }
+
+  BinaryWriter w;
+  GEOCOL_RETURN_NOT_OK(w.OpenAtomic(path));
+  Status st = [&]() -> Status {
+    GEOCOL_RETURN_NOT_OK(w.WriteBytes(header.buffer().data(), header.size()));
+    GEOCOL_RETURN_NOT_OK(w.WriteScalar<uint32_t>(header_crc));
+    GEOCOL_RETURN_NOT_OK(w.WriteBytes(dir.buffer().data(), dir.size()));
+    for (const std::vector<uint8_t>& chunk : compressed) {
+      GEOCOL_RETURN_NOT_OK(w.WriteBytes(chunk.data(), chunk.size()));
+    }
+    return w.Commit();
+  }();
+  if (!st.ok()) {
+    w.Abandon();
+    return st;
+  }
+  if (stats != nullptr) {
+    // Chunks choose codecs independently; report the dominant one.
+    size_t best = 0;
+    for (size_t k = 1; k < 4; ++k) {
+      if (codec_counts[k] > codec_counts[best]) best = k;
+    }
+    stats->codec = static_cast<ColumnCodec>(best);
+    stats->uncompressed_bytes = payload_bytes;
+    stats->compressed_bytes = w.bytes_written();
+  }
+  return Status::OK();
+}
+
 Result<ColumnFileLayout> ReadColumnFileLayout(const std::string& path) {
   BinaryReader r;
   GEOCOL_RETURN_NOT_OK(r.Open(path));
-  GEOCOL_ASSIGN_OR_RETURN(ColumnFileHeader h, ReadColumnFileHeader(&r, path));
-  if (h.legacy) {
-    return Status::InvalidArgument(
-        "legacy GCL1 file has no chunk checksums and cannot be opened "
-        "paged: " + path);
+  GEOCOL_ASSIGN_OR_RETURN(ColumnFileLayout layout,
+                          ReadColumnFileHeader(&r, path));
+  if (!layout.compressed) {
+    // Fold the on-disk chunk CRCs into the whole-payload CRC: one
+    // precomputed operator for the fixed chunk length, generic combine
+    // for the short tail.
+    Crc32cCombineOp op = Crc32cCombineOpFor(layout.chunk_bytes);
+    for (const ColumnFileLayout::Chunk& ch : layout.chunks) {
+      layout.payload_crc =
+          ch.stored_bytes == layout.chunk_bytes
+              ? Crc32cCombineWithOp(op, layout.payload_crc, ch.crc)
+              : Crc32cCombine(layout.payload_crc, ch.crc, ch.stored_bytes);
+    }
   }
-  uint64_t payload = h.count * DataTypeSize(h.type);
-  if (r.Remaining() != payload) {
-    return Status::Corruption("column file size mismatch (payload " +
-                              std::to_string(r.Remaining()) + " bytes, " +
-                              std::to_string(payload) + " expected): " + path);
-  }
-  ColumnFileLayout layout;
-  layout.type = h.type;
-  layout.count = h.count;
-  layout.chunk_bytes = h.chunk_bytes;
-  layout.payload_offset = r.Tell();
-  layout.chunk_crcs = std::move(h.chunk_crcs);
   return layout;
 }
 
 Status AppendColumnFile(const std::string& path, Column* column) {
   BinaryReader r;
   GEOCOL_RETURN_NOT_OK(r.Open(path));
-  GEOCOL_ASSIGN_OR_RETURN(ColumnFileHeader h, ReadColumnFileHeader(&r, path));
+  GEOCOL_ASSIGN_OR_RETURN(ColumnFileLayout h, ReadColumnFileHeader(&r, path));
   if (h.type != column->type()) {
     return Status::InvalidArgument("type mismatch appending " + path);
   }
@@ -239,7 +378,7 @@ Status AppendRawDump(const std::string& path, Column* column) {
 
 Status WriteTableManifest(const std::string& dir, const TableManifest& m) {
   BufferWriter b;
-  b.WriteBytes(kTableMagicV2, 4);
+  b.WriteBytes(kTableMagic, 4);
   b.WriteScalar<uint64_t>(m.generation);
   b.WriteString(m.table_name);
   b.WriteScalar<uint32_t>(static_cast<uint32_t>(m.columns.size()));
@@ -257,35 +396,25 @@ Result<TableManifest> ReadTableManifest(const std::string& dir) {
   const std::string path = dir + "/schema.gct";
   std::vector<uint8_t> bytes;
   GEOCOL_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
-  if (bytes.size() < 4) {
+  if (bytes.size() < 8) {
     return Status::Corruption("table manifest too small: " + path);
+  }
+  if (std::memcmp(bytes.data(), kTableMagic, 4) != 0) {
+    return Status::Corruption("bad table manifest magic: " + path);
+  }
+  const size_t body_size = bytes.size() - 4;
+  uint32_t stored = 0;
+  std::memcpy(&stored, bytes.data() + body_size, 4);
+  uint32_t computed = Crc32c(bytes.data(), body_size);
+  if (stored != computed) {
+    return Status::Corruption("table manifest crc mismatch (stored " +
+                              CrcHex(stored) + ", computed " +
+                              CrcHex(computed) + "): " + path);
   }
 
   TableManifest m;
-  size_t body_size = bytes.size();
-  if (std::memcmp(bytes.data(), kTableMagicV1, 4) == 0) {
-    m.legacy = true;
-  } else if (std::memcmp(bytes.data(), kTableMagicV2, 4) == 0) {
-    if (bytes.size() < 8) {
-      return Status::Corruption("table manifest too small: " + path);
-    }
-    body_size = bytes.size() - 4;
-    uint32_t stored = 0;
-    std::memcpy(&stored, bytes.data() + body_size, 4);
-    uint32_t computed = Crc32c(bytes.data(), body_size);
-    if (stored != computed) {
-      return Status::Corruption("table manifest crc mismatch (stored " +
-                                CrcHex(stored) + ", computed " +
-                                CrcHex(computed) + "): " + path);
-    }
-  } else {
-    return Status::Corruption("bad table manifest magic: " + path);
-  }
-
-  BufferReader r(bytes.data(), body_size);
-  char magic[4];
-  GEOCOL_RETURN_NOT_OK(r.ReadBytes(magic, 4));
-  if (!m.legacy) GEOCOL_RETURN_NOT_OK(r.ReadScalar(&m.generation));
+  BufferReader r(bytes.data() + 4, body_size - 4);
+  GEOCOL_RETURN_NOT_OK(r.ReadScalar(&m.generation));
   GEOCOL_RETURN_NOT_OK(r.ReadString(&m.table_name));
   uint32_t ncols = 0;
   GEOCOL_RETURN_NOT_OK(r.ReadScalar(&ncols));
@@ -305,7 +434,7 @@ Result<TableManifest> ReadTableManifest(const std::string& dir) {
       return Status::Corruption("bad column type in manifest: " + path);
     }
     col.type = static_cast<DataType>(type_byte);
-    if (!m.legacy) GEOCOL_RETURN_NOT_OK(r.ReadString(&col.filename));
+    GEOCOL_RETURN_NOT_OK(r.ReadString(&col.filename));
     m.columns.push_back(std::move(col));
   }
   return m;
@@ -318,53 +447,29 @@ void CleanStaleTableFiles(const std::string& dir, const TableManifest& keep) {
   }
   for (const std::string& full : files) {
     std::string base = full.substr(full.find_last_of('/') + 1);
-    if (base == "schema.gct") continue;
     bool referenced = false;
-    for (const auto& col : keep.columns) {
-      const std::string& fname =
-          col.filename.empty() ? col.name + ".gcl" : col.filename;
-      if (base == fname) {
-        referenced = true;
-        break;
-      }
-    }
+    for (const auto& col : keep.columns) referenced |= base == col.filename;
     if (!referenced) RemoveFile(full);
   }
 }
 
 Status WriteTableDir(const FlatTable& table, const std::string& dir) {
-  GEOCOL_RETURN_NOT_OK(table.Validate());
-  GEOCOL_RETURN_NOT_OK(MakeDir(dir));
-  // Write the next generation's column files under fresh names; the files
-  // the current manifest references are never touched, so the old table
-  // stays fully readable until the manifest swap below.
-  uint64_t gen = 1;
-  if (PathExists(dir + "/schema.gct")) {
-    auto old = ReadTableManifest(dir);
-    if (old.ok()) gen = old->generation + 1;
-  }
-  TableManifest m;
-  m.table_name = table.name();
-  m.generation = gen;
-  for (const auto& col : table.columns()) {
-    std::string fname = col->name() + ".g" + std::to_string(gen) + ".gcl";
-    GEOCOL_RETURN_NOT_OK(WriteColumnFile(*col, dir + "/" + fname));
-    m.columns.push_back({col->name(), col->type(), fname});
-  }
-  GEOCOL_RETURN_NOT_OK(WriteTableManifest(dir, m));  // the commit point
-  CleanStaleTableFiles(dir, m);
-  return Status::OK();
+  return WriteTableGeneration(table, dir, /*compressed=*/false, nullptr);
+}
+
+Status WriteChunkedCompressedTableDir(const FlatTable& table,
+                                      const std::string& dir,
+                                      uint64_t* total_bytes) {
+  return WriteTableGeneration(table, dir, /*compressed=*/true, total_bytes);
 }
 
 Result<FlatTable> ReadTableDir(const std::string& dir, bool verify_checksums) {
   GEOCOL_ASSIGN_OR_RETURN(TableManifest m, ReadTableManifest(dir));
   FlatTable table(m.table_name);
   for (const auto& mc : m.columns) {
-    const std::string fname =
-        mc.filename.empty() ? mc.name + ".gcl" : mc.filename;
     GEOCOL_ASSIGN_OR_RETURN(
         ColumnPtr col,
-        ReadColumnFile(dir + "/" + fname, mc.name, verify_checksums));
+        ReadColumnFile(dir + "/" + mc.filename, mc.name, verify_checksums));
     if (col->type() != mc.type) {
       return Status::Corruption("manifest/file type mismatch for " + mc.name);
     }

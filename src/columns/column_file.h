@@ -3,57 +3,77 @@
 // the COPY BINARY bulk-append path (paper §3.2).
 //
 // Durability model:
-//   - Column files ("GCL2") carry a CRC32C over the header and one per
-//     256 KiB payload chunk, verified during the read.
+//   - Column files come in one raw and one compressed layout. Raw "GCL2"
+//     files carry a CRC32C over the header and one per 256 KiB payload
+//     chunk. Compressed "GPC1" files encode every 256 KiB chunk on its own
+//     (compression.h codecs) and carry a CRC per stored chunk plus one
+//     over the whole decoded payload. Every reader checks the CRCs.
 //   - The manifest ("GCT2") carries a generation number and a whole-file
 //     CRC32C footer, and records the file name of every column.
 //   - All files are written with the atomic durable protocol (tmp ->
-//     fsync -> rename -> fsync dir). WriteTableDir writes generation N's
-//     column files under new names and swaps the manifest last, so a crash
-//     at ANY point leaves the previous generation fully readable.
-//   - Legacy "GCL1"/"GCT1" files (no checksums) are still readable.
+//     fsync -> rename -> fsync dir). Both table writers write generation
+//     N's column files under new names and swap the manifest last, so a
+//     crash at ANY point leaves the previous generation fully readable.
 #ifndef GEOCOL_COLUMNS_COLUMN_FILE_H_
 #define GEOCOL_COLUMNS_COLUMN_FILE_H_
 
 #include <string>
 #include <vector>
 
+#include "columns/compression.h"
 #include "columns/flat_table.h"
 #include "util/status.h"
 
 namespace geocol {
 
-/// Payload bytes covered by each column-file chunk CRC.
+/// Decoded payload bytes covered by each column-file chunk.
 constexpr size_t kColumnChunkBytes = 256 * 1024;
 
-/// Writes a column to `path` atomically:
+/// Writes a raw column to `path` atomically:
 /// magic "GCL2" | type(u8) | count(u64) | chunk_bytes(u32) | header crc |
 /// chunk crcs | raw values.
 Status WriteColumnFile(const Column& column, const std::string& path);
 
-/// Reads a column file written by WriteColumnFile (or a legacy "GCL1"
-/// file). The column name is not stored in the file; callers supply it (it
-/// is the file's role in the table manifest). `verify_checksums` exists so
+/// Writes `column` as a compressed "GPC1" file (atomically):
+/// magic | type u8 | count u64 | chunk_bytes u32 | payload crc | header
+/// crc | per-chunk {codec u8, bytes u32, crc u32} directory | compressed
+/// chunks. Every chunk is encoded independently (kAuto picks per chunk),
+/// which is what lets the paged tier decompress on demand.
+/// `stats->compressed_bytes` reports the full on-disk size.
+Status WriteChunkedCompressedColumnFile(const Column& column,
+                                        const std::string& path,
+                                        ColumnCodec codec = ColumnCodec::kAuto,
+                                        CompressionStats* stats = nullptr);
+
+/// Reads a "GCL2" or "GPC1" column file; the magic picks the decoder. The
+/// column name is not stored in the file; callers supply it (it is the
+/// file's role in the table manifest). `verify_checksums` exists so
 /// benchmarks can measure the verification overhead; corruption checks
 /// that need no extra pass (sizes, magic, types) always run.
 Result<ColumnPtr> ReadColumnFile(const std::string& path,
                                  const std::string& name,
                                  bool verify_checksums = true);
 
-/// Appends the raw value payload of a column file to `column` — the
-/// COPY BINARY fast path. Types must match; checksums are verified.
+/// Appends the values of a column file to `column` — the COPY BINARY
+/// fast path. Types must match; checksums are verified.
 Status AppendColumnFile(const std::string& path, Column* column);
 
-/// The chunk directory of a "GCL2" file, parsed and header-verified
+/// The chunk directory of a column file, parsed and header-verified
 /// without touching the payload — everything the paged open needs to
-/// fault chunks on demand. InvalidArgument for legacy "GCL1" files (no
-/// chunk CRCs, so nothing can vouch for a faulted chunk).
+/// fault chunks on demand.
 struct ColumnFileLayout {
+  struct Chunk {
+    uint64_t offset = 0;        ///< file offset of the stored bytes
+    uint32_t stored_bytes = 0;  ///< on-disk bytes (== decoded for GCL2)
+    uint32_t crc = 0;           ///< CRC32C of the stored bytes
+    ColumnCodec codec = ColumnCodec::kRaw;
+  };
   DataType type = DataType::kFloat64;
   uint64_t count = 0;
-  uint32_t chunk_bytes = 0;
-  uint64_t payload_offset = 0;  ///< file offset of the first payload byte
-  std::vector<uint32_t> chunk_crcs;
+  uint32_t chunk_bytes = 0;  ///< decoded bytes per chunk (last may be short)
+  bool compressed = false;   ///< GPC1: chunks are codec payloads
+  uint32_t payload_crc = 0;  ///< CRC32C of the whole decoded payload
+  std::vector<Chunk> chunks;
 };
 Result<ColumnFileLayout> ReadColumnFileLayout(const std::string& path);
 
@@ -71,16 +91,14 @@ struct TableManifest {
   struct ManifestColumn {
     std::string name;
     DataType type = DataType::kFloat64;
-    /// File name within the table dir; empty in legacy manifests (the
-    /// column then lives at `<name>.gcl` / `<name>.gcz`).
-    std::string filename;
+    std::string filename;  ///< file name within the table dir
   };
 
   std::string table_name;
-  /// Incremented by every successful WriteTableDir; generation N's column
-  /// files are named `<col>.gN.gcl` so writing N+1 never touches them.
+  /// Incremented by every successful table write; generation N's column
+  /// files are named `<col>.gN.gcl` (raw) or `<col>.gN.gcz` (GPC1), so
+  /// writing N+1 never touches them.
   uint64_t generation = 0;
-  bool legacy = false;  ///< "GCT1": no generation, no filenames, no crc
   std::vector<ManifestColumn> columns;
 };
 
@@ -89,7 +107,7 @@ struct TableManifest {
 /// atomically publishes the generation it references.
 Status WriteTableManifest(const std::string& dir, const TableManifest& m);
 
-/// Reads and checksum-verifies `<dir>/schema.gct` ("GCT1" or "GCT2").
+/// Reads and checksum-verifies `<dir>/schema.gct`.
 Result<TableManifest> ReadTableManifest(const std::string& dir);
 
 /// Removes files in `dir` that a crashed or superseded table write left
@@ -103,7 +121,15 @@ void CleanStaleTableFiles(const std::string& dir, const TableManifest& keep);
 /// previous table or the new one — never an error, never mixed data.
 Status WriteTableDir(const FlatTable& table, const std::string& dir);
 
-/// Loads a table persisted by WriteTableDir.
+/// WriteTableDir with GPC1 column files (`<dir>/<col>.gN.gcz`). The result
+/// opens resident (ReadTableDir) and paged (ReadTableDirPaged) with
+/// bit-identical contents. Returns the on-disk column bytes via
+/// `total_bytes` when non-null.
+Status WriteChunkedCompressedTableDir(const FlatTable& table,
+                                      const std::string& dir,
+                                      uint64_t* total_bytes = nullptr);
+
+/// Loads a table persisted by either writer, resident.
 Result<FlatTable> ReadTableDir(const std::string& dir,
                                bool verify_checksums = true);
 

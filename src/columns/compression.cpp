@@ -1,22 +1,14 @@
 #include "columns/compression.h"
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 
-#include "columns/column_file.h"
-#include "columns/paged_column.h"
-#include "util/binary_io.h"
 #include "util/bitpack.h"
-#include "util/crc32c.h"
-#include "util/tempdir.h"
 
 namespace geocol {
 
 namespace {
-
-// GCC1 files predate the durability layer and carry no checksum; GCC2
-// files end in a whole-file CRC32C footer. Both decode identically.
-constexpr char kMagicV1[4] = {'G', 'C', 'C', '1'};
-constexpr char kMagicV2[4] = {'G', 'C', 'C', '2'};
 
 // Integer view of a column value (floats go through their bit patterns so
 // every codec round-trips exactly).
@@ -52,6 +44,19 @@ T FromBits(int64_t v) {
   }
 }
 
+// Two's-complement wrapping arithmetic on bit patterns: the bits of two
+// doubles can differ by more than the int64 range, and signed overflow is
+// undefined behaviour.
+int64_t WrapSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+
+int64_t WrapAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 template <typename T>
 void Append64(std::vector<uint8_t>* out, T v) {
   const auto* p = reinterpret_cast<const uint8_t*>(&v);
@@ -64,11 +69,6 @@ bool Take64(const uint8_t* in, size_t size, size_t* pos, T* v) {
   std::memcpy(v, in + *pos, sizeof(T));
   *pos += sizeof(T);
   return true;
-}
-
-template <typename T>
-bool Take64(const std::vector<uint8_t>& in, size_t* pos, T* v) {
-  return Take64(in.data(), in.size(), pos, v);
 }
 
 // ---- size estimators (cheap, no materialisation) -----------------------
@@ -92,7 +92,7 @@ uint32_t ForBits(std::span<const T> values, int64_t* out_min) {
     mx = std::max(mx, b);
   }
   *out_min = mn;
-  return BitsFor(static_cast<uint64_t>(mx - mn));
+  return BitsFor(static_cast<uint64_t>(WrapSub(mx, mn)));
 }
 
 // Bit width of the zigzag deltas, excluding the first value (which is
@@ -103,7 +103,7 @@ uint32_t DeltaBits(std::span<const T> values) {
   int64_t prev = values.empty() ? 0 : ToBits(values[0]);
   for (size_t i = 1; i < values.size(); ++i) {
     int64_t b = ToBits(values[i]);
-    max_zz = std::max(max_zz, ZigZagEncode(b - prev));
+    max_zz = std::max(max_zz, ZigZagEncode(WrapSub(b, prev)));
     prev = b;
   }
   return BitsFor(max_zz);
@@ -158,7 +158,7 @@ void EncodeFor(std::span<const T> values, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(bits));
   BitWriter bw(out);
   for (T v : values) {
-    bw.Write(static_cast<uint64_t>(ToBits(v) - mn), bits);
+    bw.Write(static_cast<uint64_t>(WrapSub(ToBits(v), mn)), bits);
   }
   bw.FlushByte();
 }
@@ -178,7 +178,7 @@ Status DecodeFor(const uint8_t* in, size_t size, uint64_t count, T* out) {
     if (bits > 0 && !br.Read(&packed, bits)) {
       return Status::Corruption("FOR: truncated payload");
     }
-    out[i] = FromBits<T>(mn + static_cast<int64_t>(packed));
+    out[i] = FromBits<T>(WrapAdd(mn, static_cast<int64_t>(packed)));
   }
   return Status::OK();
 }
@@ -193,7 +193,7 @@ void EncodeDelta(std::span<const T> values, std::vector<uint8_t>* out) {
   int64_t prev = first;
   for (size_t i = 1; i < values.size(); ++i) {
     int64_t b = ToBits(values[i]);
-    bw.Write(ZigZagEncode(b - prev), bits);
+    bw.Write(ZigZagEncode(WrapSub(b, prev)), bits);
     prev = b;
   }
   bw.FlushByte();
@@ -219,7 +219,7 @@ Status DecodeDelta(const uint8_t* in, size_t size, uint64_t count, T* out) {
     if (bits > 0 && !br.Read(&z, bits)) {
       return Status::Corruption("DELTA: truncated payload");
     }
-    prev += ZigZagDecode(z);
+    prev = WrapAdd(prev, ZigZagDecode(z));
     out[i] = FromBits<T>(prev);
   }
   return Status::OK();
@@ -310,7 +310,7 @@ Status DecompressChunkPayload(DataType type, ColumnCodec codec,
       case ColumnCodec::kRaw: {
         uint64_t bytes = count * sizeof(T);
         if (bytes > size) return Status::Corruption("raw payload truncated");
-        std::memcpy(typed, data, bytes);
+        if (bytes > 0) std::memcpy(typed, data, bytes);  // may both be null
         return Status::OK();
       }
       case ColumnCodec::kRle: return DecodeRle<T>(data, size, count, typed);
@@ -320,156 +320,6 @@ Status DecompressChunkPayload(DataType type, ColumnCodec codec,
     }
     return Status::Corruption("bad codec");
   });
-}
-
-Result<std::vector<uint8_t>> CompressColumn(const Column& column,
-                                            ColumnCodec codec,
-                                            CompressionStats* stats) {
-  if (column.paged()) {
-    return Status::InvalidArgument(
-        "CompressColumn: paged columns are read-only (reopen the table "
-        "resident to recompress)");
-  }
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagicV2, kMagicV2 + 4);
-  out.push_back(static_cast<uint8_t>(column.type()));
-  size_t codec_at = out.size();
-  out.push_back(0);  // patched below
-  uint64_t count = column.size();
-  Append64(&out, count);
-
-  ColumnCodec chosen = codec;
-  std::vector<uint8_t> payload = CompressChunkPayload(
-      column.type(), column.raw_data(), count, codec, &chosen);
-  out.insert(out.end(), payload.begin(), payload.end());
-  out[codec_at] = static_cast<uint8_t>(chosen);
-  if (stats != nullptr) {
-    stats->codec = chosen;
-    stats->uncompressed_bytes = column.raw_size_bytes();
-    stats->compressed_bytes = out.size();
-  }
-  return out;
-}
-
-Result<ColumnPtr> DecompressColumn(const std::vector<uint8_t>& data,
-                                   const std::string& name) {
-  if (data.size() < 4 + 1 + 1 + 8 ||
-      (std::memcmp(data.data(), kMagicV2, 4) != 0 &&
-       std::memcmp(data.data(), kMagicV1, 4) != 0)) {
-    return Status::Corruption("bad compressed column header");
-  }
-  size_t pos = 4;
-  uint8_t type_byte = data[pos++];
-  uint8_t codec_byte = data[pos++];
-  if (type_byte >= kNumDataTypes || codec_byte > 3) {
-    return Status::Corruption("bad compressed column type/codec");
-  }
-  uint64_t count = 0;
-  if (!Take64(data, &pos, &count)) {
-    return Status::Corruption("bad compressed column count");
-  }
-  if (count > (uint64_t{1} << 40)) {
-    return Status::Corruption("implausible compressed column count");
-  }
-  DataType type = static_cast<DataType>(type_byte);
-  ColumnCodec codec = static_cast<ColumnCodec>(codec_byte);
-  auto col = std::make_shared<Column>(name, type);
-  std::vector<uint8_t> decoded(count * DataTypeSize(type));
-  GEOCOL_RETURN_NOT_OK(DecompressChunkPayload(
-      type, codec, data.data() + pos, data.size() - pos, count,
-      decoded.data()));
-  col->AppendRaw(decoded.data(), count);
-  return col;
-}
-
-Status WriteCompressedColumnFile(const Column& column, const std::string& path,
-                                 ColumnCodec codec, CompressionStats* stats) {
-  GEOCOL_ASSIGN_OR_RETURN(std::vector<uint8_t> data,
-                          CompressColumn(column, codec, stats));
-  // Whole-file CRC32C footer over the encoded buffer, then an atomic
-  // publish — a torn or bit-rotted .gcz is detected before decoding.
-  uint32_t crc = Crc32c(data.data(), data.size());
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&crc);
-  data.insert(data.end(), p, p + sizeof(crc));
-  if (stats != nullptr) stats->compressed_bytes = data.size();
-  return WriteFileAtomic(path, data.data(), data.size());
-}
-
-Result<ColumnPtr> ReadCompressedColumnFile(const std::string& path,
-                                           const std::string& name) {
-  std::vector<uint8_t> data;
-  GEOCOL_RETURN_NOT_OK(ReadFileBytes(path, &data));
-  if (data.size() < 4) {
-    return Status::Corruption("compressed column file too small: " + path);
-  }
-  // Chunked-compressed (GPC1) files carry per-chunk CRCs instead of a
-  // whole-file footer; this is their resident open.
-  if (IsChunkedCompressedBuffer(data.data(), data.size())) {
-    return DecompressChunkedColumn(data, name);
-  }
-  // Legacy GCC1 files were written without a footer and decode as-is.
-  if (std::memcmp(data.data(), kMagicV1, 4) != 0) {
-    if (std::memcmp(data.data(), kMagicV2, 4) != 0) {
-      return Status::Corruption("bad compressed column magic: " + path);
-    }
-    if (data.size() < 8) {
-      return Status::Corruption("compressed column file too small: " + path);
-    }
-    uint32_t stored = 0;
-    std::memcpy(&stored, data.data() + data.size() - 4, 4);
-    data.resize(data.size() - 4);
-    uint32_t computed = Crc32c(data.data(), data.size());
-    if (stored != computed) {
-      return Status::Corruption("compressed column crc mismatch: " + path);
-    }
-  }
-  return DecompressColumn(data, name);
-}
-
-Status WriteCompressedTableDir(const FlatTable& table, const std::string& dir,
-                               uint64_t* total_bytes) {
-  GEOCOL_RETURN_NOT_OK(table.Validate());
-  GEOCOL_RETURN_NOT_OK(MakeDir(dir));
-  // Same generation protocol as WriteTableDir: new generation under fresh
-  // names, manifest swap as the commit point, old generation untouched.
-  uint64_t gen = 1;
-  if (PathExists(dir + "/schema.gct")) {
-    auto old = ReadTableManifest(dir);
-    if (old.ok()) gen = old->generation + 1;
-  }
-  TableManifest m;
-  m.table_name = table.name();
-  m.generation = gen;
-  uint64_t total = 0;
-  for (const auto& col : table.columns()) {
-    std::string fname = col->name() + ".g" + std::to_string(gen) + ".gcz";
-    CompressionStats stats;
-    GEOCOL_RETURN_NOT_OK(WriteCompressedColumnFile(
-        *col, dir + "/" + fname, ColumnCodec::kAuto, &stats));
-    total += stats.compressed_bytes;
-    m.columns.push_back({col->name(), col->type(), fname});
-  }
-  GEOCOL_RETURN_NOT_OK(WriteTableManifest(dir, m));
-  CleanStaleTableFiles(dir, m);
-  if (total_bytes != nullptr) *total_bytes = total;
-  return Status::OK();
-}
-
-Result<FlatTable> ReadCompressedTableDir(const std::string& dir) {
-  GEOCOL_ASSIGN_OR_RETURN(TableManifest m, ReadTableManifest(dir));
-  FlatTable table(m.table_name);
-  for (const auto& mc : m.columns) {
-    const std::string fname =
-        mc.filename.empty() ? mc.name + ".gcz" : mc.filename;
-    GEOCOL_ASSIGN_OR_RETURN(
-        ColumnPtr col, ReadCompressedColumnFile(dir + "/" + fname, mc.name));
-    if (col->type() != mc.type) {
-      return Status::Corruption("manifest/file type mismatch for " + mc.name);
-    }
-    GEOCOL_RETURN_NOT_OK(table.AddColumn(std::move(col)));
-  }
-  GEOCOL_RETURN_NOT_OK(table.Validate());
-  return table;
 }
 
 }  // namespace geocol

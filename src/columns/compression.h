@@ -8,7 +8,9 @@
 //   kFor         frame-of-reference + bit packing — bounded-range integers
 //   kDelta       delta + zigzag + bit packing — sorted/acquisition-ordered
 //                integers (coordinates, gps_time bit patterns)
-// kAuto sizes every applicable codec and picks the smallest.
+// kAuto sizes every applicable codec and picks the smallest. The codecs
+// encode bare payloads; GPC1 column files (column_file.h) frame one payload
+// per 256 KiB chunk.
 #ifndef GEOCOL_COLUMNS_COMPRESSION_H_
 #define GEOCOL_COLUMNS_COMPRESSION_H_
 
@@ -16,8 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "columns/column.h"
-#include "columns/flat_table.h"
+#include "columns/types.h"
 #include "util/status.h"
 
 namespace geocol {
@@ -48,8 +49,8 @@ struct CompressionStats {
 /// bare codec payload (no magic/type/count header — the caller's framing
 /// holds those). kAuto sizes every applicable codec and picks the
 /// smallest; the codec actually used lands in `*chosen` (kFor of an empty
-/// input falls back to kRaw). This is the chunk-granular encode path of
-/// the paged tier's GPC1 files.
+/// input falls back to kRaw). GPC1 column files store one such payload
+/// per chunk.
 std::vector<uint8_t> CompressChunkPayload(DataType type, const void* values,
                                           uint64_t count, ColumnCodec codec,
                                           ColumnCodec* chosen);
@@ -60,33 +61,6 @@ std::vector<uint8_t> CompressChunkPayload(DataType type, const void* values,
 Status DecompressChunkPayload(DataType type, ColumnCodec codec,
                               const uint8_t* data, size_t size,
                               uint64_t count, void* out);
-
-/// Encodes a column into a self-describing buffer:
-/// magic "GCC2" | type u8 | codec u8 | count u64 | payload.
-Result<std::vector<uint8_t>> CompressColumn(
-    const Column& column, ColumnCodec codec = ColumnCodec::kAuto,
-    CompressionStats* stats = nullptr);
-
-/// Decodes a CompressColumn buffer into a new column named `name`.
-Result<ColumnPtr> DecompressColumn(const std::vector<uint8_t>& data,
-                                   const std::string& name);
-
-/// Writes/reads one compressed column file: a CompressColumn buffer plus a
-/// whole-file CRC32C footer, written atomically. The reader verifies the
-/// footer before decoding; legacy footer-less "GCC1" files still load.
-/// `stats->compressed_bytes` reports the full on-disk size.
-Status WriteCompressedColumnFile(const Column& column, const std::string& path,
-                                 ColumnCodec codec = ColumnCodec::kAuto,
-                                 CompressionStats* stats = nullptr);
-Result<ColumnPtr> ReadCompressedColumnFile(const std::string& path,
-                                           const std::string& name);
-
-/// Persists a whole table compressed: `<dir>/schema.gct` manifest (same as
-/// the uncompressed layout) + `<dir>/<col>.gcz` per column. Returns total
-/// compressed bytes via `total_bytes` when non-null.
-Status WriteCompressedTableDir(const FlatTable& table, const std::string& dir,
-                               uint64_t* total_bytes = nullptr);
-Result<FlatTable> ReadCompressedTableDir(const std::string& dir);
 
 }  // namespace geocol
 

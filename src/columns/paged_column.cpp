@@ -1,107 +1,15 @@
 #include "columns/paged_column.h"
 
 #include <chrono>
-#include <cstring>
 #include <limits>
 
 #include "cache/chunk_cache.h"
-#include "columns/column_file.h"
 #include "telemetry/heat.h"
 #include "telemetry/metrics.h"
-#include "util/binary_io.h"
 #include "util/crc32c.h"
 #include "util/fd_cache.h"
-#include "util/tempdir.h"
 
 namespace geocol {
-
-namespace {
-
-constexpr char kGpc1Magic[4] = {'G', 'P', 'C', '1'};
-constexpr char kGcl2Magic[4] = {'G', 'C', 'L', '2'};
-constexpr char kGcl1Magic[4] = {'G', 'C', 'L', '1'};
-constexpr char kGccMagicPrefix[3] = {'G', 'C', 'C'};
-
-/// magic | type u8 | count u64 | chunk_bytes u32 | payload crc u32,
-/// followed by the header crc u32.
-constexpr size_t kGpc1CrcCoveredBytes = 4 + 1 + 8 + 4 + 4;
-constexpr size_t kGpc1FixedBytes = kGpc1CrcCoveredBytes + 4;
-/// codec u8 | comp_bytes u32 | comp_crc u32 per chunk.
-constexpr size_t kGpc1DirEntryBytes = 1 + 4 + 4;
-
-constexpr uint64_t kMaxPlausibleRows = uint64_t{1} << 40;
-
-uint64_t NumChunks(uint64_t payload_bytes, uint64_t chunk_bytes) {
-  return payload_bytes == 0 ? 0
-                            : (payload_bytes + chunk_bytes - 1) / chunk_bytes;
-}
-
-struct Gpc1Fixed {
-  DataType type = DataType::kFloat64;
-  uint64_t count = 0;
-  uint32_t chunk_bytes = 0;
-  uint32_t payload_crc = 0;
-};
-
-Result<Gpc1Fixed> ParseGpc1Fixed(const uint8_t* p, size_t n,
-                                 const std::string& path) {
-  if (n < kGpc1FixedBytes || std::memcmp(p, kGpc1Magic, 4) != 0) {
-    return Status::Corruption("bad chunked column header: " + path);
-  }
-  uint32_t stored = 0;
-  std::memcpy(&stored, p + kGpc1CrcCoveredBytes, 4);
-  uint32_t computed = Crc32c(p, kGpc1CrcCoveredBytes);
-  if (stored != computed) {
-    return Status::Corruption("chunked column header crc mismatch: " + path);
-  }
-  Gpc1Fixed h;
-  uint8_t type_byte = p[4];
-  std::memcpy(&h.count, p + 5, 8);
-  std::memcpy(&h.chunk_bytes, p + 13, 4);
-  std::memcpy(&h.payload_crc, p + 17, 4);
-  if (type_byte >= kNumDataTypes) {
-    return Status::Corruption("bad column type byte " +
-                              std::to_string(type_byte) + ": " + path);
-  }
-  h.type = static_cast<DataType>(type_byte);
-  if (h.count > kMaxPlausibleRows) {
-    return Status::Corruption("chunked column: implausible row count " +
-                              std::to_string(h.count) + ": " + path);
-  }
-  if (h.chunk_bytes == 0 || h.chunk_bytes > (1u << 30) ||
-      h.chunk_bytes % DataTypeSize(h.type) != 0) {
-    return Status::Corruption("chunked column: bad chunk size: " + path);
-  }
-  return h;
-}
-
-struct Gpc1DirEntry {
-  uint8_t codec = 0;
-  uint32_t comp_bytes = 0;
-  uint32_t comp_crc = 0;
-};
-
-Result<std::vector<Gpc1DirEntry>> ParseGpc1Dir(const uint8_t* p, size_t n,
-                                               uint64_t nchunks,
-                                               const std::string& path) {
-  if (nchunks * kGpc1DirEntryBytes > n) {
-    return Status::Corruption("chunked column: truncated chunk directory: " +
-                              path);
-  }
-  std::vector<Gpc1DirEntry> dir(nchunks);
-  for (uint64_t c = 0; c < nchunks; ++c) {
-    const uint8_t* e = p + c * kGpc1DirEntryBytes;
-    dir[c].codec = e[0];
-    std::memcpy(&dir[c].comp_bytes, e + 1, 4);
-    std::memcpy(&dir[c].comp_crc, e + 5, 4);
-    if (dir[c].codec > static_cast<uint8_t>(ColumnCodec::kDelta)) {
-      return Status::Corruption("chunked column: bad chunk codec: " + path);
-    }
-  }
-  return dir;
-}
-
-}  // namespace
 
 // ---- PagedColumn ----------------------------------------------------------
 
@@ -120,100 +28,14 @@ size_t PagedColumn::RowsInChunk(size_t chunk_index) const {
 
 Result<std::shared_ptr<PagedColumn>> PagedColumn::Open(
     const std::string& path, const std::string& name) {
-  GEOCOL_ASSIGN_OR_RETURN(std::shared_ptr<FileHandle> file,
-                          FdCache::Global().Get(path));
-  char magic[4];
-  GEOCOL_RETURN_NOT_OK(file->ReadAt(0, magic, 4));
-
-  if (std::memcmp(magic, kGcl1Magic, 4) == 0) {
-    return Status::InvalidArgument(
-        "legacy GCL1 file has no chunk checksums and cannot be opened "
-        "paged: " + path);
-  }
-  if (std::memcmp(magic, kGccMagicPrefix, 3) == 0) {
-    return Status::InvalidArgument(
-        "whole-column compressed file cannot be opened paged (rewrite it "
-        "with the chunked compressor): " + path);
-  }
-
-  if (std::memcmp(magic, kGcl2Magic, 4) == 0) {
-    GEOCOL_ASSIGN_OR_RETURN(ColumnFileLayout layout,
-                            ReadColumnFileLayout(path));
-    if (layout.chunk_bytes % DataTypeSize(layout.type) != 0) {
-      return Status::Corruption(
-          "column file chunk size is not value-aligned, cannot page: " +
-          path);
-    }
-    auto col = std::shared_ptr<PagedColumn>(
-        new PagedColumn(name, layout.type));
-    col->path_ = path;
-    col->rows_ = layout.count;
-    col->chunk_rows_ = layout.chunk_bytes / col->width();
-    col->compressed_ = false;
-    uint64_t payload_bytes = layout.count * col->width();
-    col->chunks_.resize(layout.chunk_crcs.size());
-    // Fold the on-disk chunk CRCs into the whole-payload CRC: one
-    // precomputed operator for the fixed chunk length, generic combine
-    // for the short tail.
-    Crc32cCombineOp op = Crc32cCombineOpFor(layout.chunk_bytes);
-    uint32_t payload_crc = 0;
-    for (size_t c = 0; c < col->chunks_.size(); ++c) {
-      uint64_t off = c * uint64_t{layout.chunk_bytes};
-      uint64_t len = std::min<uint64_t>(layout.chunk_bytes,
-                                        payload_bytes - off);
-      ChunkInfo& ci = col->chunks_[c];
-      ci.offset = layout.payload_offset + off;
-      ci.stored_bytes = static_cast<uint32_t>(len);
-      ci.crc = layout.chunk_crcs[c];
-      ci.codec = static_cast<uint8_t>(ColumnCodec::kRaw);
-      payload_crc = len == layout.chunk_bytes
-                        ? Crc32cCombineWithOp(op, payload_crc, ci.crc)
-                        : Crc32cCombine(payload_crc, ci.crc, len);
-    }
-    col->payload_crc_ = payload_crc;
-    col->file_id_ = cache::ChunkCache::NextFileId();
-    col->set_epoch(1);
-    return col;
-  }
-
-  if (std::memcmp(magic, kGpc1Magic, 4) != 0) {
-    return Status::Corruption("bad column file magic: " + path);
-  }
-
-  uint8_t fixed[kGpc1FixedBytes];
-  GEOCOL_RETURN_NOT_OK(file->ReadAt(0, fixed, sizeof(fixed)));
-  GEOCOL_ASSIGN_OR_RETURN(Gpc1Fixed h,
-                          ParseGpc1Fixed(fixed, sizeof(fixed), path));
-  auto col = std::shared_ptr<PagedColumn>(new PagedColumn(name, h.type));
+  GEOCOL_ASSIGN_OR_RETURN(ColumnFileLayout layout, ReadColumnFileLayout(path));
+  auto col = std::shared_ptr<PagedColumn>(new PagedColumn(name, layout.type));
   col->path_ = path;
-  col->rows_ = h.count;
-  col->chunk_rows_ = h.chunk_bytes / col->width();
-  col->compressed_ = true;
-  col->payload_crc_ = h.payload_crc;
-
-  uint64_t payload_bytes = h.count * col->width();
-  uint64_t nchunks = NumChunks(payload_bytes, h.chunk_bytes);
-  std::vector<uint8_t> dir_bytes(nchunks * kGpc1DirEntryBytes);
-  if (!dir_bytes.empty()) {
-    GEOCOL_RETURN_NOT_OK(
-        file->ReadAt(kGpc1FixedBytes, dir_bytes.data(), dir_bytes.size()));
-  }
-  GEOCOL_ASSIGN_OR_RETURN(
-      std::vector<Gpc1DirEntry> dir,
-      ParseGpc1Dir(dir_bytes.data(), dir_bytes.size(), nchunks, path));
-  col->chunks_.resize(nchunks);
-  uint64_t offset = kGpc1FixedBytes + dir_bytes.size();
-  for (uint64_t c = 0; c < nchunks; ++c) {
-    ChunkInfo& ci = col->chunks_[c];
-    ci.offset = offset;
-    ci.stored_bytes = dir[c].comp_bytes;
-    ci.crc = dir[c].comp_crc;
-    ci.codec = dir[c].codec;
-    offset += dir[c].comp_bytes;
-  }
-  if (offset != file->size()) {
-    return Status::Corruption("chunked column file size mismatch: " + path);
-  }
+  col->rows_ = layout.count;
+  col->chunk_rows_ = layout.chunk_bytes / col->width();
+  col->payload_crc_ = layout.payload_crc;
+  col->compressed_ = layout.compressed;
+  col->chunks_ = std::move(layout.chunks);
   col->file_id_ = cache::ChunkCache::NextFileId();
   col->set_epoch(1);
   return col;
@@ -227,7 +49,7 @@ Result<std::shared_ptr<const std::vector<uint8_t>>> PagedColumn::FaultChunk(
 
   GEOCOL_ASSIGN_OR_RETURN(std::shared_ptr<FileHandle> file,
                           FdCache::Global().Get(path_));
-  const ChunkInfo& ci = chunks_[chunk_index];
+  const ColumnFileLayout::Chunk& ci = chunks_[chunk_index];
   auto stored = std::make_shared<std::vector<uint8_t>>(ci.stored_bytes);
   GEOCOL_RETURN_NOT_OK(
       file->ReadAt(ci.offset, stored->data(), stored->size()));
@@ -248,7 +70,7 @@ Result<std::shared_ptr<const std::vector<uint8_t>>> PagedColumn::FaultChunk(
     const size_t rows = RowsInChunk(chunk_index);
     auto decoded = std::make_shared<std::vector<uint8_t>>(rows * width());
     GEOCOL_RETURN_NOT_OK(DecompressChunkPayload(
-        type(), static_cast<ColumnCodec>(ci.codec), stored->data(),
+        type(), ci.codec, stored->data(),
         stored->size(), rows, decoded->data()));
     result = std::move(decoded);
   }
@@ -367,7 +189,8 @@ const ColumnStats& PagedColumn::Stats() const {
 }
 
 size_t PagedColumn::MemoryBytes() const {
-  return chunks_.capacity() * sizeof(ChunkInfo) + path_.capacity();
+  return chunks_.capacity() * sizeof(ColumnFileLayout::Chunk) +
+         path_.capacity();
 }
 
 Result<ColumnPtr> OpenPagedColumnFile(const std::string& path,
@@ -377,159 +200,12 @@ Result<ColumnPtr> OpenPagedColumnFile(const std::string& path,
   return ColumnPtr(std::move(col));
 }
 
-// ---- GPC1 chunked-compressed files ---------------------------------------
-
-Status WriteChunkedCompressedColumnFile(const Column& column,
-                                        const std::string& path,
-                                        ColumnCodec codec,
-                                        CompressionStats* stats) {
-  if (column.paged()) {
-    return Status::InvalidArgument(
-        "WriteChunkedCompressedColumnFile: paged columns are read-only "
-        "(reopen the table resident to rewrite)");
-  }
-  const uint8_t* payload = column.raw_data();
-  const uint64_t payload_bytes = column.raw_size_bytes();
-  const uint32_t chunk_bytes = kColumnChunkBytes;
-  const size_t width = column.width();
-  const uint64_t nchunks = NumChunks(payload_bytes, chunk_bytes);
-
-  BufferWriter header;
-  header.WriteBytes(kGpc1Magic, 4);
-  header.WriteScalar<uint8_t>(static_cast<uint8_t>(column.type()));
-  header.WriteScalar<uint64_t>(column.size());
-  header.WriteScalar<uint32_t>(chunk_bytes);
-  header.WriteScalar<uint32_t>(Crc32c(payload, payload_bytes));
-  uint32_t header_crc = Crc32c(header.buffer().data(), header.size());
-
-  BufferWriter dir;
-  std::vector<std::vector<uint8_t>> compressed(nchunks);
-  uint64_t codec_counts[4] = {0, 0, 0, 0};
-  for (uint64_t c = 0; c < nchunks; ++c) {
-    uint64_t off = c * uint64_t{chunk_bytes};
-    uint64_t len = std::min<uint64_t>(chunk_bytes, payload_bytes - off);
-    ColumnCodec chosen = ColumnCodec::kRaw;
-    compressed[c] = CompressChunkPayload(column.type(), payload + off,
-                                         len / width, codec, &chosen);
-    dir.WriteScalar<uint8_t>(static_cast<uint8_t>(chosen));
-    dir.WriteScalar<uint32_t>(static_cast<uint32_t>(compressed[c].size()));
-    dir.WriteScalar<uint32_t>(
-        Crc32c(compressed[c].data(), compressed[c].size()));
-    ++codec_counts[static_cast<uint8_t>(chosen)];
-  }
-
-  BinaryWriter w;
-  GEOCOL_RETURN_NOT_OK(w.OpenAtomic(path));
-  Status st = [&]() -> Status {
-    GEOCOL_RETURN_NOT_OK(w.WriteBytes(header.buffer().data(), header.size()));
-    GEOCOL_RETURN_NOT_OK(w.WriteScalar<uint32_t>(header_crc));
-    GEOCOL_RETURN_NOT_OK(w.WriteBytes(dir.buffer().data(), dir.size()));
-    for (const std::vector<uint8_t>& chunk : compressed) {
-      GEOCOL_RETURN_NOT_OK(w.WriteBytes(chunk.data(), chunk.size()));
-    }
-    return w.Commit();
-  }();
-  if (!st.ok()) {
-    w.Abandon();
-    return st;
-  }
-  if (stats != nullptr) {
-    // Chunks choose codecs independently; report the dominant one.
-    size_t best = 0;
-    for (size_t k = 1; k < 4; ++k) {
-      if (codec_counts[k] > codec_counts[best]) best = k;
-    }
-    stats->codec = static_cast<ColumnCodec>(best);
-    stats->uncompressed_bytes = payload_bytes;
-    stats->compressed_bytes = w.bytes_written();
-  }
-  return Status::OK();
-}
-
-bool IsChunkedCompressedBuffer(const uint8_t* data, size_t size) {
-  return size >= 4 && std::memcmp(data, kGpc1Magic, 4) == 0;
-}
-
-Result<ColumnPtr> DecompressChunkedColumn(const std::vector<uint8_t>& data,
-                                          const std::string& name) {
-  GEOCOL_ASSIGN_OR_RETURN(Gpc1Fixed h,
-                          ParseGpc1Fixed(data.data(), data.size(), name));
-  const size_t width = DataTypeSize(h.type);
-  const uint64_t payload_bytes = h.count * width;
-  const uint64_t nchunks = NumChunks(payload_bytes, h.chunk_bytes);
-  GEOCOL_ASSIGN_OR_RETURN(
-      std::vector<Gpc1DirEntry> dir,
-      ParseGpc1Dir(data.data() + kGpc1FixedBytes,
-                   data.size() - kGpc1FixedBytes, nchunks, name));
-  uint64_t offset = kGpc1FixedBytes + nchunks * kGpc1DirEntryBytes;
-
-  std::vector<uint8_t> decoded(payload_bytes);
-  for (uint64_t c = 0; c < nchunks; ++c) {
-    uint64_t out_off = c * uint64_t{h.chunk_bytes};
-    uint64_t len = std::min<uint64_t>(h.chunk_bytes, payload_bytes - out_off);
-    if (offset + dir[c].comp_bytes > data.size()) {
-      return Status::Corruption("chunked column: truncated chunk " +
-                                std::to_string(c) + ": " + name);
-    }
-    const uint8_t* comp = data.data() + offset;
-    if (Crc32c(comp, dir[c].comp_bytes) != dir[c].comp_crc) {
-      return Status::Corruption("chunked column: chunk " + std::to_string(c) +
-                                " crc mismatch: " + name);
-    }
-    GEOCOL_RETURN_NOT_OK(DecompressChunkPayload(
-        h.type, static_cast<ColumnCodec>(dir[c].codec), comp,
-        dir[c].comp_bytes, len / width, decoded.data() + out_off));
-    offset += dir[c].comp_bytes;
-  }
-  if (offset != data.size()) {
-    return Status::Corruption("chunked column size mismatch: " + name);
-  }
-  if (Crc32c(decoded.data(), decoded.size()) != h.payload_crc) {
-    return Status::Corruption("chunked column payload crc mismatch: " + name);
-  }
-  auto col = std::make_shared<Column>(name, h.type);
-  col->AppendRaw(decoded.data(), h.count);
-  return ColumnPtr(std::move(col));
-}
-
-Status WriteChunkedCompressedTableDir(const FlatTable& table,
-                                      const std::string& dir,
-                                      uint64_t* total_bytes) {
-  GEOCOL_RETURN_NOT_OK(table.Validate());
-  GEOCOL_RETURN_NOT_OK(MakeDir(dir));
-  // Same generation protocol as WriteTableDir: new generation under fresh
-  // names, manifest swap as the commit point, old generation untouched.
-  uint64_t gen = 1;
-  if (PathExists(dir + "/schema.gct")) {
-    auto old = ReadTableManifest(dir);
-    if (old.ok()) gen = old->generation + 1;
-  }
-  TableManifest m;
-  m.table_name = table.name();
-  m.generation = gen;
-  uint64_t total = 0;
-  for (const auto& col : table.columns()) {
-    std::string fname = col->name() + ".g" + std::to_string(gen) + ".gcz";
-    CompressionStats stats;
-    GEOCOL_RETURN_NOT_OK(WriteChunkedCompressedColumnFile(
-        *col, dir + "/" + fname, ColumnCodec::kAuto, &stats));
-    total += stats.compressed_bytes;
-    m.columns.push_back({col->name(), col->type(), fname});
-  }
-  GEOCOL_RETURN_NOT_OK(WriteTableManifest(dir, m));
-  CleanStaleTableFiles(dir, m);
-  if (total_bytes != nullptr) *total_bytes = total;
-  return Status::OK();
-}
-
 Result<FlatTable> ReadTableDirPaged(const std::string& dir) {
   GEOCOL_ASSIGN_OR_RETURN(TableManifest m, ReadTableManifest(dir));
   FlatTable table(m.table_name);
   for (const auto& mc : m.columns) {
-    const std::string fname =
-        mc.filename.empty() ? mc.name + ".gcl" : mc.filename;
     GEOCOL_ASSIGN_OR_RETURN(
-        ColumnPtr col, OpenPagedColumnFile(dir + "/" + fname, mc.name));
+        ColumnPtr col, OpenPagedColumnFile(dir + "/" + mc.filename, mc.name));
     if (col->type() != mc.type) {
       return Status::Corruption("manifest/file type mismatch for " + mc.name);
     }

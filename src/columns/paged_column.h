@@ -6,16 +6,11 @@
 // (ForEachValueRun), so imprint pruning translates directly into chunks
 // that are never read.
 //
-// Two on-disk layouts page:
-//   - "GCL2" column files as written by WriteColumnFile: raw values, one
-//     CRC per 256 KiB chunk. Faults are a single pread + CRC check.
-//   - "GPC1" chunked-compressed files (written here): every 256 KiB
-//     decoded chunk is compressed independently with the compression.h
-//     codecs, so a fault is pread + CRC check + decompress-on-demand.
-//     The whole-column "GCC2" .gcz format cannot page (one codec stream,
-//     no chunk boundaries); WriteChunkedCompressedTableDir is its
-//     paged-capable replacement, and resident opens of GPC1 files keep
-//     working through ReadCompressedColumnFile.
+// Both column-file layouts (column_file.h) page through the same chunk
+// directory (ReadColumnFileLayout):
+//   - raw "GCL2" files: a fault is a single pread + CRC check;
+//   - compressed "GPC1" files: every 256 KiB decoded chunk is compressed
+//     independently, so a fault is pread + CRC check + decompress.
 //
 // Paged columns are read-only: every mutation path (appends, shuffles,
 // rewrites) returns InvalidArgument upstream. They pin epoch 1 — the
@@ -30,7 +25,7 @@
 #include <vector>
 
 #include "columns/column.h"
-#include "columns/compression.h"
+#include "columns/column_file.h"
 #include "columns/flat_table.h"
 #include "util/status.h"
 
@@ -41,8 +36,7 @@ class PagedColumn : public Column {
   ~PagedColumn() override;
 
   /// Opens a "GCL2" or "GPC1" file for demand paging: parses and verifies
-  /// the header and chunk directory, touches no payload. Legacy and
-  /// whole-column-compressed files are InvalidArgument.
+  /// the header and chunk directory, touches no payload.
   static Result<std::shared_ptr<PagedColumn>> Open(const std::string& path,
                                                    const std::string& name);
 
@@ -87,13 +81,6 @@ class PagedColumn : public Column {
   bool compressed() const { return compressed_; }
 
  private:
-  struct ChunkInfo {
-    uint64_t offset = 0;        ///< file offset of the stored bytes
-    uint32_t stored_bytes = 0;  ///< on-disk bytes (== decoded for GCL2)
-    uint32_t crc = 0;           ///< CRC32C of the stored bytes
-    uint8_t codec = 0;          ///< ColumnCodec (kRaw for GCL2)
-  };
-
   PagedColumn(std::string name, DataType type);
 
   size_t RowsInChunk(size_t chunk_index) const;
@@ -107,7 +94,7 @@ class PagedColumn : public Column {
   size_t chunk_rows_ = 0;
   uint32_t payload_crc_ = 0;
   bool compressed_ = false;
-  std::vector<ChunkInfo> chunks_;
+  std::vector<ColumnFileLayout::Chunk> chunks_;
   mutable std::mutex paged_stats_mu_;
   mutable ColumnStats paged_stats_;
 };
@@ -117,38 +104,9 @@ class PagedColumn : public Column {
 Result<ColumnPtr> OpenPagedColumnFile(const std::string& path,
                                       const std::string& name);
 
-/// Writes `column` as a chunked-compressed "GPC1" file (atomically):
-/// magic | type u8 | count u64 | chunk_bytes u32 | payload crc | header
-/// crc | per-chunk {codec u8, bytes u32, crc u32} directory | compressed
-/// chunks. Every chunk is encoded independently (kAuto picks per chunk),
-/// which is what makes decompress-on-demand possible.
-Status WriteChunkedCompressedColumnFile(const Column& column,
-                                        const std::string& path,
-                                        ColumnCodec codec = ColumnCodec::kAuto,
-                                        CompressionStats* stats = nullptr);
-
-/// True when `data` starts with the GPC1 magic.
-bool IsChunkedCompressedBuffer(const uint8_t* data, size_t size);
-
-/// Decodes a whole GPC1 buffer into a resident column — the resident
-/// open path of chunked-compressed files (ReadCompressedColumnFile
-/// delegates here on the GPC1 magic). Verifies every chunk CRC plus the
-/// whole-payload CRC.
-Result<ColumnPtr> DecompressChunkedColumn(const std::vector<uint8_t>& data,
-                                          const std::string& name);
-
-/// Persists a table with per-chunk compression: `<dir>/schema.gct` +
-/// `<dir>/<col>.gN.gcz` GPC1 files, same generation/manifest-swap
-/// protocol as WriteTableDir. The result opens resident
-/// (ReadCompressedTableDir) and paged (ReadTableDirPaged) with
-/// bit-identical contents.
-Status WriteChunkedCompressedTableDir(const FlatTable& table,
-                                      const std::string& dir,
-                                      uint64_t* total_bytes = nullptr);
-
 /// Opens every column of a persisted table for demand paging. Works on
 /// WriteTableDir output (GCL2) and WriteChunkedCompressedTableDir output
-/// (GPC1); legacy and whole-column-compressed tables must open resident.
+/// (GPC1).
 Result<FlatTable> ReadTableDirPaged(const std::string& dir);
 
 }  // namespace geocol

@@ -13,9 +13,8 @@ namespace geocol {
 namespace {
 
 constexpr char kImprintsMagic[4] = {'G', 'I', 'M', '2'};
-constexpr char kImprintsMagicV1[4] = {'G', 'I', 'M', '1'};
 
-/// Parses the body shared by GIM1 and GIM2 (everything after the magic).
+/// Parses the index body (everything after the column fingerprint).
 Result<ImprintsIndex> ParseImprintsBody(BufferReader* r,
                                         const std::string& path) {
   uint64_t epoch = 0, rows = 0;
@@ -93,34 +92,23 @@ Result<ImprintsIndex> ReadImprintsFile(const std::string& path,
                                        ImprintsFileMeta* meta) {
   std::vector<uint8_t> data;
   GEOCOL_RETURN_NOT_OK(ReadFileBytes(path, &data));
-  if (data.size() < 4) {
+  if (data.size() < 8) {
     return Status::Corruption("imprints file too small: " + path);
   }
-  bool legacy = std::memcmp(data.data(), kImprintsMagicV1, 4) == 0;
-  if (!legacy) {
-    if (std::memcmp(data.data(), kImprintsMagic, 4) != 0) {
-      return Status::Corruption("bad imprints file magic: " + path);
-    }
-    if (data.size() < 8) {
-      return Status::Corruption("imprints file too small: " + path);
-    }
-    uint32_t stored = 0;
-    std::memcpy(&stored, data.data() + data.size() - 4, 4);
-    data.resize(data.size() - 4);
-    uint32_t computed = Crc32c(data.data(), data.size());
-    if (stored != computed) {
-      return Status::Corruption("imprints file crc mismatch: " + path);
-    }
+  if (std::memcmp(data.data(), kImprintsMagic, 4) != 0) {
+    return Status::Corruption("bad imprints file magic: " + path);
+  }
+  uint32_t stored = 0;
+  std::memcpy(&stored, data.data() + data.size() - 4, 4);
+  data.resize(data.size() - 4);
+  uint32_t computed = Crc32c(data.data(), data.size());
+  if (stored != computed) {
+    return Status::Corruption("imprints file crc mismatch: " + path);
   }
   BufferReader r(data.data() + 4, data.size() - 4);
-  if (!legacy) {
-    uint32_t fingerprint = 0;
-    GEOCOL_RETURN_NOT_OK(r.ReadScalar(&fingerprint));
-    if (meta != nullptr) {
-      meta->has_fingerprint = true;
-      meta->column_fingerprint = fingerprint;
-    }
-  }
+  uint32_t fingerprint = 0;
+  GEOCOL_RETURN_NOT_OK(r.ReadScalar(&fingerprint));
+  if (meta != nullptr) meta->column_fingerprint = fingerprint;
   return ParseImprintsBody(&r, path);
 }
 
@@ -140,8 +128,7 @@ Result<ImprintsIndex> LoadOrBuildImprints(const Column& column,
   if (PathExists(path)) {
     ImprintsFileMeta meta;
     Result<ImprintsIndex> loaded = ReadImprintsFile(path, &meta);
-    if (loaded.ok() && meta.has_fingerprint &&
-        meta.column_fingerprint == fingerprint &&
+    if (loaded.ok() && meta.column_fingerprint == fingerprint &&
         loaded->built_epoch() == column.epoch() &&
         loaded->num_rows() == column.size()) {
       c_loads.Increment();
@@ -167,10 +154,7 @@ Result<ImprintsIndex> LoadOrBuildImprints(const Column& column,
       overwrite_stale = true;
       GEOCOL_LOG(Info)
               .With("path", path)
-              .With("sidecar_fingerprint",
-                    meta.has_fingerprint
-                        ? std::to_string(meta.column_fingerprint)
-                        : std::string("none"))
+              .With("sidecar_fingerprint", meta.column_fingerprint)
               .With("column_fingerprint", fingerprint)
               .With("sidecar_epoch", loaded->built_epoch())
               .With("column_epoch", column.epoch())

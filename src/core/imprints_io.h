@@ -11,9 +11,7 @@
 // and rebuilt — never trusted, never fatal to the query. The fingerprint
 // ties the sidecar to the column's actual bytes, so two engines sharing
 // an imprints dir can never adopt an index built for a same-named,
-// same-sized column of a different table. Legacy "GIM1" files (no footer,
-// no fingerprint) still parse via ReadImprintsFile but are rebuilt by
-// LoadOrBuildImprints.
+// same-sized column of a different table.
 #ifndef GEOCOL_CORE_IMPRINTS_IO_H_
 #define GEOCOL_CORE_IMPRINTS_IO_H_
 
@@ -32,7 +30,6 @@ uint32_t ColumnFingerprint(const Column& column);
 
 /// File-level sidecar metadata that is not part of the index itself.
 struct ImprintsFileMeta {
-  bool has_fingerprint = false;  ///< false for legacy GIM1 sidecars
   uint32_t column_fingerprint = 0;
 };
 
@@ -50,10 +47,10 @@ Result<ImprintsIndex> ReadImprintsFile(const std::string& path,
 /// Loads the sidecar if it exists, verifies, and matches the column's
 /// fingerprint, epoch and row count, else builds fresh (on `pool` when
 /// given) and rewrites the sidecar. Degradation is graceful and logged:
-///   - corrupt/unreadable sidecar -> quarantined to `path + ".quarantined"`
-///     and rebuilt;
-///   - stale sidecar (fingerprint, epoch or row-count mismatch, or a
-///     legacy GIM1 file with no fingerprint) -> rebuilt, overwritten;
+///   - corrupt/unreadable sidecar (including any magic but "GIM2") ->
+///     quarantined to `path + ".quarantined"` and rebuilt;
+///   - stale sidecar (fingerprint, epoch or row-count mismatch) ->
+///     rebuilt, overwritten;
 ///   - failure to persist the rebuilt sidecar -> logged, the fresh index
 ///     is still returned.
 /// The only error path is the build itself failing.

@@ -1,9 +1,11 @@
 // Column compression codec tests: exact round trips per codec and type,
-// auto-selection, corruption handling, and the compressed table directory.
+// auto-selection, corruption handling, and the compressed (GPC1) table
+// directory.
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "columns/column_file.h"
 #include "columns/compression.h"
 #include "pointcloud/generator.h"
 #include "util/binary_io.h"
@@ -16,22 +18,33 @@ namespace {
 void ExpectColumnsEqual(const Column& a, const Column& b) {
   ASSERT_EQ(a.type(), b.type());
   ASSERT_EQ(a.size(), b.size());
+  if (a.size() == 0) return;  // raw_data() may be null
   EXPECT_EQ(std::memcmp(a.raw_data(), b.raw_data(), a.raw_size_bytes()), 0);
 }
 
-void RoundTrip(const Column& col, ColumnCodec codec,
-               ColumnCodec expect_chosen = ColumnCodec::kAuto) {
+/// Encodes the whole column as one codec payload, decodes it back and
+/// checks the values bit for bit. Returns the encode's stats.
+CompressionStats RoundTrip(const Column& col, ColumnCodec codec,
+                           ColumnCodec expect_chosen = ColumnCodec::kAuto) {
   CompressionStats stats;
-  auto data = CompressColumn(col, codec, &stats);
-  ASSERT_TRUE(data.ok());
+  std::vector<uint8_t> payload = CompressChunkPayload(
+      col.type(), col.raw_data(), col.size(), codec, &stats.codec);
+  stats.uncompressed_bytes = col.raw_size_bytes();
+  stats.compressed_bytes = payload.size();
   if (expect_chosen != ColumnCodec::kAuto) {
     EXPECT_EQ(stats.codec, expect_chosen)
         << "expected " << ColumnCodecName(expect_chosen) << " got "
         << ColumnCodecName(stats.codec);
   }
-  auto back = DecompressColumn(*data, col.name());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectColumnsEqual(col, **back);
+  std::vector<uint8_t> decoded(col.raw_size_bytes());
+  Status st = DecompressChunkPayload(col.type(), stats.codec, payload.data(),
+                                     payload.size(), col.size(),
+                                     decoded.data());
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  Column back(col.name(), col.type());
+  back.AppendRaw(decoded.data(), col.size());
+  ExpectColumnsEqual(col, back);
+  return stats;
 }
 
 TEST(CompressionTest, FileStatsReportOnDiskSize) {
@@ -41,9 +54,11 @@ TEST(CompressionTest, FileStatsReportOnDiskSize) {
   auto col = Column::FromVector("c", vals);
   std::string path = tmp.File("c.gcz");
   CompressionStats stats;
-  ASSERT_TRUE(
-      WriteCompressedColumnFile(*col, path, ColumnCodec::kAuto, &stats).ok());
-  // compressed_bytes must count the whole file, CRC footer included.
+  ASSERT_TRUE(WriteChunkedCompressedColumnFile(*col, path, ColumnCodec::kAuto,
+                                               &stats)
+                  .ok());
+  // compressed_bytes must count the whole file, header and directory
+  // included.
   auto size = FileSizeBytes(path);
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(stats.compressed_bytes, *size);
@@ -73,9 +88,7 @@ TEST(CompressionTest, RleRoundTripAndWins) {
   }
   auto col = Column::FromVector("classification", vals);
   RoundTrip(*col, ColumnCodec::kRle, ColumnCodec::kRle);
-  CompressionStats stats;
-  auto data = CompressColumn(*col, ColumnCodec::kAuto, &stats);
-  ASSERT_TRUE(data.ok());
+  CompressionStats stats = RoundTrip(*col, ColumnCodec::kAuto);
   EXPECT_EQ(stats.codec, ColumnCodec::kRle);
   EXPECT_GT(stats.Ratio(), 10.0);
 }
@@ -87,9 +100,7 @@ TEST(CompressionTest, ForRoundTripAndWinsOnBoundedInts) {
   for (auto& v : vals) v = static_cast<uint16_t>(100 + rng.Uniform(150));
   auto col = Column::FromVector("intensity", vals);
   RoundTrip(*col, ColumnCodec::kFor, ColumnCodec::kFor);
-  CompressionStats stats;
-  auto data = CompressColumn(*col, ColumnCodec::kAuto, &stats);
-  ASSERT_TRUE(data.ok());
+  CompressionStats stats = RoundTrip(*col, ColumnCodec::kAuto);
   // 150 distinct values fit in 8 bits vs 16 raw.
   EXPECT_GT(stats.Ratio(), 1.5);
 }
@@ -104,9 +115,7 @@ TEST(CompressionTest, DeltaRoundTripAndWinsOnSortedData) {
   }
   auto col = Column::FromVector("sorted", vals);
   RoundTrip(*col, ColumnCodec::kDelta, ColumnCodec::kDelta);
-  CompressionStats stats;
-  auto data = CompressColumn(*col, ColumnCodec::kAuto, &stats);
-  ASSERT_TRUE(data.ok());
+  CompressionStats stats = RoundTrip(*col, ColumnCodec::kAuto);
   EXPECT_EQ(stats.codec, ColumnCodec::kDelta);
   EXPECT_GT(stats.Ratio(), 8.0);  // ~5 bits/value vs 64
 }
@@ -149,44 +158,40 @@ TEST(CompressionTest, SingleValue) {
 
 TEST(CompressionTest, ConstantColumnTiny) {
   auto col = Column::FromVector<double>("k", std::vector<double>(100000, 3.14));
-  CompressionStats stats;
-  auto data = CompressColumn(*col, ColumnCodec::kAuto, &stats);
-  ASSERT_TRUE(data.ok());
+  CompressionStats stats = RoundTrip(*col, ColumnCodec::kAuto);
   EXPECT_LT(stats.compressed_bytes, 200u) << "constant column must collapse";
-  auto back = DecompressColumn(*data, "k");
-  ASSERT_TRUE(back.ok());
-  ExpectColumnsEqual(*col, **back);
 }
 
 TEST(CompressionTest, CorruptInputsRejected) {
-  auto col = Column::FromVector<int32_t>("c", {1, 2, 3, 4});
-  auto data = CompressColumn(*col, ColumnCodec::kDelta);
-  ASSERT_TRUE(data.ok());
-  // Bad magic.
-  {
-    auto bad = *data;
-    bad[0] = 'X';
-    EXPECT_FALSE(DecompressColumn(bad, "c").ok());
+  const std::vector<int32_t> vals = {1, 2, 3, 4};
+  std::vector<int32_t> out(1000);
+  auto decode = [&](ColumnCodec codec, const std::vector<uint8_t>& payload,
+                    uint64_t count) {
+    return DecompressChunkPayload(DataType::kInt32, codec, payload.data(),
+                                  payload.size(), count, out.data());
+  };
+  for (ColumnCodec codec : {ColumnCodec::kRaw, ColumnCodec::kRle,
+                            ColumnCodec::kFor, ColumnCodec::kDelta}) {
+    SCOPED_TRACE(ColumnCodecName(codec));
+    std::vector<uint8_t> payload = CompressChunkPayload(
+        DataType::kInt32, vals.data(), vals.size(), codec, nullptr);
+    ASSERT_TRUE(decode(codec, payload, vals.size()).ok());
+    // Truncated payload.
+    auto cut = payload;
+    cut.resize(cut.size() - 2);
+    EXPECT_EQ(decode(codec, cut, vals.size()).code(),
+              StatusCode::kCorruption);
+    // More values claimed than encoded.
+    EXPECT_EQ(decode(codec, payload, out.size()).code(),
+              StatusCode::kCorruption);
   }
-  // Bad codec byte.
-  {
-    auto bad = *data;
-    bad[5] = 99;
-    EXPECT_FALSE(DecompressColumn(bad, "c").ok());
-  }
-  // Truncated payload.
-  {
-    auto bad = *data;
-    bad.resize(bad.size() - 2);
-    EXPECT_FALSE(DecompressColumn(bad, "c").ok());
-  }
-  // Absurd count.
-  {
-    auto bad = *data;
-    uint64_t huge = uint64_t{1} << 50;
-    std::memcpy(bad.data() + 6, &huge, 8);
-    EXPECT_FALSE(DecompressColumn(bad, "c").ok());
-  }
+  // Codec bytes outside the enum, and kAuto, never decode.
+  std::vector<uint8_t> payload = CompressChunkPayload(
+      DataType::kInt32, vals.data(), vals.size(), ColumnCodec::kRaw, nullptr);
+  EXPECT_EQ(decode(static_cast<ColumnCodec>(99), payload, vals.size()).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(decode(ColumnCodec::kAuto, payload, vals.size()).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(CompressionTest, LasColumnsCompressWell) {
@@ -199,14 +204,10 @@ TEST(CompressionTest, LasColumnsCompressWell) {
   auto table = *gen.GenerateTable(60000);
   uint64_t raw = 0, compressed = 0;
   for (const auto& col : table->columns()) {
-    CompressionStats stats;
-    auto data = CompressColumn(*col, ColumnCodec::kAuto, &stats);
-    ASSERT_TRUE(data.ok()) << col->name();
+    SCOPED_TRACE(col->name());
+    CompressionStats stats = RoundTrip(*col, ColumnCodec::kAuto);
     raw += stats.uncompressed_bytes;
     compressed += stats.compressed_bytes;
-    auto back = DecompressColumn(*data, col->name());
-    ASSERT_TRUE(back.ok()) << col->name();
-    ExpectColumnsEqual(*col, **back);
   }
   EXPECT_GT(static_cast<double>(raw) / compressed, 2.0)
       << "whole-table compression ratio should exceed 2x";
@@ -219,20 +220,17 @@ TEST(CompressedTableDirTest, RoundTrip) {
   AhnGenerator gen(opts);
   auto table = *gen.GenerateTable(15000);
   uint64_t bytes = 0;
-  ASSERT_TRUE(WriteCompressedTableDir(*table, tmp.File("tbl"), &bytes).ok());
+  ASSERT_TRUE(
+      WriteChunkedCompressedTableDir(*table, tmp.File("tbl"), &bytes).ok());
   EXPECT_GT(bytes, 0u);
   EXPECT_LT(bytes, table->DataBytes());
-  auto back = ReadCompressedTableDir(tmp.File("tbl"));
-  ASSERT_TRUE(back.ok());
+  auto back = ReadTableDir(tmp.File("tbl"));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_EQ(back->num_columns(), table->num_columns());
   ASSERT_EQ(back->num_rows(), table->num_rows());
   for (size_t c = 0; c < table->num_columns(); ++c) {
     ExpectColumnsEqual(*table->column(c), *back->column(c));
   }
-}
-
-TEST(CompressedTableDirTest, MissingDirFails) {
-  EXPECT_FALSE(ReadCompressedTableDir("/nonexistent/dir").ok());
 }
 
 TEST(CompressionTest, CodecNames) {

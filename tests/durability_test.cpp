@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "columns/column_file.h"
-#include "columns/compression.h"
 #include "core/imprints_io.h"
 #include "core/spatial_engine.h"
 #include "gis/layer_io.h"
@@ -121,11 +120,11 @@ TEST_F(DurabilityTest, CompressedTableDirCrashSweep) {
   CrashSweep(
       [&] {
         ASSERT_TRUE(RemoveDirRecursive(dir).ok());
-        ASSERT_TRUE(WriteCompressedTableDir(old_table, dir, nullptr).ok());
+        ASSERT_TRUE(WriteChunkedCompressedTableDir(old_table, dir).ok());
       },
-      [&] { return WriteCompressedTableDir(new_table, dir, nullptr); },
+      [&] { return WriteChunkedCompressedTableDir(new_table, dir); },
       [&] {
-        auto got = ReadCompressedTableDir(dir);
+        auto got = ReadTableDir(dir);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         if (got->column("x")->size() == 600) {
           ExpectTablesEqual(*got, new_table);
@@ -247,13 +246,15 @@ TEST_F(DurabilityTest, CompressedColumnDetectsEveryBitFlip) {
   for (size_t i = 0; i < vals.size(); ++i) vals[i] = static_cast<int32_t>(i % 7);
   ColumnPtr col = Column::FromVector("c", vals);
   std::string path = tmp_.File("c.gcz");
-  ASSERT_TRUE(
-      WriteCompressedColumnFile(*col, path, ColumnCodec::kAuto, nullptr).ok());
+  ASSERT_TRUE(WriteChunkedCompressedColumnFile(*col, path).ok());
   SweepBitFlips(path, [&] {
-    auto got = ReadCompressedColumnFile(path, "c");
+    auto got = ReadColumnFile(path, "c");
     EXPECT_FALSE(got.ok());
     if (!got.ok()) {
       EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
+          << got.status().ToString();
+      // Errors name the file, not the column.
+      EXPECT_NE(got.status().message().find(path), std::string::npos)
           << got.status().ToString();
     }
   });
@@ -459,7 +460,7 @@ TEST_F(DurabilityTest, StaleSidecarRebuiltAfterAppend) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy interop: pre-checksum files stay readable.
+// Layer files are hand-editable text: a footer-less one stays readable.
 // ---------------------------------------------------------------------------
 
 TEST_F(DurabilityTest, LegacyLayerFileWithoutFooterStillLoads) {
@@ -471,55 +472,6 @@ TEST_F(DurabilityTest, LegacyLayerFileWithoutFooterStillLoads) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_EQ((*got)->features().size(), 1u);
   EXPECT_EQ((*got)->features()[0].name, "main st");
-}
-
-TEST_F(DurabilityTest, LegacyCompressedColumnFileWithoutFooterStillLoads) {
-  std::vector<int32_t> vals(500);
-  for (size_t i = 0; i < vals.size(); ++i) vals[i] = static_cast<int32_t>(i);
-  ColumnPtr col = Column::FromVector("c", vals);
-  // A pre-durability .gcz: a bare CompressColumn buffer under the GCC1
-  // magic, with no CRC footer.
-  auto buf = CompressColumn(*col);
-  ASSERT_TRUE(buf.ok());
-  (*buf)[3] = '1';
-  std::string path = tmp_.File("old.gcz");
-  ASSERT_TRUE(WriteFileBytes(path, buf->data(), buf->size()).ok());
-  auto got = ReadCompressedColumnFile(path, "c");
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ((*got)->size(), col->size());
-  EXPECT_EQ(std::memcmp((*got)->raw_data(), col->raw_data(),
-                        col->raw_size_bytes()),
-            0);
-}
-
-TEST_F(DurabilityTest, LegacyImprintsFileWithoutFooterStillLoads) {
-  ColumnPtr col = Column::FromVector(
-      "c", std::vector<double>{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5});
-  auto ix = ImprintsIndex::Build(*col);
-  ASSERT_TRUE(ix.ok());
-  std::string path = tmp_.File("c.gim");
-  ASSERT_TRUE(WriteImprintsFile(*ix, path, ColumnFingerprint(*col)).ok());
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(ReadFileBytes(path, &bytes).ok());
-  // A GIM1 file is the GIM2 body minus the fingerprint field and footer.
-  std::vector<uint8_t> legacy = {'G', 'I', 'M', '1'};
-  legacy.insert(legacy.end(), bytes.begin() + 8, bytes.end() - 4);
-  ASSERT_TRUE(WriteFileBytes(path, legacy.data(), legacy.size()).ok());
-
-  ImprintsFileMeta meta;
-  auto got = ReadImprintsFile(path, &meta);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_FALSE(meta.has_fingerprint);
-  EXPECT_EQ(got->num_rows(), col->size());
-
-  // LoadOrBuild treats the missing fingerprint as stale and upgrades the
-  // sidecar to a fingerprinted GIM2 in place.
-  auto rebuilt = LoadOrBuildImprints(*col, path);
-  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
-  ImprintsFileMeta upgraded;
-  ASSERT_TRUE(ReadImprintsFile(path, &upgraded).ok());
-  EXPECT_TRUE(upgraded.has_fingerprint);
-  EXPECT_EQ(upgraded.column_fingerprint, ColumnFingerprint(*col));
 }
 
 }  // namespace

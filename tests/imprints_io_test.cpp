@@ -169,7 +169,6 @@ TEST(ImprintsIoTest, SidecarForDifferentColumnContentIsNotAdopted) {
   // And the sidecar was rewritten under b's fingerprint.
   ImprintsFileMeta meta;
   ASSERT_TRUE(ReadImprintsFile(path, &meta).ok());
-  EXPECT_TRUE(meta.has_fingerprint);
   EXPECT_EQ(meta.column_fingerprint, ColumnFingerprint(*b));
 }
 

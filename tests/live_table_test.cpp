@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "columns/column_file.h"
+#include "columns/paged_column.h"
 #include "columns/sharded_table.h"
 #include "core/imprints_io.h"
 #include "core/live_table.h"
@@ -188,6 +189,63 @@ TEST(LiveTableTest, DurableCommitsReopenToLatestEpoch) {
   EpochSnapshot got = (*reopened)->Pin();
   EXPECT_EQ(got.table->num_rows(), 1000u);
   ExpectTablesEqual(*got.table, *(*live)->Pin().table);
+}
+
+/// Like ExpectTablesEqual, but reads `t` through chunk pins, so it also
+/// covers paged tables.
+void ExpectPinnedBytesEqual(const FlatTable& t, const FlatTable& expect) {
+  ASSERT_EQ(t.num_columns(), expect.num_columns());
+  for (const auto& ec : expect.columns()) {
+    ColumnPtr c = t.column(ec->name());
+    ASSERT_NE(c, nullptr) << ec->name();
+    ASSERT_EQ(c->type(), ec->type()) << ec->name();
+    ASSERT_EQ(c->size(), ec->size()) << ec->name();
+    for (size_t k = 0; k < c->num_chunks(); ++k) {
+      auto pin = c->PinChunk(k);
+      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
+      EXPECT_EQ(std::memcmp(pin->data,
+                            ec->raw_data() + pin->first_row * ec->width(),
+                            pin->row_count * ec->width()),
+                0)
+          << ec->name() << " chunk " << k;
+    }
+  }
+}
+
+TEST(LiveTableTest, CompressedTableOpensResidentPagedAndLive) {
+  // 100k doubles span four 256 KiB chunks per column.
+  const Box extent(0, 0, 100, 100);
+  auto source = MakePoints(100000, 11, extent);
+  TempDir tmp;
+  std::string dir = tmp.File("gpc");
+  ASSERT_TRUE(WriteChunkedCompressedTableDir(*source, dir).ok());
+
+  auto resident = ReadTableDir(dir);
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  ExpectPinnedBytesEqual(*resident, *source);
+
+  auto paged = ReadTableDirPaged(dir);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  ASSERT_TRUE(paged->column("x")->paged());
+  ExpectPinnedBytesEqual(*paged, *source);
+
+  auto live = LiveTable::Open(dir);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  ExpectPinnedBytesEqual(*(*live)->Pin().table, *source);
+
+  // One commit rewrites the table; it reopens as source + batch.
+  FlatTable batch = MakeBatch(500, 12, extent);
+  TableAppender app(*live);
+  ASSERT_TRUE(app.StageBatch(batch).ok());
+  ASSERT_TRUE(app.Commit().ok());
+  auto expect = MakePoints(100000, 11, extent);
+  for (const auto& col : expect->columns()) {
+    col->AppendRaw(batch.column(col->name())->raw_data(), batch.num_rows());
+  }
+  ExpectPinnedBytesEqual(*(*live)->Pin().table, *expect);
+  auto reopened = ReadTableDir(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectPinnedBytesEqual(*reopened, *expect);
 }
 
 TEST(LiveTableTest, IncrementalStitchByteIdenticalAndQuarantineFallback) {

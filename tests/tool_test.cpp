@@ -5,8 +5,12 @@
 
 #include <cstdlib>
 #include <string>
+#include <vector>
 
+#include "columns/column_file.h"
+#include "core/imprints_io.h"
 #include "util/binary_io.h"
+#include "util/crc32c.h"
 #include "util/tempdir.h"
 
 namespace geocol {
@@ -128,12 +132,118 @@ TEST_F(ToolTest, CompressedLoadRoundTrip) {
   std::vector<std::string> gcz;
   ASSERT_TRUE(ListFiles(tmp_->File("ctable"), ".gcz", &gcz).ok());
   EXPECT_EQ(gcz.size(), 26u);
-  std::string out;
+  std::string out, paged_out;
   ASSERT_EQ(RunTool("query " + tmp_->File("ctable") +
                     " \"SELECT COUNT(*) FROM ahn2\"",
                 &out, tmp_),
             0);
   EXPECT_NE(Slurp(out).find("(1 rows)"), std::string::npos);
+  // The GPC1 table opens paged too, with the same answer.
+  ASSERT_EQ(RunTool("query " + tmp_->File("ctable") +
+                    " \"SELECT COUNT(*) FROM ahn2\" --paged",
+                &paged_out, tmp_),
+            0);
+  EXPECT_EQ(Slurp(out).substr(Slurp(out).find('\n')),
+            Slurp(paged_out).substr(Slurp(paged_out).find('\n')));
+  ASSERT_EQ(RunTool("verify " + tmp_->File("ctable"), &out, tmp_), 0);
+  EXPECT_NE(Slurp(out).find("all checks passed"), std::string::npos)
+      << Slurp(out);
+}
+
+// Formats nothing writes any more: GCL1 columns, GCT1 manifests,
+// whole-column GCC1/GCC2 .gcz files and GIM1 imprint sidecars. Each is
+// rejected as Corruption naming its path, and `geocol verify` fails on a
+// table holding one. A GIM1 sidecar is quarantined and rebuilt on use.
+TEST_F(ToolTest, RetiredFormatsAreRejected) {
+  const std::vector<double> values = {3, 1, 4, 1, 5, 9, 2, 6};
+  ColumnPtr x = Column::FromVector("x", values);
+  auto append = [](std::vector<uint8_t>* out, const void* data, size_t n) {
+    const auto* p = static_cast<const uint8_t*>(data);
+    out->insert(out->end(), p, p + n);
+  };
+  // A v1 column: magic | type u8 | [codec u8 (raw)] | count u64 | values.
+  auto v1_column = [&](const char* magic, bool with_codec) {
+    std::vector<uint8_t> out(magic, magic + 4);
+    out.push_back(static_cast<uint8_t>(DataType::kFloat64));
+    if (with_codec) out.push_back(0);
+    const uint64_t count = values.size();
+    append(&out, &count, sizeof(count));
+    append(&out, values.data(), values.size() * sizeof(double));
+    return out;
+  };
+  std::vector<uint8_t> gcc2 = v1_column("GCC2", true);
+  const uint32_t crc = Crc32c(gcc2.data(), gcc2.size());
+  append(&gcc2, &crc, sizeof(crc));
+  // A v1 manifest: magic | table name | ncols | {name, type}, no footer.
+  BufferWriter gct1;
+  gct1.WriteBytes("GCT1", 4);
+  gct1.WriteString("pts");
+  gct1.WriteScalar<uint32_t>(1);
+  gct1.WriteString("x");
+  gct1.WriteScalar<uint8_t>(static_cast<uint8_t>(DataType::kFloat64));
+  // A GIM1 sidecar is the GIM2 body minus the fingerprint and footer.
+  std::vector<uint8_t> gim1 = {'G', 'I', 'M', '1'};
+  {
+    auto ix = ImprintsIndex::Build(*x);
+    ASSERT_TRUE(ix.ok());
+    const std::string gim2 = tmp_->File("x-gim2.gim");
+    ASSERT_TRUE(WriteImprintsFile(*ix, gim2, ColumnFingerprint(*x)).ok());
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(ReadFileBytes(gim2, &bytes).ok());
+    gim1.insert(gim1.end(), bytes.begin() + 8, bytes.end() - 4);
+  }
+
+  const struct {
+    const char* magic;
+    const char* file;  // where the fixture lands in the table dir
+    std::vector<uint8_t> bytes;
+  } cases[] = {
+      {"GCL1", "x.gcl", v1_column("GCL1", false)},
+      {"GCT1", "schema.gct", gct1.buffer()},
+      {"GCC1", "x.gcz", v1_column("GCC1", true)},
+      {"GCC2", "x.gcz", gcc2},
+      {"GIM1", "x.gim", gim1},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.magic);
+    const std::string dir = tmp_->File(std::string("retired-") + c.magic);
+    FlatTable table("pts");
+    ASSERT_TRUE(table.AddColumn(x).ok());
+    ASSERT_TRUE(WriteTableDir(table, dir).ok());
+    const std::string path = dir + "/" + c.file;
+    ASSERT_TRUE(WriteFileBytes(path, c.bytes.data(), c.bytes.size()).ok());
+
+    Status st;
+    const std::string file = c.file;
+    if (file == "schema.gct") {
+      st = ReadTableManifest(dir).status();
+    } else if (file == "x.gim") {
+      st = ReadImprintsFile(path).status();
+    } else {
+      // Point the manifest's only column at the fixture.
+      auto m = ReadTableManifest(dir);
+      ASSERT_TRUE(m.ok());
+      m->columns[0].filename = file;
+      ASSERT_TRUE(WriteTableManifest(dir, *m).ok());
+      st = ReadColumnFile(path, "x").status();
+      EXPECT_EQ(ReadTableDir(dir).status().code(), StatusCode::kCorruption);
+    }
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_NE(st.message().find(path), std::string::npos) << st.ToString();
+
+    std::string out;
+    EXPECT_NE(RunTool("verify " + dir, &out, tmp_), 0);
+    EXPECT_NE(Slurp(out).find("CORRUPT"), std::string::npos) << Slurp(out);
+
+    if (file == "x.gim") {
+      auto rebuilt = LoadOrBuildImprints(*x, path);
+      ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+      EXPECT_TRUE(PathExists(path + ".quarantined"));
+      ImprintsFileMeta meta;
+      ASSERT_TRUE(ReadImprintsFile(path, &meta).ok());
+      EXPECT_EQ(meta.column_fingerprint, ColumnFingerprint(*x));
+    }
+  }
 }
 
 TEST_F(ToolTest, RasterWritesPpm) {

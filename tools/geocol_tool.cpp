@@ -4,7 +4,7 @@
 //   geocol info     <tiles_dir>
 //   geocol sort     <tiles_dir>                    (lassort)
 //   geocol index    <tiles_dir>                    (lasindex)
-//   geocol load     <tiles_dir> <table_dir> [--csv] [--compressed|--chunked]
+//   geocol load     <tiles_dir> <table_dir> [--csv] [--compressed]
 //                   [--threads N]
 //   geocol shard    <table_dir> <out_dir> [--shards K] [--order N]
 //   geocol ingest   <table_dir> <batch.las|batch.csv>...
@@ -61,7 +61,6 @@
 #include "cache/query_cache.h"
 #include "columns/column_file.h"
 #include "columns/paged_column.h"
-#include "columns/compression.h"
 #include "columns/csv.h"
 #include "columns/sharded_table.h"
 #include "core/table_appender.h"
@@ -130,7 +129,7 @@ int Usage() {
                "  info     <tiles_dir>\n"
                "  sort     <tiles_dir>\n"
                "  index    <tiles_dir>\n"
-               "  load     <tiles_dir> <table_dir> [--csv] [--compressed|--chunked] [--threads N]\n"
+               "  load     <tiles_dir> <table_dir> [--csv] [--compressed] [--threads N]\n"
                "  shard    <table_dir> <out_dir> [--shards K] [--order N]\n"
                "  ingest   <table_dir> <batch.las|batch.csv>...\n"
                "  query    <table_dir> \"<SQL>\" [--layers <dir>] [--profile] [--paged [--chunk-mb N]]\n"
@@ -289,20 +288,11 @@ int CmdLoad(const Args& args) {
               static_cast<unsigned long long>(stats.points),
               static_cast<unsigned long long>(stats.files),
               stats.TotalSeconds(), stats.PointsPerSecond() / 1e6);
-  if (args.Has("--chunked")) {
-    // Per-chunk compression (GPC1): the only compressed layout the paged
-    // open mode (--paged) can fault chunk by chunk.
+  if (args.Has("--compressed")) {
+    // GPC1: every 256 KiB chunk compressed on its own, so the table opens
+    // resident and paged (--paged) alike.
     uint64_t bytes = 0;
     if (Status st = WriteChunkedCompressedTableDir(**table, table_dir, &bytes);
-        !st.ok()) {
-      return Fail(st);
-    }
-    std::printf("persisted chunk-compressed table to %s (%.1f MB, %.2fx)\n",
-                table_dir.c_str(), bytes / 1048576.0,
-                static_cast<double>((*table)->DataBytes()) / bytes);
-  } else if (args.Has("--compressed")) {
-    uint64_t bytes = 0;
-    if (Status st = WriteCompressedTableDir(**table, table_dir, &bytes);
         !st.ok()) {
       return Fail(st);
     }
@@ -324,26 +314,11 @@ bool EndsWith(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-/// Whether the table under `dir` holds compressed (.gcz) columns. Modern
-/// manifests record each column's file name; legacy ones fall back to a
-/// directory listing.
-bool IsCompressedTable(const std::string& dir, const TableManifest& m) {
-  if (!m.columns.empty() && !m.columns[0].filename.empty()) {
-    return EndsWith(m.columns[0].filename, ".gcz");
-  }
-  std::vector<std::string> gcz;
-  Status st = ListFiles(dir, ".gcz", &gcz);
-  return st.ok() && !gcz.empty();
-}
-
 Result<FlatTable> OpenTable(const std::string& dir, bool paged = false) {
   if (!PathExists(dir + "/schema.gct")) {
     return Status::NotFound("no table manifest under " + dir);
   }
-  if (paged) return ReadTableDirPaged(dir);
-  GEOCOL_ASSIGN_OR_RETURN(TableManifest m, ReadTableManifest(dir));
-  return IsCompressedTable(dir, m) ? ReadCompressedTableDir(dir)
-                                   : ReadTableDir(dir);
+  return paged ? ReadTableDirPaged(dir) : ReadTableDir(dir);
 }
 
 /// `geocol shard <table_dir> <out_dir>`: re-layouts a persisted table into
@@ -469,28 +444,19 @@ int VerifyOneTableDir(const std::string& dir, const std::string& prefix) {
                 manifest.status().ToString().c_str());
     return 1;  // Nothing else is checkable without the manifest.
   }
-  if (manifest->legacy) {
-    std::printf("%-32s OK       legacy manifest (no checksum), %zu columns\n",
-                (prefix + "schema.gct").c_str(), manifest->columns.size());
-  } else {
-    std::printf("%-32s OK       generation %llu, %zu columns\n",
-                (prefix + "schema.gct").c_str(),
-                static_cast<unsigned long long>(manifest->generation),
-                manifest->columns.size());
-  }
+  std::printf("%-32s OK       generation %llu, %zu columns\n",
+              (prefix + "schema.gct").c_str(),
+              static_cast<unsigned long long>(manifest->generation),
+              manifest->columns.size());
 
-  const bool compressed = IsCompressedTable(dir, *manifest);
   // Column name -> loaded column, for sidecar freshness checks below.
   std::vector<ColumnPtr> columns;
   std::vector<std::string> referenced;
   for (const auto& mc : manifest->columns) {
-    std::string fname = mc.filename;
-    if (fname.empty()) fname = mc.name + (compressed ? ".gcz" : ".gcl");
+    const std::string& fname = mc.filename;
     referenced.push_back(fname);
     const std::string path = dir + "/" + fname;
-    auto col = EndsWith(fname, ".gcz")
-                   ? ReadCompressedColumnFile(path, mc.name)
-                   : ReadColumnFile(path, mc.name);
+    auto col = ReadColumnFile(path, mc.name);
     if (!col.ok()) {
       ++corrupt;
       std::printf("%-32s CORRUPT  %s\n", (prefix + fname).c_str(),
@@ -530,8 +496,7 @@ int VerifyOneTableDir(const std::string& dir, const std::string& prefix) {
     const char* freshness = "no matching column";
     for (const auto& col : columns) {
       if (col->name() != col_name) continue;
-      freshness = meta.has_fingerprint &&
-                          meta.column_fingerprint == ColumnFingerprint(*col) &&
+      freshness = meta.column_fingerprint == ColumnFingerprint(*col) &&
                           index->built_epoch() == col->epoch() &&
                           index->num_rows() == col->size()
                       ? "fresh"
