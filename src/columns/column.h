@@ -4,7 +4,9 @@
 //
 // Two storage tiers live behind this interface (DESIGN.md §14):
 //   - the resident tier (this class): all values in one contiguous buffer,
-//     Values<T>() returns the whole span, appends allowed;
+//     Values<T>() returns the whole span, appends allowed. Versions of one
+//     column cut by CloneAppend share an append-only ColumnBuffer, each
+//     reading only its own prefix (DESIGN.md §13);
 //   - the paged tier (columns/paged_column.h): values stay on disk in the
 //     column file's 256 KiB CRC chunks and are faulted into a budgeted
 //     process-wide chunk cache on demand. Paged columns are read-only;
@@ -49,12 +51,17 @@ struct ColumnChunkPin {
   }
 };
 
+/// Append-only bytes shared by the versions of one resident column
+/// (defined in column.cpp).
+class ColumnBuffer;
+
 /// A type-erased, densely packed column of fixed-width values.
 ///
-/// Storage is a contiguous byte buffer; typed access goes through
-/// `Values<T>()` which checks the runtime type. Appends invalidate the
-/// cached statistics and any imprints built on the column (tracked via the
-/// append epoch). Virtual methods are the paged tier's override points.
+/// Storage is a prefix of a (possibly shared) ColumnBuffer; typed access
+/// goes through `Values<T>()` which checks the runtime type. Appends
+/// invalidate the cached statistics and any imprints built on the column
+/// (tracked via the append epoch). Virtual methods are the paged tier's
+/// override points.
 class Column {
  public:
   Column(std::string name, DataType type)
@@ -64,7 +71,7 @@ class Column {
   const std::string& name() const { return name_; }
   DataType type() const { return type_; }
   size_t width() const { return width_; }
-  virtual size_t size() const { return data_.size() / width_; }
+  virtual size_t size() const { return bytes_ / width_; }
   bool empty() const { return size() == 0; }
 
   /// True for the paged (out-of-core) tier: values are not resident, so
@@ -97,50 +104,51 @@ class Column {
   std::span<const T> Values() const {
     assert(DataTypeOf<T>() == type_);
     assert(!paged());
-    return {reinterpret_cast<const T*>(data_.data()), data_.size() / width_};
+    return {reinterpret_cast<const T*>(data_), bytes_ / width_};
   }
 
   template <typename T>
   void Append(T value) {
     assert(DataTypeOf<T>() == type_);
-    assert(!paged());
-    const auto* p = reinterpret_cast<const uint8_t*>(&value);
-    data_.insert(data_.end(), p, p + sizeof(T));
-    Invalidate();
+    std::memcpy(AppendUninitialized(1), &value, sizeof(T));
   }
 
   template <typename T>
   void AppendSpan(std::span<const T> values) {
     assert(DataTypeOf<T>() == type_);
-    assert(!paged());
-    const auto* p = reinterpret_cast<const uint8_t*>(values.data());
-    data_.insert(data_.end(), p, p + values.size_bytes());
-    Invalidate();
+    AppendRaw(values.data(), values.size());
   }
 
   /// Appends `count` values of this column's type from a raw little-endian
   /// buffer — the COPY BINARY path of the binary bulk loader.
   void AppendRaw(const void* data, size_t count) {
-    assert(!paged());
-    const auto* p = static_cast<const uint8_t*>(data);
-    data_.insert(data_.end(), p, p + count * width_);
-    Invalidate();
+    uint8_t* dst = AppendUninitialized(count);
+    if (count != 0) std::memcpy(dst, data, count * width_);
   }
 
-  void Reserve(size_t rows) { data_.reserve(rows * width_); }
-  void Clear() {
-    data_.clear();
-    Invalidate();
-  }
+  /// Grows the column by `count` rows of unspecified content and returns
+  /// where they start, for readers that decode straight into the column.
+  /// The caller must fill every byte before anyone reads the rows.
+  uint8_t* AppendUninitialized(size_t count);
 
-  /// Copy-on-append: a NEW column holding `base`'s bytes followed by
-  /// `count` values from a raw little-endian buffer. `base` is never
-  /// touched — readers scanning it keep a stable view — and the new column
+  void Reserve(size_t rows);
+  /// Empties the column. An unshared buffer is kept for re-staging; a
+  /// shared one is released to the versions still reading it.
+  void Clear();
+
+  /// Copy-on-append: a NEW column holding `base`'s rows followed by
+  /// `count` values from a raw little-endian buffer. `base` keeps its
+  /// rows — readers scanning it keep a stable view — and the new column
   /// remembers `base` as its lineage (weak, so retiring every snapshot of
   /// the old version frees its bytes). The imprint manager follows the
   /// lineage to extend the old index incrementally instead of rebuilding.
-  /// This is the publication primitive of the live-ingestion path
-  /// (DESIGN.md §13). InvalidArgument for paged bases (read-only tier).
+  /// When `base` ends at its buffer's tip and the buffer has room, the new
+  /// column shares the buffer and writes only the tail past base's end,
+  /// which no reader of `base` ever reads; otherwise (no room, or `base`
+  /// already has a successor) it copies base into a new buffer with 2x
+  /// geometric growth. This is the publication primitive of the
+  /// live-ingestion path (DESIGN.md §13). InvalidArgument for paged bases
+  /// (read-only tier).
   static Result<std::shared_ptr<Column>> CloneAppend(
       const std::shared_ptr<Column>& base, const void* data, size_t count);
 
@@ -184,29 +192,21 @@ class Column {
   /// sidecar fingerprints agree between the two tiers.
   virtual uint32_t payload_crc32c() const;
 
-  /// Resident tier only (nullptr when paged).
+  /// Resident tier only (nullptr when paged or never written).
   const uint8_t* raw_data() const {
     assert(!paged());
-    return data_.data();
+    return data_;
   }
 
   /// Grants mutable access to the raw buffer for in-place reorganisation
   /// (row shuffles, SFC sorts); bumps the epoch so cached indexes and
-  /// statistics are rebuilt. Resident tier only.
-  uint8_t* BeginRawUpdate() {
-    assert(!paged());
-    Invalidate();
-    return data_.data();
-  }
+  /// statistics are rebuilt. A shared buffer is copied first, so other
+  /// versions never see the rewrite. Resident tier only.
+  uint8_t* BeginRawUpdate();
 
   /// Logical payload size in bytes (rows x width) — defined for both
   /// tiers; only the resident tier holds these bytes in memory.
-  virtual size_t raw_size_bytes() const { return data_.size(); }
-
-  /// Heap bytes held by this column object itself. The paged tier reports
-  /// its directory overhead only — faulted chunks are charged to the
-  /// process-wide chunk cache, not to the column.
-  virtual size_t MemoryBytes() const { return data_.capacity(); }
+  virtual size_t raw_size_bytes() const { return bytes_; }
 
   /// Creates a column and fills it from a typed vector.
   template <typename T>
@@ -228,10 +228,21 @@ class Column {
     stats_.valid = false;
   }
 
+  /// Extends this version by `add` bytes — in place when it ends at the
+  /// buffer's tip and they fit, else after a Rebuffer — and returns where
+  /// they start. Leaves the epoch alone.
+  uint8_t* Grow(size_t add);
+
+  /// Moves this version's bytes into a new, unshared buffer of `capacity`
+  /// bytes (counted in geocol_column_bytes_copied_total).
+  void Rebuffer(size_t capacity);
+
   std::string name_;
   DataType type_;
   size_t width_;
-  std::vector<uint8_t> data_;
+  std::shared_ptr<ColumnBuffer> buf_;  ///< null until the first write
+  uint8_t* data_ = nullptr;            ///< buf_->data(), for inline readers
+  size_t bytes_ = 0;                   ///< this version's prefix of buf_
   uint64_t epoch_ = 0;
   /// Lineage for incremental index maintenance (set by CloneAppend).
   std::weak_ptr<const Column> base_;

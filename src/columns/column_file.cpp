@@ -245,11 +245,8 @@ Result<ColumnPtr> ReadColumnFile(const std::string& path,
   GEOCOL_RETURN_NOT_OK(r.Open(path));
   GEOCOL_ASSIGN_OR_RETURN(ColumnFileLayout h, ReadColumnFileHeader(&r, path));
   auto col = std::make_shared<Column>(name, h.type);
-  col->Reserve(h.count);
-  std::vector<uint8_t> buf(h.count * DataTypeSize(h.type));
-  GEOCOL_RETURN_NOT_OK(
-      ReadColumnPayload(&r, h, path, verify_checksums, buf.data()));
-  col->AppendRaw(buf.data(), h.count);
+  GEOCOL_RETURN_NOT_OK(ReadColumnPayload(&r, h, path, verify_checksums,
+                                         col->AppendUninitialized(h.count)));
   return col;
 }
 

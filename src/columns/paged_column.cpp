@@ -188,11 +188,6 @@ const ColumnStats& PagedColumn::Stats() const {
   return paged_stats_;
 }
 
-size_t PagedColumn::MemoryBytes() const {
-  return chunks_.capacity() * sizeof(ColumnFileLayout::Chunk) +
-         path_.capacity();
-}
-
 Result<ColumnPtr> OpenPagedColumnFile(const std::string& path,
                                       const std::string& name) {
   GEOCOL_ASSIGN_OR_RETURN(std::shared_ptr<PagedColumn> col,

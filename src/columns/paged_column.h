@@ -14,8 +14,8 @@
 //
 // Paged columns are read-only: every mutation path (appends, shuffles,
 // rewrites) returns InvalidArgument upstream. They pin epoch 1 — the
-// epoch a resident single-AppendRaw load lands on — so imprint sidecars
-// built against either open mode of the same file validate
+// epoch a resident ReadColumnFile (one append) lands on — so imprint
+// sidecars built against either open mode of the same file validate
 // interchangeably.
 #ifndef GEOCOL_COLUMNS_PAGED_COLUMN_H_
 #define GEOCOL_COLUMNS_PAGED_COLUMN_H_
@@ -69,10 +69,6 @@ class PagedColumn : public Column {
   size_t raw_size_bytes() const override {
     return static_cast<size_t>(rows_) * width();
   }
-
-  /// Directory overhead only — faulted chunks are charged to the
-  /// process-wide chunk cache, not to the column.
-  size_t MemoryBytes() const override;
 
   const std::string& path() const { return path_; }
   /// Process-unique chunk-cache keying id of this open.

@@ -27,11 +27,10 @@ ColumnPtr GatherColumn(const Column& src, const std::vector<uint64_t>& perm,
   auto out = std::make_shared<Column>(src.name(), src.type());
   const uint8_t* data = src.raw_data();
   const size_t w = src.width();
-  std::vector<uint8_t> buf(rows * w);
+  uint8_t* dst = out->AppendUninitialized(rows);
   for (size_t i = 0; i < rows; ++i) {
-    std::memcpy(buf.data() + i * w, data + perm[begin + i] * w, w);
+    std::memcpy(dst + i * w, data + perm[begin + i] * w, w);
   }
-  out->AppendRaw(buf.data(), rows);
   return out;
 }
 

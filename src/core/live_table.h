@@ -7,9 +7,12 @@
 //     concurrent publish can never mutate, free, or re-index under it.
 //   - Writers stage batches through a TableAppender and publish them with
 //     a single atomic swap of the current-snapshot pointer. Columns are
-//     copy-on-write (Column::CloneAppend): the new version is a NEW column
-//     holding old bytes + tail, the old version stays untouched until its
-//     last snapshot retires.
+//     append-only versions (Column::CloneAppend): the new version is a
+//     NEW column that usually shares the old version's buffer and writes
+//     only the tail past the old end, which no reader of the old version
+//     reads; the old version keeps its own row count and bytes until its
+//     last snapshot retires. The swap under mu_ orders the tail writes
+//     before every reader of the new epoch.
 //   - All snapshots share one ImprintManager, so imprints of untouched
 //     columns carry over for free and appended columns extend their
 //     lineage base's index incrementally instead of rebuilding.

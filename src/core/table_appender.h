@@ -2,8 +2,9 @@
 //
 // An appender accumulates rows (raw batches, LAS tiles, CSV files) in a
 // private staging table and publishes everything staged as ONE new epoch:
-//   1. every column of the current version is extended copy-on-write
-//      (Column::CloneAppend) — readers of pinned epochs see nothing;
+//   1. every column of the current version is extended by an append-only
+//      version (Column::CloneAppend), in place in the shared buffer when
+//      it has room — readers of pinned epochs see nothing;
 //   2. for a durable table, the new version is written with WriteTableDir
 //      first — the manifest rename inside it is the commit point, so a
 //      crash at any failpoint reopens as a complete old-or-new epoch;

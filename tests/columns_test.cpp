@@ -1,10 +1,16 @@
 // Columns substrate tests: typed columns, flat tables, persistence, CSV.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <mutex>
+#include <numeric>
+#include <thread>
+
 #include "columns/column.h"
 #include "columns/column_file.h"
 #include "columns/csv.h"
 #include "columns/flat_table.h"
+#include "telemetry/metrics.h"
 #include "util/binary_io.h"
 #include "util/tempdir.h"
 
@@ -97,6 +103,195 @@ TEST(ColumnTest, GetDoubleAcrossAllTypes) {
 }
 
 // ---------------- Schema / FlatTable ----------------
+
+// ---------------- shared, append-only column buffers ----------------
+
+uint64_t BytesCopied() {
+  return telemetry::MetricsRegistry::Global()
+      .GetCounter("geocol_column_bytes_copied_total")
+      .Value();
+}
+
+/// A float64 column holding 0, 1, ..., n-1 with room for `capacity` rows.
+ColumnPtr CountingColumn(size_t n, size_t capacity) {
+  auto col = std::make_shared<Column>("v", DataType::kFloat64);
+  col->Reserve(capacity);
+  for (size_t i = 0; i < n; ++i) col->Append<double>(static_cast<double>(i));
+  return col;
+}
+
+std::vector<double> Ramp(double first, size_t n) {
+  std::vector<double> v(n);
+  std::iota(v.begin(), v.end(), first);
+  return v;
+}
+
+void ExpectRamp(const Column& col, size_t n) {
+  ASSERT_EQ(col.size(), n);
+  auto vals = col.Values<double>();
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(vals[i], static_cast<double>(i)) << "row " << i;
+  }
+}
+
+TEST(ColumnBufferTest, PinnedBaseKeepsBytesAfterInPlaceAppend) {
+  ColumnPtr base = CountingColumn(100, 1000);
+  const uint32_t crc = base->payload_crc32c();
+  const uint64_t copied = BytesCopied();
+
+  auto tail = Ramp(100, 50);
+  auto next = Column::CloneAppend(base, tail.data(), tail.size());
+  ASSERT_TRUE(next.ok());
+  // In place: the successor shares base's buffer and nothing was copied.
+  EXPECT_EQ((*next)->raw_data(), base->raw_data());
+  EXPECT_EQ(BytesCopied(), copied);
+  ExpectRamp(**next, 150);
+  // The pinned base still sees exactly its own rows.
+  ExpectRamp(*base, 100);
+  EXPECT_EQ(base->payload_crc32c(), crc);
+  EXPECT_EQ((*next)->base(), base);
+  EXPECT_EQ((*next)->base_rows(), 100u);
+}
+
+TEST(ColumnBufferTest, SecondCloneAppendFromSameBaseCopies) {
+  ColumnPtr base = CountingColumn(100, 1000);
+  auto tail_a = Ramp(100, 20);
+  auto tail_b = Ramp(100, 30);
+  auto a = Column::CloneAppend(base, tail_a.data(), tail_a.size());
+  ASSERT_TRUE(a.ok());
+  const uint64_t copied = BytesCopied();
+  // `base` no longer ends at the tip: the branch must copy base's rows.
+  auto b = Column::CloneAppend(base, tail_b.data(), tail_b.size());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE((*b)->raw_data(), base->raw_data());
+  EXPECT_EQ(BytesCopied() - copied, base->raw_size_bytes());
+  ExpectRamp(**a, 120);
+  ExpectRamp(**b, 130);
+  ExpectRamp(*base, 100);
+  // Each branch keeps appending correctly on its own.
+  auto more = Ramp(120, 5);
+  auto a2 = Column::CloneAppend(*a, more.data(), more.size());
+  ASSERT_TRUE(a2.ok());
+  ExpectRamp(**a2, 125);
+  ExpectRamp(**b, 130);
+}
+
+TEST(ColumnBufferTest, RawUpdateOnSharedBufferLeavesOtherVersionUntouched) {
+  ColumnPtr base = CountingColumn(100, 1000);
+  auto tail = Ramp(100, 50);
+  ColumnPtr next = *Column::CloneAppend(base, tail.data(), tail.size());
+  ASSERT_EQ(next->raw_data(), base->raw_data());
+
+  // A shuffle of the base version copies first.
+  FlatTable t("t");
+  ASSERT_TRUE(t.AddColumn(base).ok());
+  std::vector<uint64_t> reverse(100);
+  for (size_t i = 0; i < 100; ++i) reverse[i] = 99 - i;
+  const uint64_t copied = BytesCopied();
+  ASSERT_TRUE(t.PermuteRows(reverse).ok());
+  EXPECT_EQ(BytesCopied() - copied, base->raw_size_bytes());
+  EXPECT_NE(base->raw_data(), next->raw_data());
+  EXPECT_EQ(base->GetDouble(0), 99.0);
+  ExpectRamp(*next, 150);
+
+  // A raw rewrite of the successor leaves the (permuted) base alone.
+  const uint32_t base_crc = base->payload_crc32c();
+  ColumnPtr third = *Column::CloneAppend(next, tail.data(), 1);
+  uint8_t* raw = third->BeginRawUpdate();
+  std::memset(raw, 0xff, third->raw_size_bytes());
+  ExpectRamp(*next, 150);
+  EXPECT_EQ(base->payload_crc32c(), base_crc);
+}
+
+TEST(ColumnBufferTest, ClearAndRestage) {
+  // Unshared (an appender's staging column): Clear keeps the buffer.
+  Column staging("v", DataType::kFloat64);
+  auto first = Ramp(0, 64);
+  staging.AppendSpan<double>(first);
+  const uint8_t* buffer = staging.raw_data();
+  const uint64_t copied = BytesCopied();
+  for (int round = 0; round < 3; ++round) {
+    staging.Clear();
+    EXPECT_TRUE(staging.empty());
+    auto batch = Ramp(0, 40 + round);
+    staging.AppendSpan<double>(batch);
+    ExpectRamp(staging, 40 + round);
+    EXPECT_EQ(staging.raw_data(), buffer);
+  }
+  EXPECT_EQ(BytesCopied(), copied);
+
+  // Shared: Clear releases the buffer to the version still reading it.
+  ColumnPtr base = CountingColumn(100, 1000);
+  auto tail = Ramp(100, 10);
+  ColumnPtr next = *Column::CloneAppend(base, tail.data(), tail.size());
+  base->Clear();
+  EXPECT_TRUE(base->empty());
+  auto restage = Ramp(1000, 7);
+  base->AppendSpan<double>(restage);
+  ASSERT_EQ(base->size(), 7u);
+  EXPECT_EQ(base->GetDouble(0), 1000.0);
+  EXPECT_EQ(base->GetDouble(6), 1006.0);
+  ExpectRamp(*next, 110);
+}
+
+TEST(ColumnBufferTest, ReadersScanPinnedVersionsWhileWriterChainsAppends) {
+  constexpr size_t kBase = 4096;
+  constexpr size_t kBatch = 97;
+  constexpr int kAppends = 100;
+  std::mutex mu;
+  ColumnPtr current = CountingColumn(kBase, kBase);
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> scans{0};
+
+  auto reader = [&] {
+    while (!done.load(std::memory_order_acquire)) {
+      ColumnPtr pinned;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        pinned = current;
+      }
+      const size_t n = pinned->size();
+      ASSERT_EQ((n - kBase) % kBatch, 0u);
+      auto vals = pinned->Values<double>();
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(vals[i], static_cast<double>(i)) << "row " << i;
+      }
+      scans.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) readers.emplace_back(reader);
+
+  std::vector<ColumnPtr> chain = {current};
+  for (int k = 0; k < kAppends; ++k) {
+    auto tail = Ramp(static_cast<double>(chain.back()->size()), kBatch);
+    auto next = Column::CloneAppend(chain.back(), tail.data(), tail.size());
+    ASSERT_TRUE(next.ok());
+    chain.push_back(*next);
+    std::lock_guard<std::mutex> lock(mu);
+    current = *next;
+  }
+  while (scans.load(std::memory_order_relaxed) < 3) std::this_thread::yield();
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  // Every version of the chain still reads exactly its own prefix.
+  for (size_t k = 0; k < chain.size(); ++k) {
+    ExpectRamp(*chain[k], kBase + k * kBatch);
+  }
+}
+
+TEST(ColumnBufferTest, ReadColumnFileDecodesStraightIntoTheColumn) {
+  TempDir tmp;
+  auto col = Column::FromVector<int16_t>("c", {5, -6, 7, 8});
+  ASSERT_TRUE(WriteColumnFile(*col, tmp.File("c.gcl")).ok());
+  auto back = ReadColumnFile(tmp.File("c.gcl"), "c");
+  ASSERT_TRUE(back.ok());
+  // One append: the epoch a paged open pins, so sidecars validate in both.
+  EXPECT_EQ((*back)->epoch(), 1u);
+  EXPECT_EQ((*back)->payload_crc32c(), col->payload_crc32c());
+  EXPECT_EQ((*back)->GetInt64(1), -6);
+}
 
 TEST(SchemaTest, FieldLookup) {
   Schema s({{"x", DataType::kFloat64}, {"y", DataType::kFloat64}});

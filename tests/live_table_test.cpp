@@ -21,7 +21,9 @@
 #include "core/live_table.h"
 #include "core/shard_router.h"
 #include "core/table_appender.h"
+#include "telemetry/metrics.h"
 #include "util/binary_io.h"
+#include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/tempdir.h"
 
@@ -189,6 +191,103 @@ TEST(LiveTableTest, DurableCommitsReopenToLatestEpoch) {
   EpochSnapshot got = (*reopened)->Pin();
   EXPECT_EQ(got.table->num_rows(), 1000u);
   ExpectTablesEqual(*got.table, *(*live)->Pin().table);
+}
+
+uint64_t ColumnBytesCopied() {
+  return telemetry::MetricsRegistry::Global()
+      .GetCounter("geocol_column_bytes_copied_total")
+      .Value();
+}
+
+void AppendRows(const FlatTable& src, FlatTable* dst) {
+  for (const ColumnPtr& col : dst->columns()) {
+    const ColumnPtr& from = src.column(col->name());
+    col->AppendRaw(from->raw_data(), from->size());
+  }
+}
+
+/// The serial oracle of a commit chain: a fresh table holding the rows of
+/// `parts` (same schema) one after the other.
+FlatTable Concat(std::initializer_list<const FlatTable*> parts) {
+  FlatTable out("pc", (*parts.begin())->schema());
+  for (const FlatTable* part : parts) AppendRows(*part, &out);
+  return out;
+}
+
+TEST(LiveTableTest, CommitsCopyOnlyTheRowsTheyAdd) {
+  const Box extent(0, 0, 100, 100);
+  auto base = MakePoints(100000, 21, extent);
+  const FlatTable oracle_base = Concat({base.get()});
+  auto live = LiveTable::Create(base);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+  TableAppender app(*live);
+  std::vector<FlatTable> batches;
+  for (int k = 0; k < 50; ++k) {
+    batches.push_back(MakeBatch(1000, 100 + k, extent));
+  }
+  const uint64_t copied_before = ColumnBytesCopied();
+  for (const FlatTable& batch : batches) {
+    ASSERT_TRUE(app.StageBatch(batch).ok());
+    ASSERT_TRUE(app.Commit().ok());
+  }
+  const uint64_t copied = ColumnBytesCopied() - copied_before;
+
+  EpochSnapshot last = (*live)->Pin();
+  ASSERT_EQ(last.table->num_rows(), 150000u);
+  FlatTable oracle = Concat({&oracle_base});
+  for (const FlatTable& batch : batches) AppendRows(batch, &oracle);
+  ExpectTablesEqual(*last.table, oracle);
+  // The first commit moves each base column once into a buffer twice its
+  // size; the other 49 commits append in place.
+  EXPECT_EQ(copied, oracle_base.DataBytes());
+  EXPECT_LE(copied, 2 * last.table->DataBytes());
+}
+
+TEST(LiveTableTest, FailedDurableWriteAfterInPlaceClaimKeepsEpochAndRetries) {
+  TempDir tmp;
+  const Box extent(0, 0, 100, 100);
+  LiveTableOptions opts;
+  opts.dir = tmp.File("live");
+  auto base = MakePoints(2000, 31, extent);
+  const FlatTable oracle_base = Concat({base.get()});
+  auto live = LiveTable::Create(base, opts);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+  // The first commit regrows the columns, leaving room past the tip.
+  TableAppender app(*live);
+  const FlatTable b1 = MakeBatch(500, 32, extent);
+  ASSERT_TRUE(app.StageBatch(b1).ok());
+  ASSERT_TRUE(app.Commit().ok());
+  const FlatTable oracle1 = Concat({&oracle_base, &b1});
+  EpochSnapshot s1 = (*live)->Pin();
+
+  // The second commit claims the tip in place, then its durable write
+  // fails: nothing is published and the pinned epoch keeps its bytes.
+  const FlatTable b2 = MakeBatch(300, 33, extent);
+  ASSERT_TRUE(app.StageBatch(b2).ok());
+  const uint64_t copied = ColumnBytesCopied();
+  FaultInjector::Global().ArmCrashAtOp(1);
+  Status st = app.Commit();
+  FaultInjector::Global().Disarm();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(ColumnBytesCopied(), copied);
+  EXPECT_EQ((*live)->epoch(), 1u);
+  ExpectTablesEqual(*(*live)->Pin().table, oracle1);
+  ExpectTablesEqual(*s1.table, oracle1);
+
+  // The staged rows survive; the retry finds the tip taken and copies.
+  ASSERT_EQ(app.staged_rows(), b2.num_rows());
+  ASSERT_TRUE(app.Commit().ok());
+  EXPECT_EQ(ColumnBytesCopied() - copied, oracle1.DataBytes());
+  const FlatTable oracle2 = Concat({&oracle1, &b2});
+  EXPECT_EQ((*live)->epoch(), 2u);
+  ExpectTablesEqual(*(*live)->Pin().table, oracle2);
+  ExpectTablesEqual(*s1.table, oracle1);
+
+  auto reopened = LiveTable::Open(opts.dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectTablesEqual(*(*reopened)->Pin().table, oracle2);
 }
 
 /// Like ExpectTablesEqual, but reads `t` through chunk pins, so it also
