@@ -360,17 +360,16 @@ Status WriteRawDump(const Column& column, const std::string& path) {
   return WriteFileAtomic(path, column.raw_data(), column.raw_size_bytes());
 }
 
-Status AppendRawDump(const std::string& path, Column* column) {
-  GEOCOL_ASSIGN_OR_RETURN(uint64_t size, FileSizeBytes(path));
-  size_t width = column->width();
-  if (size % width != 0) {
-    return Status::Corruption("raw dump size not a multiple of value width: " +
-                              path);
+Status ReadRawDump(const std::string& path, void* dst, uint64_t bytes) {
+  BinaryReader r;
+  GEOCOL_RETURN_NOT_OK(r.Open(path));
+  if (r.Remaining() != bytes) {
+    return Status::Corruption("raw dump holds " +
+                              std::to_string(r.Remaining()) +
+                              " bytes, expected " + std::to_string(bytes) +
+                              ": " + path);
   }
-  std::vector<uint8_t> buf;
-  GEOCOL_RETURN_NOT_OK(ReadFileBytes(path, &buf));
-  column->AppendRaw(buf.data(), buf.size() / width);
-  return Status::OK();
+  return r.ReadBytes(dst, bytes);
 }
 
 Status WriteTableManifest(const std::string& dir, const TableManifest& m) {

@@ -82,8 +82,11 @@ Result<ColumnFileLayout> ReadColumnFileLayout(const std::string& path);
 /// never observes a torn dump.
 Status WriteRawDump(const Column& column, const std::string& path);
 
-/// Appends a raw C-array dump of `type` to `column`.
-Status AppendRawDump(const std::string& path, Column* column);
+/// Reads a raw C-array dump into `dst` — the COPY BINARY step of the
+/// binary loader, which points `dst` at the dump's rows inside a column it
+/// has already grown. The dump must hold exactly `bytes` bytes; any other
+/// size is Corruption naming `path`.
+Status ReadRawDump(const std::string& path, void* dst, uint64_t bytes);
 
 /// The parsed `<dir>/schema.gct` manifest: which columns a table has and
 /// which file currently holds each of them.

@@ -1,6 +1,7 @@
 #include "las/las_format.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace geocol {
@@ -128,51 +129,64 @@ void DeserializeRecord(const uint8_t* src, LasPointRecord* p) {
   Take(s, &p->wave_y);
 }
 
+void GatherAttribute(const LasHeader& h,
+                     std::span<const LasPointRecord> points, size_t attribute,
+                     uint8_t* dst) {
+  using P = const LasPointRecord&;
+  // Stores get(p) of every point as the next packed value.
+  auto put = [&](auto get) {
+    for (P p : points) {
+      const auto v = get(p);
+      std::memcpy(dst, &v, sizeof(v));
+      dst += sizeof(v);
+    }
+  };
+  switch (attribute) {
+    case 0: return put([&](P p) { return p.x * h.scale[0] + h.offset[0]; });
+    case 1: return put([&](P p) { return p.y * h.scale[1] + h.offset[1]; });
+    case 2: return put([&](P p) { return p.z * h.scale[2] + h.offset[2]; });
+    case 3: return put([](P p) { return p.intensity; });
+    case 4: return put([](P p) { return p.return_number; });
+    case 5: return put([](P p) { return p.number_of_returns; });
+    case 6: return put([](P p) { return p.scan_direction; });
+    case 7: return put([](P p) { return p.edge_of_flight_line; });
+    case 8: return put([](P p) { return p.classification; });
+    case 9: return put([](P p) { return p.synthetic_flag; });
+    case 10: return put([](P p) { return p.key_point_flag; });
+    case 11: return put([](P p) { return p.withheld_flag; });
+    case 12: return put([](P p) { return p.scan_angle; });
+    case 13: return put([](P p) { return p.user_data; });
+    case 14: return put([](P p) { return p.point_source_id; });
+    case 15: return put([](P p) { return p.gps_time; });
+    case 16: return put([](P p) { return p.red; });
+    case 17: return put([](P p) { return p.green; });
+    case 18: return put([](P p) { return p.blue; });
+    case 19: return put([](P p) { return p.nir; });
+    case 20: return put([](P p) { return p.wave_descriptor; });
+    case 21: return put([](P p) { return p.wave_offset; });
+    case 22: return put([](P p) { return p.wave_packet_size; });
+    case 23: return put([](P p) { return p.wave_return_location; });
+    case 24: return put([](P p) { return p.wave_x; });
+    case 25: return put([](P p) { return p.wave_y; });
+  }
+  assert(false && "attribute out of range");
+}
+
 Status AppendTileToTable(const LasTile& tile, FlatTable* table) {
-  if (table->num_columns() != kLasAttributeCount) {
+  const std::vector<Field>& fields = LasPointFields();
+  bool las_schema = table->num_columns() == fields.size();
+  for (size_t c = 0; las_schema && c < fields.size(); ++c) {
+    las_schema = table->column(c)->type() == fields[c].type;
+  }
+  if (!las_schema) {
     return Status::InvalidArgument("table does not have the LAS point schema");
   }
-  size_t n = tile.points.size();
   // Columnar append: one pass per attribute keeps each column's memory hot
   // and mirrors the loader's per-attribute binary dumps.
-  std::vector<double> dbuf(n);
-  for (size_t i = 0; i < n; ++i) dbuf[i] = tile.WorldX(tile.points[i]);
-  table->column(0)->AppendSpan<double>(dbuf);
-  for (size_t i = 0; i < n; ++i) dbuf[i] = tile.WorldY(tile.points[i]);
-  table->column(1)->AppendSpan<double>(dbuf);
-  for (size_t i = 0; i < n; ++i) dbuf[i] = tile.WorldZ(tile.points[i]);
-  table->column(2)->AppendSpan<double>(dbuf);
-
-  auto append = [&](size_t col, auto getter) {
-    using T = decltype(getter(tile.points[0]));
-    std::vector<T> buf(n);
-    for (size_t i = 0; i < n; ++i) buf[i] = getter(tile.points[i]);
-    table->column(col)->AppendSpan<T>(buf);
-  };
-  size_t c = 3;
-  append(c++, [](const LasPointRecord& p) { return p.intensity; });
-  append(c++, [](const LasPointRecord& p) { return p.return_number; });
-  append(c++, [](const LasPointRecord& p) { return p.number_of_returns; });
-  append(c++, [](const LasPointRecord& p) { return p.scan_direction; });
-  append(c++, [](const LasPointRecord& p) { return p.edge_of_flight_line; });
-  append(c++, [](const LasPointRecord& p) { return p.classification; });
-  append(c++, [](const LasPointRecord& p) { return p.synthetic_flag; });
-  append(c++, [](const LasPointRecord& p) { return p.key_point_flag; });
-  append(c++, [](const LasPointRecord& p) { return p.withheld_flag; });
-  append(c++, [](const LasPointRecord& p) { return p.scan_angle; });
-  append(c++, [](const LasPointRecord& p) { return p.user_data; });
-  append(c++, [](const LasPointRecord& p) { return p.point_source_id; });
-  append(c++, [](const LasPointRecord& p) { return p.gps_time; });
-  append(c++, [](const LasPointRecord& p) { return p.red; });
-  append(c++, [](const LasPointRecord& p) { return p.green; });
-  append(c++, [](const LasPointRecord& p) { return p.blue; });
-  append(c++, [](const LasPointRecord& p) { return p.nir; });
-  append(c++, [](const LasPointRecord& p) { return p.wave_descriptor; });
-  append(c++, [](const LasPointRecord& p) { return p.wave_offset; });
-  append(c++, [](const LasPointRecord& p) { return p.wave_packet_size; });
-  append(c++, [](const LasPointRecord& p) { return p.wave_return_location; });
-  append(c++, [](const LasPointRecord& p) { return p.wave_x; });
-  append(c++, [](const LasPointRecord& p) { return p.wave_y; });
+  for (size_t c = 0; c < fields.size(); ++c) {
+    GatherAttribute(tile.header, tile.points, c,
+                    table->column(c)->AppendUninitialized(tile.points.size()));
+  }
   return table->Validate();
 }
 

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,14 @@ void SerializeRecord(const LasPointRecord& p, uint8_t* dst);
 
 /// Deserializes one record from kLasRecordBytes at `src`.
 void DeserializeRecord(const uint8_t* src, LasPointRecord* p);
+
+/// Writes attribute `attribute` (LasPointFields() order) of `points` to
+/// `dst` as a packed little-endian C-array of that field's type, with the
+/// coordinates converted to world doubles through `header`. `dst` must
+/// hold points.size() values of the attribute's width.
+void GatherAttribute(const LasHeader& header,
+                     std::span<const LasPointRecord> points, size_t attribute,
+                     uint8_t* dst);
 
 /// Appends the tile's points to the columns of `table` (which must have
 /// LasPointSchema). Coordinates are converted to world doubles — this is

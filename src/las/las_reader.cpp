@@ -1,9 +1,9 @@
 #include "las/las_reader.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "las/laz.h"
-#include "util/binary_io.h"
 
 namespace geocol {
 
@@ -32,13 +32,42 @@ Status ReadHeader(BinaryReader* r, LasHeader* h) {
   }
   return Status::OK();
 }
+
+/// Reads and decodes the whole LAZ payload that follows the header.
+Status ReadLazRecords(BinaryReader* r, uint64_t count,
+                      std::vector<LasPointRecord>* out) {
+  uint64_t payload_size = 0;
+  GEOCOL_RETURN_NOT_OK(r->ReadScalar(&payload_size));
+  std::vector<uint8_t> payload;
+  GEOCOL_RETURN_NOT_OK(r->ReadVector(&payload, payload_size));
+  return LazDecompress(payload, count, out);
+}
+
+/// Reads `count` serialized records into `out`; `raw` is the staging
+/// buffer. The count is bounded by the bytes left in the file first.
+Status ReadRecords(BinaryReader* r, uint64_t count, std::vector<uint8_t>* raw,
+                   std::vector<LasPointRecord>* out) {
+  GEOCOL_RETURN_NOT_OK(r->CheckRemaining(count, kLasRecordBytes));
+  GEOCOL_RETURN_NOT_OK(r->ReadVector(raw, count * kLasRecordBytes));
+  out->resize(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    DeserializeRecord(raw->data() + i * kLasRecordBytes, &(*out)[i]);
+  }
+  return Status::OK();
+}
+
+/// `st` with `path` prefixed to its message.
+Status InFile(const std::string& path, Status st) {
+  if (st.ok()) return st;
+  return Status(st.code(), path + ": " + st.message());
+}
 }  // namespace
 
 Result<LasHeader> ReadLasHeader(const std::string& path) {
   BinaryReader r;
   GEOCOL_RETURN_NOT_OK(r.Open(path));
   LasHeader h;
-  GEOCOL_RETURN_NOT_OK(ReadHeader(&r, &h));
+  GEOCOL_RETURN_NOT_OK(InFile(path, ReadHeader(&r, &h)));
   return h;
 }
 
@@ -46,27 +75,42 @@ Result<LasTile> ReadLasFile(const std::string& path) {
   BinaryReader r;
   GEOCOL_RETURN_NOT_OK(r.Open(path));
   LasTile tile;
-  GEOCOL_RETURN_NOT_OK(ReadHeader(&r, &tile.header));
+  GEOCOL_RETURN_NOT_OK(InFile(path, ReadHeader(&r, &tile.header)));
   uint64_t n = tile.header.point_count;
-  if (tile.header.compressed != 0) {
-    uint64_t payload_size = 0;
-    GEOCOL_RETURN_NOT_OK(r.ReadScalar(&payload_size));
-    GEOCOL_ASSIGN_OR_RETURN(uint64_t file_size, r.FileSize());
-    if (payload_size > file_size) {
-      return Status::Corruption("LAZ payload size exceeds file size");
-    }
-    std::vector<uint8_t> payload(payload_size);
-    GEOCOL_RETURN_NOT_OK(r.ReadBytes(payload.data(), payload.size()));
-    GEOCOL_RETURN_NOT_OK(LazDecompress(payload, n, &tile.points));
-  } else {
-    std::vector<uint8_t> buf;
-    GEOCOL_RETURN_NOT_OK(r.ReadVector(&buf, n * kLasRecordBytes));
-    tile.points.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      DeserializeRecord(buf.data() + i * kLasRecordBytes, &tile.points[i]);
-    }
-  }
+  std::vector<uint8_t> raw;
+  GEOCOL_RETURN_NOT_OK(InFile(
+      path, tile.header.compressed != 0
+                ? ReadLazRecords(&r, n, &tile.points)
+                : ReadRecords(&r, n, &raw, &tile.points)));
   return tile;
+}
+
+Status LasTileReader::Open(const std::string& path) {
+  path_ = path;
+  returned_ = 0;
+  GEOCOL_RETURN_NOT_OK(file_.Open(path));
+  GEOCOL_RETURN_NOT_OK(InFile(path, ReadHeader(&file_, &header_)));
+  return InFile(path,
+                header_.compressed != 0
+                    ? ReadLazRecords(&file_, header_.point_count, &records_)
+                    : file_.CheckRemaining(header_.point_count,
+                                           kLasRecordBytes));
+}
+
+Result<std::span<const LasPointRecord>> LasTileReader::NextBlock(
+    size_t max_records) {
+  const uint64_t count =
+      std::min<uint64_t>(max_records, header_.point_count - returned_);
+  std::span<const LasPointRecord> block;
+  if (header_.compressed != 0) {
+    block = std::span<const LasPointRecord>(records_).subspan(returned_, count);
+  } else {
+    GEOCOL_RETURN_NOT_OK(
+        InFile(path_, ReadRecords(&file_, count, &raw_, &records_)));
+    block = records_;
+  }
+  returned_ += count;
+  return block;
 }
 
 }  // namespace geocol

@@ -1,6 +1,8 @@
 #include "loader/binary_loader.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 
 #include "columns/column_file.h"
 #include "las/las_reader.h"
@@ -11,136 +13,149 @@
 
 namespace geocol {
 
-Result<std::vector<std::string>> BinaryLoader::ConvertToDumps(
-    const std::string& las_path, const std::string& prefix, LoadStats* stats) {
+namespace {
+/// Scratch dumps are transient: plain unlink, outside the fault injector,
+/// so cleanup also runs after an injected crash.
+void RemoveDumps(const std::vector<std::string>& paths) {
+  for (const std::string& p : paths) std::remove(p.c_str());
+}
+
+/// Phase 1 for one opened tile: every block's attributes are appended to
+/// their dumps.
+Status StreamTile(LasTileReader* reader, std::vector<BinaryWriter>* writers,
+                  uint64_t* rows, LoadStats* stats) {
+  const std::vector<Field>& fields = LasPointFields();
+  std::vector<uint8_t> values(kLoadBlockRecords * sizeof(double));  // widest
   Timer t;
-  GEOCOL_ASSIGN_OR_RETURN(LasTile tile, ReadLasFile(las_path));
-  if (stats != nullptr) {
+  while (true) {
+    t.Restart();
+    GEOCOL_ASSIGN_OR_RETURN(std::span<const LasPointRecord> block,
+                            reader->NextBlock(kLoadBlockRecords));
     stats->read_seconds += t.ElapsedSeconds();
-    GEOCOL_ASSIGN_OR_RETURN(uint64_t sz, FileSizeBytes(las_path));
-    stats->bytes_read += sz;
-    stats->points += tile.points.size();
-    ++stats->files;
+    if (block.empty()) return Status::OK();
+    t.Restart();
+    for (size_t c = 0; c < fields.size(); ++c) {
+      GatherAttribute(reader->header(), block, c, values.data());
+      GEOCOL_RETURN_NOT_OK((*writers)[c].WriteBytes(
+          values.data(), block.size() * DataTypeSize(fields[c].type)));
+    }
+    stats->convert_seconds += t.ElapsedSeconds();
+    *rows += block.size();
   }
-
-  t.Restart();
-  // Materialise the tile column-wise, then dump each attribute as a raw
-  // C-array file.
-  FlatTable staging("staging", LasPointSchema());
-  GEOCOL_RETURN_NOT_OK(AppendTileToTable(tile, &staging));
-  std::vector<std::string> paths;
-  paths.reserve(staging.num_columns());
-  for (const auto& col : staging.columns()) {
-    std::string path = scratch_dir_ + "/" + prefix + "." + col->name() + ".bin";
-    GEOCOL_RETURN_NOT_OK(WriteRawDump(*col, path));
-    paths.push_back(std::move(path));
-  }
-  if (stats != nullptr) stats->convert_seconds += t.ElapsedSeconds();
-  return paths;
 }
+}  // namespace
 
-Status BinaryLoader::CopyBinary(const std::vector<std::string>& dump_paths,
-                                FlatTable* table, LoadStats* stats) {
-  if (dump_paths.size() != table->num_columns()) {
-    return Status::InvalidArgument("dump count != column count");
-  }
+Result<TileDumps> BinaryLoader::ConvertToDumps(const std::string& las_path,
+                                               const std::string& prefix,
+                                               LoadStats* stats) {
+  LoadStats local;
   Timer t;
-  for (size_t c = 0; c < dump_paths.size(); ++c) {
-    GEOCOL_RETURN_NOT_OK(AppendRawDump(dump_paths[c], table->column(c).get()));
-  }
-  GEOCOL_RETURN_NOT_OK(table->Validate());
-  if (stats != nullptr) stats->append_seconds += t.ElapsedSeconds();
-  return Status::OK();
-}
+  LasTileReader reader;
+  GEOCOL_RETURN_NOT_OK(reader.Open(las_path));
+  local.read_seconds = t.ElapsedSeconds();
 
-Status BinaryLoader::LoadFile(const std::string& path, FlatTable* table,
-                              LoadStats* stats) {
-  // Derive a scratch prefix from the file name.
-  size_t slash = path.find_last_of('/');
-  std::string prefix = slash == std::string::npos ? path : path.substr(slash + 1);
-  GEOCOL_ASSIGN_OR_RETURN(std::vector<std::string> dumps,
-                          ConvertToDumps(path, prefix, stats));
-  GEOCOL_RETURN_NOT_OK(CopyBinary(dumps, table, stats));
-  // The intermediate dumps are transient.
-  for (const auto& d : dumps) ::remove(d.c_str());
-  return Status::OK();
-}
-
-Result<std::shared_ptr<FlatTable>> BinaryLoader::LoadDirectoryParallel(
-    const std::string& dir, size_t threads, LoadStats* stats) {
-  std::vector<std::string> files;
-  GEOCOL_RETURN_NOT_OK(ListFiles(dir, ".las", &files));
-  GEOCOL_RETURN_NOT_OK(ListFiles(dir, ".laz", &files));
-  if (files.empty()) {
-    return Status::NotFound("no .las/.laz files under " + dir);
+  const std::vector<Field>& fields = LasPointFields();
+  TileDumps dumps;
+  std::vector<BinaryWriter> writers(fields.size());
+  Status st;
+  for (size_t c = 0; c < fields.size() && st.ok(); ++c) {
+    dumps.paths.push_back(scratch_dir_ + "/" + prefix + "." + fields[c].name +
+                          ".bin");
+    st = writers[c].Open(dumps.paths.back());
   }
-  Timer wall;
-  // Phase 1: per-file conversion fans out; each task gets its own stats so
-  // there is no shared mutable state.
-  std::vector<std::vector<std::string>> dumps(files.size());
-  std::vector<LoadStats> per_file(files.size());
-  std::vector<Status> statuses(files.size());
-  {
-    ThreadPool pool(threads);
-    pool.ParallelFor(files.size(), [&](size_t i) {
-      size_t slash = files[i].find_last_of('/');
-      std::string prefix = slash == std::string::npos
-                               ? files[i]
-                               : files[i].substr(slash + 1);
-      auto res = ConvertToDumps(files[i], prefix, &per_file[i]);
-      if (res.ok()) {
-        dumps[i] = std::move(*res);
-      } else {
-        statuses[i] = res.status();
-      }
-    });
+  if (st.ok()) st = StreamTile(&reader, &writers, &dumps.rows, &local);
+  for (BinaryWriter& w : writers) {
+    if (!w.is_open()) continue;
+    Status closed = w.Close();
+    if (st.ok()) st = closed;
   }
-  for (const Status& st : statuses) GEOCOL_RETURN_NOT_OK(st);
-
-  // Phase 2: COPY BINARY in file order (append order defines row order).
-  auto table = std::make_shared<FlatTable>("ahn2", LasPointSchema());
-  LoadStats append_stats;
-  for (size_t i = 0; i < files.size(); ++i) {
-    GEOCOL_RETURN_NOT_OK(CopyBinary(dumps[i], table.get(), &append_stats));
-    for (const auto& d : dumps[i]) ::remove(d.c_str());
+  if (!st.ok()) {
+    RemoveDumps(dumps.paths);
+    return st;
   }
   if (stats != nullptr) {
-    LoadStats total;
-    for (const LoadStats& s : per_file) {
-      total.files += s.files;
-      total.points += s.points;
-      total.bytes_read += s.bytes_read;
-      total.read_seconds += s.read_seconds;
-      total.convert_seconds += s.convert_seconds;
-    }
-    total.append_seconds = append_stats.append_seconds;
-    // With parallel conversion the per-phase CPU seconds overstate wall
-    // time; report wall-clock read+convert instead.
-    double wall_s = wall.ElapsedSeconds();
-    double serial_front = total.read_seconds + total.convert_seconds;
-    if (serial_front > wall_s) {
-      double scale = (wall_s - total.append_seconds) / serial_front;
-      if (scale > 0) {
-        total.read_seconds *= scale;
-        total.convert_seconds *= scale;
-      }
-    }
-    *stats = total;
+    GEOCOL_ASSIGN_OR_RETURN(uint64_t size, FileSizeBytes(las_path));
+    stats->files += 1;
+    stats->points += dumps.rows;
+    stats->bytes_read += size;
+    stats->read_seconds += local.read_seconds;
+    stats->convert_seconds += local.convert_seconds;
   }
-  return table;
+  return dumps;
 }
 
 Result<std::shared_ptr<FlatTable>> BinaryLoader::LoadDirectory(
     const std::string& dir, LoadStats* stats) {
+  Timer wall;
   std::vector<std::string> files;
   GEOCOL_RETURN_NOT_OK(ListFiles(dir, ".las", &files));
   GEOCOL_RETURN_NOT_OK(ListFiles(dir, ".laz", &files));
   if (files.empty()) {
     return Status::NotFound("no .las/.laz files under " + dir);
   }
+  const size_t n = files.size();
+  // The caller joins every ParallelFor, so hw - 1 workers make hw threads.
+  ThreadPool pool(std::max(2u, std::thread::hardware_concurrency()) - 1);
+
+  // Phase 1: convert, parallel over tiles. Each task owns its slots.
+  std::vector<TileDumps> dumps(n);
+  std::vector<LoadStats> tile_stats(n);
+  std::vector<Status> status(n);
+  pool.ParallelFor(n, [&](size_t i) {
+    size_t slash = files[i].find_last_of('/');
+    Result<TileDumps> res = ConvertToDumps(files[i], files[i].substr(slash + 1),
+                                           &tile_stats[i]);
+    if (res.ok()) {
+      dumps[i] = std::move(*res);
+    } else {
+      status[i] = res.status();
+    }
+  });
+  auto remove_all = [&] {
+    for (const TileDumps& d : dumps) RemoveDumps(d.paths);
+  };
+  for (const Status& st : status) {
+    if (!st.ok()) {
+      remove_all();
+      return st;
+    }
+  }
+
+  // Phase 2: COPY BINARY, parallel over (column, tile). Tile i's rows
+  // start at first_row[i] in every column.
+  std::vector<uint64_t> first_row(n + 1, 0);
+  for (size_t i = 0; i < n; ++i) first_row[i + 1] = first_row[i] + dumps[i].rows;
   auto table = std::make_shared<FlatTable>("ahn2", LasPointSchema());
-  for (const std::string& f : files) {
-    GEOCOL_RETURN_NOT_OK(LoadFile(f, table.get(), stats));
+  const size_t cols = table->num_columns();
+  std::vector<uint8_t*> base(cols);
+  for (size_t c = 0; c < cols; ++c) {
+    base[c] = table->column(c)->AppendUninitialized(first_row[n]);
+  }
+  std::vector<Status> copied(cols * n);
+  std::vector<double> copy_seconds(cols * n);
+  pool.ParallelFor(cols * n, [&](size_t k) {
+    Timer t;
+    const size_t c = k / n;
+    const size_t i = k % n;
+    const size_t width = table->column(c)->width();
+    copied[k] = ReadRawDump(dumps[i].paths[c], base[c] + first_row[i] * width,
+                            dumps[i].rows * width);
+    copy_seconds[k] = t.ElapsedSeconds();
+  });
+  remove_all();
+  for (const Status& st : copied) GEOCOL_RETURN_NOT_OK(st);
+  GEOCOL_RETURN_NOT_OK(table->Validate());
+
+  if (stats != nullptr) {
+    for (const LoadStats& s : tile_stats) {
+      stats->files += s.files;
+      stats->points += s.points;
+      stats->bytes_read += s.bytes_read;
+      stats->read_seconds += s.read_seconds;
+      stats->convert_seconds += s.convert_seconds;
+    }
+    for (double s : copy_seconds) stats->append_seconds += s;
+    stats->wall_seconds += wall.ElapsedSeconds();
   }
   return table;
 }

@@ -12,6 +12,7 @@ namespace geocol {
 
 Status CsvLoader::LoadFile(const std::string& path, FlatTable* table,
                            LoadStats* stats) {
+  Timer wall;
   Timer t;
   GEOCOL_ASSIGN_OR_RETURN(LasTile tile, ReadLasFile(path));
   if (stats != nullptr) {
@@ -37,7 +38,10 @@ Status CsvLoader::LoadFile(const std::string& path, FlatTable* table,
   Status st = AppendCsv(csv_path, table);
   std::remove(csv_path.c_str());
   GEOCOL_RETURN_NOT_OK(st);
-  if (stats != nullptr) stats->append_seconds += t.ElapsedSeconds();
+  if (stats != nullptr) {
+    stats->append_seconds += t.ElapsedSeconds();
+    stats->wall_seconds += wall.ElapsedSeconds();
+  }
   return Status::OK();
 }
 

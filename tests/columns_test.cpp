@@ -405,18 +405,25 @@ TEST(ColumnFileTest, RawDumpRoundTrip) {
   auto size = FileSizeBytes(tmp.File("i.bin"));
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(*size, 6u);  // raw C-array: no header at all
+  // COPY BINARY reads the dump straight into its rows of a grown column.
   Column dst("i", DataType::kUInt16);
-  ASSERT_TRUE(AppendRawDump(tmp.File("i.bin"), &dst).ok());
-  EXPECT_EQ(dst.size(), 3u);
-  EXPECT_EQ(dst.GetInt64(2), 9);
+  dst.Append<uint16_t>(1);
+  ASSERT_TRUE(
+      ReadRawDump(tmp.File("i.bin"), dst.AppendUninitialized(3), 6).ok());
+  ASSERT_EQ(dst.size(), 4u);
+  EXPECT_EQ(dst.GetInt64(0), 1);
+  EXPECT_EQ(dst.GetInt64(3), 9);
 }
 
-TEST(ColumnFileTest, RawDumpMisalignedSizeRejected) {
+TEST(ColumnFileTest, RawDumpWrongSizeRejected) {
   TempDir tmp;
   ASSERT_TRUE(WriteFileBytes(tmp.File("odd.bin"), "abc", 3).ok());
-  Column dst("i", DataType::kUInt16);
-  EXPECT_EQ(AppendRawDump(tmp.File("odd.bin"), &dst).code(),
-            StatusCode::kCorruption);
+  uint16_t slot[2] = {0, 0};
+  for (uint64_t expected : {2u, 4u}) {  // short and long of the 3 bytes
+    Status st = ReadRawDump(tmp.File("odd.bin"), slot, expected);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption);
+    EXPECT_NE(st.message().find("odd.bin"), std::string::npos) << st.message();
+  }
 }
 
 TEST(TableDirTest, RoundTrip) {

@@ -1,16 +1,21 @@
 // Loader pipeline tests: the binary (dump + COPY BINARY) path, the CSV
 // baseline path, and the key equivalence property — both loaders and the
-// direct in-memory append produce identical tables.
+// direct in-memory append produce identical tables. The binary loader's
+// scratch dumps must never be fsynced and must be gone after every load,
+// failed or not.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
 
+#include "las/las_reader.h"
 #include "las/las_writer.h"
 #include "loader/binary_loader.h"
 #include "loader/csv_loader.h"
 #include "pointcloud/generator.h"
+#include "telemetry/metrics.h"
 #include "util/binary_io.h"
+#include "util/fault_injection.h"
 #include "util/tempdir.h"
 
 namespace geocol {
@@ -45,6 +50,12 @@ class LoaderTest : public ::testing::Test {
   std::string tiles_dir() const { return tmp_.File("tiles"); }
   std::string scratch_dir() const { return tmp_.File("scratch"); }
 
+  std::vector<std::string> ScratchFiles() const {
+    std::vector<std::string> files;
+    EXPECT_TRUE(ListFiles(scratch_dir(), "", &files).ok());
+    return files;
+  }
+
   static void ExpectTablesEqual(const FlatTable& a, const FlatTable& b) {
     ASSERT_EQ(a.num_columns(), b.num_columns());
     ASSERT_EQ(a.num_rows(), b.num_rows());
@@ -75,28 +86,90 @@ TEST_F(LoaderTest, BinaryLoaderMatchesDirectAppend) {
   EXPECT_GT(stats.bytes_read, 0u);
   EXPECT_GT(stats.TotalSeconds(), 0.0);
   EXPECT_GT(stats.PointsPerSecond(), 0.0);
+  EXPECT_TRUE(ScratchFiles().empty());
 }
 
-TEST_F(LoaderTest, ParallelLoaderMatchesSequentialExactly) {
-  BinaryLoader loader(scratch_dir());
-  auto seq = loader.LoadDirectory(tiles_dir());
-  ASSERT_TRUE(seq.ok());
-  for (size_t threads : {1, 2, 4}) {
-    LoadStats stats;
-    auto par = loader.LoadDirectoryParallel(tiles_dir(), threads, &stats);
-    ASSERT_TRUE(par.ok()) << threads << " threads";
-    ExpectTablesEqual(**seq, **par);
-    EXPECT_EQ(stats.points, (*seq)->num_rows());
-    EXPECT_EQ(stats.files, num_tiles_);
+TEST_F(LoaderTest, MultiBlockTilesMatchReference) {
+  // Tiles of ~2.5 blocks: every tile streams several full blocks and ends
+  // in a ragged one, uncompressed and LAZ alike.
+  AhnGeneratorOptions opts = TinyOptions();
+  opts.extent = Box(85000, 444000, 85200, 444200);
+  opts.target_points_per_tile = 2 * kLoadBlockRecords + kLoadBlockRecords / 2;
+  AhnGenerator gen(opts);
+  FlatTable reference("ref", LasPointSchema());
+  ASSERT_TRUE(gen.GenerateTiles([&](LasTile& tile, uint64_t) {
+    return AppendTileToTable(tile, &reference);
+  }).ok());
+  for (bool compress : {false, true}) {
+    std::string dir = tmp_.File(compress ? "big_laz" : "big_las");
+    ASSERT_TRUE(MakeDir(dir).ok());
+    ASSERT_TRUE(gen.WriteTileDirectory(dir, compress).ok());
+    std::vector<std::string> files;
+    ASSERT_TRUE(ListFiles(dir, compress ? ".laz" : ".las", &files).ok());
+    ASSERT_GE(files.size(), 2u);
+    bool ragged = false;
+    for (const std::string& f : files) {
+      auto header = ReadLasHeader(f);
+      ASSERT_TRUE(header.ok());
+      EXPECT_GT(header->point_count, kLoadBlockRecords) << f;
+      ragged |= header->point_count % kLoadBlockRecords != 0;
+    }
+    EXPECT_TRUE(ragged);
+    BinaryLoader loader(scratch_dir());
+    auto table = loader.LoadDirectory(dir);
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    ExpectTablesEqual(reference, **table);
+    EXPECT_TRUE(ScratchFiles().empty());
   }
 }
 
-TEST_F(LoaderTest, ParallelLoaderPropagatesErrors) {
-  std::string bad_dir = tmp_.File("badpar");
-  ASSERT_TRUE(MakeDir(bad_dir).ok());
-  ASSERT_TRUE(WriteFileBytes(bad_dir + "/junk.las", "GARBAGE!", 8).ok());
+TEST_F(LoaderTest, LoadDirectoryIssuesNoFsyncs) {
+  // The scratch dumps are transient: a crashed load restarts from the
+  // tiles, so nothing is fsynced or committed atomically.
+  auto& registry = telemetry::MetricsRegistry::Global();
+  telemetry::Counter& fsyncs = registry.GetCounter("geocol_io_fsyncs_total");
+  telemetry::Counter& commits =
+      registry.GetCounter("geocol_io_atomic_commits_total");
+  const uint64_t fsyncs_before = fsyncs.Value();
+  const uint64_t commits_before = commits.Value();
   BinaryLoader loader(scratch_dir());
-  EXPECT_FALSE(loader.LoadDirectoryParallel(bad_dir, 3).ok());
+  ASSERT_TRUE(loader.LoadDirectory(tiles_dir()).ok());
+  EXPECT_EQ(fsyncs.Value() - fsyncs_before, 0u);
+  EXPECT_EQ(commits.Value() - commits_before, 0u);
+}
+
+TEST_F(LoaderTest, TruncatedTileAmongGoodTilesFailsAndCleansUp) {
+  std::vector<std::string> files;
+  ASSERT_TRUE(ListFiles(tiles_dir(), ".las", &files).ok());
+  ASSERT_GE(files.size(), 3u);
+  const std::string& victim = files[files.size() / 2];
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(victim, &bytes).ok());
+  ASSERT_TRUE(WriteFileBytes(victim, bytes.data(), bytes.size() - 100).ok());
+  BinaryLoader loader(scratch_dir());
+  auto table = loader.LoadDirectory(tiles_dir());
+  ASSERT_EQ(table.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(table.status().message().find(victim), std::string::npos)
+      << table.status().message();
+  EXPECT_TRUE(ScratchFiles().empty());
+}
+
+TEST_F(LoaderTest, InjectedWriteFailureFailsLoadAndCleansUp) {
+  auto& fi = FaultInjector::Global();
+  BinaryLoader loader(scratch_dir());
+  fi.StartCounting();
+  ASSERT_TRUE(loader.LoadDirectory(tiles_dir()).ok());
+  const uint64_t total = fi.StopCounting();
+  ASSERT_GT(total, 0u);
+  // From op k on every file operation fails and op k, if a write, lands
+  // only a torn prefix: the device died mid-load.
+  for (uint64_t k : {uint64_t{1}, total / 3, 2 * total / 3}) {
+    fi.ArmTornWrite(k, 5);
+    auto table = loader.LoadDirectory(tiles_dir());
+    fi.Disarm();
+    EXPECT_FALSE(table.ok()) << "op " << k << " of " << total;
+    EXPECT_TRUE(ScratchFiles().empty()) << "op " << k;
+  }
 }
 
 TEST_F(LoaderTest, CsvLoaderMatchesBinaryLoaderExactly) {
@@ -128,14 +201,15 @@ TEST_F(LoaderTest, ConvertToDumpsProduces26Files) {
   BinaryLoader loader(scratch_dir());
   auto dumps = loader.ConvertToDumps(files[0], "t0");
   ASSERT_TRUE(dumps.ok());
-  EXPECT_EQ(dumps->size(), kLasAttributeCount);
-  for (const auto& d : *dumps) EXPECT_TRUE(PathExists(d));
-}
-
-TEST_F(LoaderTest, CopyBinaryArityMismatchRejected) {
-  BinaryLoader loader(scratch_dir());
-  FlatTable table("pc", LasPointSchema());
-  EXPECT_FALSE(loader.CopyBinary({"only", "three", "dumps"}, &table).ok());
+  auto header = ReadLasHeader(files[0]);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(dumps->rows, header->point_count);
+  ASSERT_EQ(dumps->paths.size(), kLasAttributeCount);
+  for (size_t c = 0; c < kLasAttributeCount; ++c) {
+    auto size = FileSizeBytes(dumps->paths[c]);
+    ASSERT_TRUE(size.ok());
+    EXPECT_EQ(*size, dumps->rows * DataTypeSize(LasPointFields()[c].type));
+  }
 }
 
 TEST_F(LoaderTest, EmptyDirectoryIsNotFound) {

@@ -5,7 +5,6 @@
 //   geocol sort     <tiles_dir>                    (lassort)
 //   geocol index    <tiles_dir>                    (lasindex)
 //   geocol load     <tiles_dir> <table_dir> [--csv] [--compressed]
-//                   [--threads N]
 //   geocol shard    <table_dir> <out_dir> [--shards K] [--order N]
 //   geocol ingest   <table_dir> <batch.las|batch.csv>...
 //   geocol query    <table_dir> "<SQL>" [--layers <dir>] [--profile]
@@ -129,7 +128,7 @@ int Usage() {
                "  info     <tiles_dir>\n"
                "  sort     <tiles_dir>\n"
                "  index    <tiles_dir>\n"
-               "  load     <tiles_dir> <table_dir> [--csv] [--compressed] [--threads N]\n"
+               "  load     <tiles_dir> <table_dir> [--csv] [--compressed]\n"
                "  shard    <table_dir> <out_dir> [--shards K] [--order N]\n"
                "  ingest   <table_dir> <batch.las|batch.csv>...\n"
                "  query    <table_dir> \"<SQL>\" [--layers <dir>] [--profile] [--paged [--chunk-mb N]]\n"
@@ -278,10 +277,7 @@ int CmdLoad(const Args& args) {
     table = loader.LoadDirectory(tiles, &stats);
   } else {
     BinaryLoader loader(scratch.path());
-    uint64_t threads = args.U64("--threads", 1);
-    table = threads > 1
-                ? loader.LoadDirectoryParallel(tiles, threads, &stats)
-                : loader.LoadDirectory(tiles, &stats);
+    table = loader.LoadDirectory(tiles, &stats);
   }
   if (!table.ok()) return Fail(table.status());
   std::printf("loaded %llu points from %llu files in %.2f s (%.2f Mpts/s)\n",
@@ -1314,8 +1310,8 @@ int main(int argc, char** argv) {
     if (a.rfind("--", 0) == 0) {
       args.flags.push_back(a);
       // Flags with values consume the next token.
-      if ((a == "--points" || a == "--layers" || a == "--threads" ||
-           a == "--cols" || a == "--format" || a == "--out" ||
+      if ((a == "--points" || a == "--layers" || a == "--cols" ||
+           a == "--format" || a == "--out" ||
            a == "--budget-mb" || a == "--repeat" || a == "--shards" ||
            a == "--order" || a == "--chunk-mb" || a == "--interval-ms" ||
            a == "--export" || a == "--json" || a == "--top" ||
