@@ -2,18 +2,19 @@
 //
 // Three workloads over the same AHN-like survey:
 //   repeat — an interactive client re-issues the exact same viewport
-//            query; steady-state repeats are served from the selection
-//            tier. Acceptance bar: >=5x speedup on the hit. (Large
-//            results pass the admission doorkeeper on their second
-//            sighting, so one untimed promoting execution sits between
-//            the timed cold and warm runs.)
+//            query; steady-state repeats are served from the cache.
+//            Acceptance bar: >=5x speedup on the hit. Every selection
+//            passes the admission doorkeeper on its second sighting, so
+//            one untimed promoting execution sits between the timed cold
+//            and warm runs.
 //   pan    — a map client pans: every viewport is new, so every query
 //            misses. The cache-enabled engine must stay within 2% of a
 //            cache-free engine — the doorkeeper turns each one-shot miss
-//            into a key build plus one fingerprint store, deferring the
-//            copy-and-retain cost until a query actually repeats.
+//            into a key build plus one fingerprint store — and the cache
+//            must hold no bytes after the stream (a counted row).
 //   agg    — a dashboard refreshes AVG(z) over a fixed region; repeats
-//            are served from the aggregate tier.
+//            replay the cached selection and re-aggregate its rows, so
+//            the hit saves the scan and refinement but not the gather.
 #include <cstdio>
 
 #include "bench/bench_common.h"
@@ -123,7 +124,25 @@ int main(int argc, char** argv) {
                                                : 0.0)});
   }
 
-  // ---- Workload 3: repeated aggregate over a fixed region.
+  // Counted: what a never-repeating stream leaves resident. Each key is
+  // sighted once, so the cache should hold fingerprints only.
+  TablePrinter held_out(
+      {"workload", "query", "queries", "entries", "bytes held"}, 12);
+  {
+    cache->Clear();
+    for (int s = 0; s < kPanSteps; ++s) {
+      Box q = Viewport(extent, 0.01, 0.1 + 0.05 * s, 0.3 + 0.02 * s);
+      (void)cached.SelectInBox(q);
+    }
+    const cache::CacheStats stats = cache->Stats();
+    held_out.Row({"pan-held", "16 x 1%", TablePrinter::Int(kPanSteps),
+                  TablePrinter::Int(stats.tier[0].entries),
+                  TablePrinter::Int(stats.bytes_used)});
+  }
+
+  // ---- Workload 3: repeated aggregate over a fixed region. As in
+  // workload 1, one untimed execution admits the selection; the warm run
+  // replays it and re-aggregates the replayed rows.
   TablePrinter agg_out(
       {"workload", "query", "value", "cold ms", "warm ms", "speedup"}, 12);
   {
@@ -139,6 +158,7 @@ int main(int argc, char** argv) {
         t_cold = std::min(t_cold, t.ElapsedMillis());
         value = r.ok() ? *r : 0.0;
       }
+      (void)cached.Aggregate(g, 0.0, {}, "z", AggKind::kAvg);  // admits
       {
         Timer t;
         (void)cached.Aggregate(g, 0.0, {}, "z", AggKind::kAvg);
@@ -152,9 +172,11 @@ int main(int argc, char** argv) {
 
   std::printf("\n%s\n", cache->StatsToString().c_str());
   std::printf(
-      "expected shape: repeat/agg speedups of 5x or more (a hit copies the\n"
-      "row-id list instead of scanning imprints and refining cells); pan\n"
-      "overhead within noise (<2%%) — the doorkeeper reduces a one-shot\n"
-      "miss to one key build and one fingerprint store.\n");
+      "expected shape: repeat speedups of 5x or more (a hit copies the\n"
+      "row-id list instead of scanning imprints and refining cells); agg\n"
+      "gains less, since the warm run still gathers and sums z over the\n"
+      "replayed rows; pan overhead within noise (<2%%) and 0 bytes held\n"
+      "after the pan stream — the doorkeeper reduces a one-shot miss to\n"
+      "one key build and one fingerprint store.\n");
   return 0;
 }

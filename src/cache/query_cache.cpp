@@ -23,25 +23,7 @@ size_t EntryOverhead(const std::string& key) {
 // sees between repeats.
 constexpr size_t kDoorkeeperSlots = 512;
 
-telemetry::Counter& TierCounter(const char* what, Tier tier) {
-  // 3 tiers x 4 counter kinds; resolved once per (kind, tier) call site via
-  // the static maps inside GetCounter. This is off the per-row hot path
-  // (once per query), so the name construction cost is irrelevant.
-  std::string name = std::string("geocol_cache_") + TierName(tier) + "_" +
-                     what + "_total";
-  return telemetry::MetricsRegistry::Global().GetCounter(name);
-}
-
 }  // namespace
-
-const char* TierName(Tier tier) {
-  switch (tier) {
-    case Tier::kSelection: return "selection";
-    case Tier::kGridCells: return "grid";
-    case Tier::kAggregate: return "aggregate";
-  }
-  return "unknown";
-}
 
 uint64_t CacheStats::TotalHits() const {
   uint64_t n = 0;
@@ -130,11 +112,6 @@ void KeyBuilder::AppendGeometry(const Geometry& g) {
 
 QueryResultCache::QueryResultCache(uint64_t budget_bytes)
     : budget_(budget_bytes) {
-  for (size_t t = 0; t < kNumTiers; ++t) {
-    hits_[t].store(0, std::memory_order_relaxed);
-    misses_[t].store(0, std::memory_order_relaxed);
-    inserts_[t].store(0, std::memory_order_relaxed);
-  }
   for (Shard& shard : shards_) shard.seen.assign(kDoorkeeperSlots, 0);
 }
 
@@ -164,10 +141,6 @@ void QueryResultCache::GrowBudget(uint64_t budget_bytes) {
   }
 }
 
-QueryResultCache::Shard& QueryResultCache::ShardFor(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % kShards];
-}
-
 bool QueryResultCache::NoteSightingLocked(Shard& shard, size_t key_hash) {
   const uint64_t fp = key_hash == 0 ? 1 : key_hash;
   uint64_t& slot = shard.seen[(key_hash / kShards) % kDoorkeeperSlots];
@@ -176,190 +149,100 @@ bool QueryResultCache::NoteSightingLocked(Shard& shard, size_t key_hash) {
   return false;
 }
 
-bool QueryResultCache::ShouldAdmit(Tier tier, const std::string& key,
-                                   uint64_t approx_bytes) {
-  if (approx_bytes + EntryOverhead(key) < kDoorkeeperBytes) return true;
+bool QueryResultCache::ShouldAdmit(const std::string& key) {
+  GEOCOL_METRIC_COUNTER(c_deferrals,
+                        "geocol_cache_selection_admission_deferrals_total");
   const size_t h = std::hash<std::string>{}(key);
-  Shard& shard = shards_[h % kShards];
+  Shard& shard = ShardFor(h);
   bool admit;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     admit = shard.map.find(key) != shard.map.end() ||
             NoteSightingLocked(shard, h);
   }
-  if (!admit) TierCounter("admission_deferrals", tier).Increment();
+  if (!admit) c_deferrals.Increment();
   return admit;
+}
+
+bool QueryResultCache::Contains(const std::string& key) const {
+  const size_t h = std::hash<std::string>{}(key);
+  const Shard& shard = shards_[h % kShards];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  return shard.map.find(key) != shard.map.end();
 }
 
 uint64_t QueryResultCache::ShardBudget() const {
   return budget_.load(std::memory_order_relaxed) / kShards;
 }
 
-void QueryResultCache::RecordHit(Tier tier) {
-  hits_[static_cast<size_t>(tier)].fetch_add(1, std::memory_order_relaxed);
-  TierCounter("hits", tier).Increment();
-}
-
-void QueryResultCache::RecordMiss(Tier tier) {
-  misses_[static_cast<size_t>(tier)].fetch_add(1, std::memory_order_relaxed);
-  TierCounter("misses", tier).Increment();
-}
-
 void QueryResultCache::EraseLocked(
     Shard& shard, std::unordered_map<std::string, Entry>::iterator it,
     bool count_eviction) {
-  const size_t t = static_cast<size_t>(it->second.tier);
+  GEOCOL_METRIC_COUNTER(c_evictions, "geocol_cache_selection_evictions_total");
   shard.bytes -= it->second.bytes;
-  shard.tier_bytes[t] -= it->second.bytes;
-  --shard.tier_entries[t];
   if (count_eviction) {
-    ++shard.evictions[t];
-    TierCounter("evictions", it->second.tier).Increment();
+    ++shard.evictions;
+    c_evictions.Increment();
   }
   shard.lru.erase(it->second.lru_it);
   shard.map.erase(it);
 }
 
-void QueryResultCache::InsertEntry(const std::string& key, Entry entry) {
-  const uint64_t per_shard = ShardBudget();
-  entry.bytes += EntryOverhead(key);
-  // An entry that alone exceeds the shard slice would immediately evict
-  // everything and then be evicted itself on the next insert; skip it.
-  if (entry.bytes > per_shard) return;
-  const Tier tier = entry.tier;
-  const size_t h = std::hash<std::string>{}(key);
-  Shard& shard = shards_[h % kShards];
-  bool deferred = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end() && entry.bytes >= kDoorkeeperBytes &&
-        !NoteSightingLocked(shard, h)) {
-      // Large first-sighting: admission waits for a repeat.
-      deferred = true;
-    } else {
-      if (it != shard.map.end()) EraseLocked(shard, it, false);
-      shard.lru.push_front(key);
-      entry.lru_it = shard.lru.begin();
-      const size_t t = static_cast<size_t>(entry.tier);
-      shard.bytes += entry.bytes;
-      shard.tier_bytes[t] += entry.bytes;
-      ++shard.tier_entries[t];
-      shard.map.emplace(key, std::move(entry));
-      while (shard.bytes > per_shard && !shard.lru.empty()) {
-        EraseLocked(shard, shard.map.find(shard.lru.back()), true);
-      }
-    }
-  }
-  if (deferred) {
-    TierCounter("admission_deferrals", tier).Increment();
-    return;
-  }
-  inserts_[static_cast<size_t>(tier)].fetch_add(1, std::memory_order_relaxed);
-  TierCounter("inserts", tier).Increment();
-}
-
 std::shared_ptr<const CachedSelection> QueryResultCache::LookupSelection(
     const std::string& key) {
-  Shard& shard = ShardFor(key);
+  GEOCOL_METRIC_COUNTER(c_hits, "geocol_cache_selection_hits_total");
+  GEOCOL_METRIC_COUNTER(c_misses, "geocol_cache_selection_misses_total");
+  Shard& shard = ShardFor(std::hash<std::string>{}(key));
   std::shared_ptr<const CachedSelection> value;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.tier == Tier::kSelection) {
-      value = it->second.selection;
+    if (it != shard.map.end()) {
+      value = it->second.value;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
     }
   }
   if (value != nullptr) {
-    RecordHit(Tier::kSelection);
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    c_hits.Increment();
   } else {
-    RecordMiss(Tier::kSelection);
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    c_misses.Increment();
   }
   return value;
 }
 
 void QueryResultCache::InsertSelection(
     const std::string& key, std::shared_ptr<const CachedSelection> value) {
+  GEOCOL_METRIC_COUNTER(c_inserts, "geocol_cache_selection_inserts_total");
+  GEOCOL_METRIC_COUNTER(c_deferrals,
+                        "geocol_cache_selection_admission_deferrals_total");
   if (value == nullptr) return;
-  Entry entry;
-  entry.tier = Tier::kSelection;
-  entry.bytes = value->MemoryBytes();
-  entry.selection = std::move(value);
-  InsertEntry(key, std::move(entry));
-}
-
-std::shared_ptr<const std::vector<uint8_t>> QueryResultCache::LookupGridCells(
-    const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::shared_ptr<const std::vector<uint8_t>> value;
+  const uint64_t per_shard = ShardBudget();
+  const size_t bytes = value->MemoryBytes() + EntryOverhead(key);
+  // An entry that alone exceeds the shard slice would immediately evict
+  // everything and then be evicted itself on the next insert; skip it.
+  if (bytes > per_shard) return;
+  const size_t h = std::hash<std::string>{}(key);
+  Shard& shard = ShardFor(h);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.tier == Tier::kGridCells) {
-      value = it->second.cells;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+    if (it == shard.map.end() && !NoteSightingLocked(shard, h)) {
+      // First sighting: admission waits for a repeat.
+      c_deferrals.Increment();
+      return;
+    }
+    if (it != shard.map.end()) EraseLocked(shard, it, false);
+    shard.lru.push_front(key);
+    shard.bytes += bytes;
+    shard.map.emplace(key, Entry{std::move(value), bytes, shard.lru.begin()});
+    while (shard.bytes > per_shard && !shard.lru.empty()) {
+      EraseLocked(shard, shard.map.find(shard.lru.back()), true);
     }
   }
-  if (value != nullptr) {
-    RecordHit(Tier::kGridCells);
-  } else {
-    RecordMiss(Tier::kGridCells);
-  }
-  return value;
-}
-
-void QueryResultCache::MergeGridCells(const std::string& key,
-                                      std::vector<uint8_t> cells) {
-  {
-    // Fill this publish's unclassified slots from the existing entry (if
-    // any, and only when the grids agree in size) so concurrent queries
-    // sharing a geometry keep enriching one table instead of overwriting
-    // each other's progress.
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.tier == Tier::kGridCells &&
-        it->second.cells != nullptr && it->second.cells->size() == cells.size()) {
-      const std::vector<uint8_t>& prior = *it->second.cells;
-      for (size_t i = 0; i < cells.size(); ++i) {
-        if (cells[i] == kCellUnclassified) cells[i] = prior[i];
-      }
-    }
-  }
-  Entry entry;
-  entry.tier = Tier::kGridCells;
-  entry.bytes = sizeof(std::vector<uint8_t>) + cells.capacity();
-  entry.cells = std::make_shared<const std::vector<uint8_t>>(std::move(cells));
-  InsertEntry(key, std::move(entry));
-}
-
-bool QueryResultCache::LookupAggregate(const std::string& key, double* out) {
-  Shard& shard = ShardFor(key);
-  bool found = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && it->second.tier == Tier::kAggregate) {
-      *out = it->second.aggregate;
-      found = true;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    }
-  }
-  if (found) {
-    RecordHit(Tier::kAggregate);
-  } else {
-    RecordMiss(Tier::kAggregate);
-  }
-  return found;
-}
-
-void QueryResultCache::InsertAggregate(const std::string& key, double value) {
-  Entry entry;
-  entry.tier = Tier::kAggregate;
-  entry.bytes = sizeof(double);
-  entry.aggregate = value;
-  InsertEntry(key, std::move(entry));
+  inserts_.fetch_add(1, std::memory_order_relaxed);
+  c_inserts.Increment();
 }
 
 void QueryResultCache::Clear() {
@@ -369,30 +252,23 @@ void QueryResultCache::Clear() {
     shard.lru.clear();
     shard.bytes = 0;
     std::fill(shard.seen.begin(), shard.seen.end(), 0);
-    for (size_t t = 0; t < kNumTiers; ++t) {
-      shard.tier_bytes[t] = 0;
-      shard.tier_entries[t] = 0;
-    }
   }
 }
 
 CacheStats QueryResultCache::Stats() const {
   CacheStats stats;
   stats.budget_bytes = budget_.load(std::memory_order_relaxed);
-  for (size_t t = 0; t < kNumTiers; ++t) {
-    stats.tier[t].hits = hits_[t].load(std::memory_order_relaxed);
-    stats.tier[t].misses = misses_[t].load(std::memory_order_relaxed);
-    stats.tier[t].inserts = inserts_[t].load(std::memory_order_relaxed);
-  }
+  TierStats& sel = stats.tier[static_cast<size_t>(Tier::kSelection)];
+  sel.hits = hits_.load(std::memory_order_relaxed);
+  sel.misses = misses_.load(std::memory_order_relaxed);
+  sel.inserts = inserts_.load(std::memory_order_relaxed);
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (size_t t = 0; t < kNumTiers; ++t) {
-      stats.tier[t].evictions += shard.evictions[t];
-      stats.tier[t].entries += shard.tier_entries[t];
-      stats.tier[t].bytes += shard.tier_bytes[t];
-      stats.bytes_used += shard.tier_bytes[t];
-    }
+    sel.evictions += shard.evictions;
+    sel.entries += shard.map.size();
+    sel.bytes += shard.bytes;
   }
+  stats.bytes_used = sel.bytes;
   return stats;
 }
 
@@ -407,30 +283,23 @@ uint64_t QueryResultCache::bytes_used() const {
 
 std::string QueryResultCache::StatsToString() const {
   const CacheStats stats = Stats();
-  char line[160];
-  std::string out;
-  std::snprintf(line, sizeof(line),
-                "cache budget %.2f MB, used %.2f MB\n",
-                stats.budget_bytes / (1024.0 * 1024.0),
-                stats.bytes_used / (1024.0 * 1024.0));
-  out += line;
-  for (size_t t = 0; t < kNumTiers; ++t) {
-    const TierStats& ts = stats.tier[t];
-    const uint64_t lookups = ts.hits + ts.misses;
-    std::snprintf(
-        line, sizeof(line),
-        "  %-9s hits %llu / %llu (%.1f%%), inserts %llu, evictions %llu, "
-        "entries %llu, %.2f MB\n",
-        TierName(static_cast<Tier>(t)),
-        static_cast<unsigned long long>(ts.hits),
-        static_cast<unsigned long long>(lookups),
-        lookups > 0 ? 100.0 * ts.hits / lookups : 0.0,
-        static_cast<unsigned long long>(ts.inserts),
-        static_cast<unsigned long long>(ts.evictions),
-        static_cast<unsigned long long>(ts.entries), ts.bytes / (1024.0 * 1024.0));
-    out += line;
-  }
-  return out;
+  const TierStats& sel = stats.tier[static_cast<size_t>(Tier::kSelection)];
+  const uint64_t lookups = sel.hits + sel.misses;
+  char line[200];
+  std::snprintf(
+      line, sizeof(line),
+      "cache budget %.2f MB, used %.2f MB\n"
+      "  selection hits %llu / %llu (%.1f%%), inserts %llu, evictions %llu, "
+      "entries %llu\n",
+      stats.budget_bytes / (1024.0 * 1024.0),
+      stats.bytes_used / (1024.0 * 1024.0),
+      static_cast<unsigned long long>(sel.hits),
+      static_cast<unsigned long long>(lookups),
+      lookups > 0 ? 100.0 * sel.hits / lookups : 0.0,
+      static_cast<unsigned long long>(sel.inserts),
+      static_cast<unsigned long long>(sel.evictions),
+      static_cast<unsigned long long>(sel.entries));
+  return line;
 }
 
 }  // namespace cache

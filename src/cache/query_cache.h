@@ -1,16 +1,10 @@
 // Epoch-aware query result cache. Real GIS navigation traffic is dominated
-// by repeated and overlapping viewport queries (GeoBlocks, PowerDrill serve
-// such workloads from caches); the engine's two-step filter/refine model
-// recomputes everything per query. This cache closes that gap at three
-// tiers:
-//
-//   (a) kSelection — the final row-id list plus the filter/refine stats of
-//       a whole `SpatialQueryEngine::Execute`, for exact repeats;
-//   (b) kGridCells — the per-cell kInside/kOutside/kBoundary classification
-//       of a refinement grid against one (geometry, buffer). Any query that
-//       lands on the same grid reuses the classifications and skips the
-//       geometry evaluations, even when its candidate rows differ;
-//   (c) kAggregate — AggregateRows results over a cached selection.
+// by repeated viewport queries (GeoBlocks, PowerDrill serve such workloads
+// from caches); the engine's two-step filter/refine model recomputes
+// everything per query. This cache keeps one kind of value: the final
+// row-id list plus the filter/refine stats of a whole selection, replayed
+// on an exact repeat. Aggregates over a cached selection re-aggregate the
+// replayed rows, which costs a gather, not a scan.
 //
 // Correctness model: a key is the *complete* byte image of everything a
 // result depends on — table identity, the epoch of every referenced column
@@ -28,15 +22,13 @@
 // disables nothing here — engines simply do not consult the cache, keeping
 // the cache-off path bit-identical to an engine built before this layer.
 //
-// Admission: entries of kDoorkeeperBytes or more are only admitted on
-// their *second* sighting (a TinyLFU-style doorkeeper of key fingerprints
-// per shard). A client panning across a map issues a stream of
-// never-repeated queries; copying and retaining each large row-id list
-// would cost fresh-page writes on every miss for entries nobody reuses.
-// With the doorkeeper a one-shot miss costs one fingerprint store, and
-// only keys that come back pay the copy. Small entries (aggregates, grid
-// cell tables, short row lists) are admitted immediately — their insert
-// cost is noise against the query that produced them.
+// Admission: every selection, whatever its size, is admitted only on its
+// *second* sighting (a TinyLFU-style doorkeeper of key fingerprints per
+// shard). A client panning across a map issues a stream of never-repeated
+// queries; with the doorkeeper each one-shot miss costs one fingerprint
+// store and the cache holds no entry for it. A key's first execution
+// misses and is noted, its second misses and is admitted, and its third
+// is the first hit.
 #ifndef GEOCOL_CACHE_QUERY_CACHE_H_
 #define GEOCOL_CACHE_QUERY_CACHE_H_
 
@@ -56,12 +48,13 @@
 namespace geocol {
 namespace cache {
 
-/// Cache tiers, in lookup order.
+/// Stat slots of CacheStats, in the order the flight recorder and the
+/// benchmarks read them. Only kSelection is a cache tier; the grid and
+/// aggregate slots are kept for those readers and always read 0.
 enum class Tier : uint8_t { kSelection = 0, kGridCells = 1, kAggregate = 2 };
 constexpr size_t kNumTiers = 3;
-const char* TierName(Tier tier);
 
-/// Tier (a) value: everything of a SelectionResult except the profile
+/// Cached value: everything of a SelectionResult except the profile
 /// (wall times are per-execution; a hit reports itself via a cache.hit
 /// span instead).
 struct CachedSelection {
@@ -98,7 +91,7 @@ class KeyBuilder {
   std::string bytes_;
 };
 
-/// Per-tier accounting (monotonic; `entries`/`bytes` are instantaneous).
+/// Per-slot accounting (monotonic; `entries`/`bytes` are instantaneous).
 struct TierStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -123,8 +116,6 @@ struct CacheStats {
 class QueryResultCache {
  public:
   static constexpr size_t kShards = 16;
-  /// Entries at least this large go through the second-sighting doorkeeper.
-  static constexpr uint64_t kDoorkeeperBytes = 64 * 1024;
 
   explicit QueryResultCache(uint64_t budget_bytes = 0);
   ~QueryResultCache();
@@ -144,31 +135,27 @@ class QueryResultCache {
     return budget_.load(std::memory_order_relaxed);
   }
 
-  // ---- Tier (a): whole selections.
+  /// The entry under `key`, or nullptr. Counts a hit or a miss and moves
+  /// a hit to the front of its shard's LRU.
   std::shared_ptr<const CachedSelection> LookupSelection(
       const std::string& key);
+  /// Stores `value` under `key` if the key is resident already or has
+  /// been sighted before; otherwise only records the sighting.
   void InsertSelection(const std::string& key,
                        std::shared_ptr<const CachedSelection> value);
 
-  // ---- Tier (b): grid cell classifications. Entries merge: unclassified
-  // slots (kCellUnclassified) of an existing table are filled from later
-  // publishes, so overlapping queries keep enriching one entry.
-  std::shared_ptr<const std::vector<uint8_t>> LookupGridCells(
-      const std::string& key);
-  void MergeGridCells(const std::string& key, std::vector<uint8_t> cells);
+  /// Doorkeeper pre-check: would InsertSelection(key, ...) store the value
+  /// right now? Records the sighting, exactly as the insert itself would —
+  /// callers use this to skip *building* a value whose insert would be
+  /// deferred anyway.
+  bool ShouldAdmit(const std::string& key);
 
-  // ---- Tier (c): aggregates.
-  bool LookupAggregate(const std::string& key, double* out);
-  void InsertAggregate(const std::string& key, double value);
+  /// True when `key` is resident. Counts nothing, records no sighting and
+  /// leaves the LRU order alone: the server probes with it to route a
+  /// statement, and the statement's own lookup does the accounting.
+  bool Contains(const std::string& key) const;
 
-  /// Doorkeeper pre-check: would an insert of `approx_bytes` under `key`
-  /// be admitted right now? Records the sighting, exactly as the insert
-  /// itself would — callers use this to skip *building* a large value
-  /// whose insert would be deferred anyway. Small values and keys already
-  /// present always admit.
-  bool ShouldAdmit(Tier tier, const std::string& key, uint64_t approx_bytes);
-
-  /// Drops every entry (budget unchanged).
+  /// Drops every entry and sighting (budget unchanged).
   void Clear();
 
   CacheStats Stats() const;
@@ -179,10 +166,7 @@ class QueryResultCache {
 
  private:
   struct Entry {
-    Tier tier;
-    std::shared_ptr<const CachedSelection> selection;
-    std::shared_ptr<const std::vector<uint8_t>> cells;
-    double aggregate = 0.0;
+    std::shared_ptr<const CachedSelection> value;
     size_t bytes = 0;  ///< total charge incl. key and bookkeeping overhead
     std::list<std::string>::iterator lru_it;
   };
@@ -193,38 +177,30 @@ class QueryResultCache {
     /// Front = most recent. Holds the map keys; Entry::lru_it points in.
     std::list<std::string> lru;
     uint64_t bytes = 0;
-    uint64_t tier_bytes[kNumTiers] = {0, 0, 0};
-    uint64_t tier_entries[kNumTiers] = {0, 0, 0};
-    uint64_t evictions[kNumTiers] = {0, 0, 0};
-    /// Doorkeeper: key-hash fingerprints of large entries seen once (0 =
-    /// empty slot). A colliding newcomer overwrites the slot, which only
-    /// delays that key's admission by one more sighting.
+    uint64_t evictions = 0;
+    /// Doorkeeper: key-hash fingerprints of keys seen once (0 = empty
+    /// slot). A colliding newcomer overwrites the slot, which only delays
+    /// that key's admission by one more sighting.
     std::vector<uint64_t> seen;
   };
 
-  Shard& ShardFor(const std::string& key);
+  Shard& ShardFor(size_t key_hash) { return shards_[key_hash % kShards]; }
   /// True once `key_hash` has been seen before; otherwise records it.
   /// Caller holds the shard lock.
   bool NoteSightingLocked(Shard& shard, size_t key_hash);
   uint64_t ShardBudget() const;
-  /// Inserts or replaces under the shard lock, then evicts LRU entries
-  /// until the shard fits its budget slice. Oversized values are dropped
-  /// without insertion.
-  void InsertEntry(const std::string& key, Entry entry);
   /// Removes `it` from `shard` (lock held).
   void EraseLocked(Shard& shard,
                    std::unordered_map<std::string, Entry>::iterator it,
                    bool count_eviction);
-  void RecordHit(Tier tier);
-  void RecordMiss(Tier tier);
 
   std::atomic<uint64_t> budget_;
   Shard shards_[kShards];
   /// Monotonic counters live outside the shards: hits on different shards
   /// must not serialise on one cache line.
-  std::atomic<uint64_t> hits_[kNumTiers];
-  std::atomic<uint64_t> misses_[kNumTiers];
-  std::atomic<uint64_t> inserts_[kNumTiers];
+  std::atomic<uint64_t> hits_{0};
+  std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> inserts_{0};
 };
 
 }  // namespace cache

@@ -60,8 +60,9 @@ Status CheckInputs(const Column& x, const Column& y,
   return Status::OK();
 }
 
-// Local alias for the sentinel shared with GridCellHook implementations.
-constexpr uint8_t kUnclassified = kCellUnclassified;
+// Cell table entry of a cell not yet classified (the BoxRelation values
+// occupy 0..2).
+constexpr uint8_t kUnclassified = 0xFF;
 
 /// Counts one first-touched cell into the per-query stats.
 inline void CountCell(RefinementStats& st, uint8_t cls) {
@@ -71,17 +72,6 @@ inline void CountCell(RefinementStats& st, uint8_t cls) {
     case BoxRelation::kOutside: ++st.cells_outside; break;
     case BoxRelation::kBoundary: ++st.cells_boundary; break;
   }
-}
-
-/// Fetches and validates a seed table from the hook (nullptr when absent
-/// or mis-sized — a stale hook must degrade to a cold refinement, never
-/// corrupt one).
-std::shared_ptr<const std::vector<uint8_t>> FetchSeed(GridCellHook* hook,
-                                                      const RegularGrid& grid) {
-  if (hook == nullptr) return nullptr;
-  auto seed = hook->Seed(grid.extent(), grid.cols(), grid.rows());
-  if (seed != nullptr && seed->size() != grid.num_cells()) return nullptr;
-  return seed;
 }
 
 // Extent of the gathered candidate coordinates, extended in row order so
@@ -168,7 +158,7 @@ Status ParallelGridRefine(const Column& x, const Column& y,
                           const Geometry& geometry, double buffer,
                           const RefineOptions& options, ThreadPool* pool,
                           std::vector<uint64_t>* out_rows,
-                          RefinementStats* stats, GridCellHook* cell_hook) {
+                          RefinementStats* stats) {
   RefinementStats local;
   const size_t n = candidates.size();
   const size_t num_morsels = (n + kRefineMorselRows - 1) / kRefineMorselRows;
@@ -210,29 +200,14 @@ Status ParallelGridRefine(const Column& x, const Column& y,
   // Pass 2 (parallel): classify-and-test. Cell classifications are shared
   // through an atomic table; ClassifyCell is deterministic, so the only
   // race is which worker publishes first — the CAS winner also counts the
-  // cell in its stats, keeping per-cell counters exact. With a cache seed
-  // the winner-counts rule breaks down (seeded cells are never CASed), so
-  // counting moves to a per-query `counted` table claimed by exchange —
-  // still one unique counter per cell, still equal to the serial stats.
-  auto seed = FetchSeed(cell_hook, grid);
-  const bool seeded = seed != nullptr;
+  // cell in its stats, keeping per-cell counters exact.
   std::unique_ptr<std::atomic<uint8_t>[]> cell_class(
       new std::atomic<uint8_t>[grid.num_cells()]);
   for (uint64_t c = 0; c < grid.num_cells(); ++c) {
-    cell_class[c].store(seeded ? (*seed)[c] : kUnclassified,
-                        std::memory_order_relaxed);
+    cell_class[c].store(kUnclassified, std::memory_order_relaxed);
   }
-  std::unique_ptr<std::atomic<uint8_t>[]> counted;
-  if (seeded) {
-    counted.reset(new std::atomic<uint8_t>[grid.num_cells()]);
-    for (uint64_t c = 0; c < grid.num_cells(); ++c) {
-      counted[c].store(0, std::memory_order_relaxed);
-    }
-  }
-  std::atomic<bool> computed_new{false};
   auto classify = [&](uint64_t cell, RefinementStats& st) -> BoxRelation {
     uint8_t cls = cell_class[cell].load(std::memory_order_acquire);
-    bool won_cas = false;
     if (cls == kUnclassified) {
       uint8_t computed =
           static_cast<uint8_t>(grid.ClassifyCell(cell, geometry, buffer));
@@ -240,15 +215,10 @@ Status ParallelGridRefine(const Column& x, const Column& y,
       if (cell_class[cell].compare_exchange_strong(
               expected, computed, std::memory_order_acq_rel)) {
         cls = computed;
-        won_cas = true;
-        computed_new.store(true, std::memory_order_relaxed);
+        CountCell(st, cls);
       } else {
         cls = expected;  // another worker published first
       }
-    }
-    if (seeded ? counted[cell].exchange(1, std::memory_order_relaxed) == 0
-               : won_cas) {
-      CountCell(st, cls);
     }
     return static_cast<BoxRelation>(cls);
   };
@@ -274,14 +244,6 @@ Status ParallelGridRefine(const Column& x, const Column& y,
     out_rows->insert(out_rows->end(), morsel_out[m].begin(),
                      morsel_out[m].end());
   }
-  if (cell_hook != nullptr && computed_new.load(std::memory_order_relaxed)) {
-    std::vector<uint8_t> table(grid.num_cells());
-    for (uint64_t c = 0; c < grid.num_cells(); ++c) {
-      table[c] = cell_class[c].load(std::memory_order_relaxed);
-    }
-    cell_hook->Publish(grid.extent(), grid.cols(), grid.rows(),
-                       std::move(table));
-  }
   RecordRefineMetrics(local);
   if (stats != nullptr) *stats = local;
   return Status::OK();
@@ -292,8 +254,7 @@ Status ParallelGridRefine(const Column& x, const Column& y,
 Status GridRefine(const Column& x, const Column& y, const BitVector& candidates,
                   const Geometry& geometry, double buffer,
                   const RefineOptions& options, std::vector<uint64_t>* out_rows,
-                  RefinementStats* stats, ThreadPool* pool,
-                  GridCellHook* cell_hook) {
+                  RefinementStats* stats, ThreadPool* pool) {
   GEOCOL_RETURN_NOT_OK(CheckInputs(x, y, candidates));
   if (!options.use_grid) {
     return ExhaustiveRefine(x, y, candidates, geometry, buffer, out_rows,
@@ -302,7 +263,7 @@ Status GridRefine(const Column& x, const Column& y, const BitVector& candidates,
   if (pool != nullptr && pool->num_threads() > 0 &&
       candidates.size() >= kMinParallelRefineRows) {
     return ParallelGridRefine(x, y, candidates, geometry, buffer, options,
-                              pool, out_rows, stats, cell_hook);
+                              pool, out_rows, stats);
   }
   RefinementStats local;
 
@@ -332,26 +293,12 @@ Status GridRefine(const Column& x, const Column& y, const BitVector& candidates,
 
   // Pass 2: classify cells lazily — only cells that actually hold
   // candidates are ever evaluated against the geometry (§3.3: "the spatial
-  // relation is then evaluated between each non-empty cell and G"). A
-  // cache seed pre-fills classifications from earlier queries over the
-  // same grid; seeded cells skip the geometry evaluation but still count
-  // into the stats on first touch, so seeded and cold stats are equal.
-  auto seed = FetchSeed(cell_hook, grid);
-  const bool seeded = seed != nullptr;
-  std::vector<uint8_t> cell_class =
-      seeded ? *seed : std::vector<uint8_t>(grid.num_cells(), kUnclassified);
-  std::vector<uint8_t> counted;
-  if (seeded) counted.assign(grid.num_cells(), 0);
-  bool computed_new = false;
+  // relation is then evaluated between each non-empty cell and G").
+  std::vector<uint8_t> cell_class(grid.num_cells(), kUnclassified);
   auto classify = [&](uint64_t cell, RefinementStats& st) -> BoxRelation {
     uint8_t& cls = cell_class[cell];
     if (cls == kUnclassified) {
       cls = static_cast<uint8_t>(grid.ClassifyCell(cell, geometry, buffer));
-      computed_new = true;
-      if (!seeded) CountCell(st, cls);
-    }
-    if (seeded && counted[cell] == 0) {
-      counted[cell] = 1;
       CountCell(st, cls);
     }
     return static_cast<BoxRelation>(cls);
@@ -359,10 +306,6 @@ Status GridRefine(const Column& x, const Column& y, const BitVector& candidates,
   GEOCOL_RETURN_NOT_OK(RefineRowsBatched(x, y, cand_rows.data(),
                                          cand_rows.size(), grid, geometry,
                                          buffer, classify, out_rows, local));
-  if (cell_hook != nullptr && computed_new) {
-    cell_hook->Publish(grid.extent(), grid.cols(), grid.rows(),
-                       std::move(cell_class));
-  }
   RecordRefineMetrics(local);
   if (stats != nullptr) *stats = local;
   return Status::OK();

@@ -7,7 +7,6 @@
 #define GEOCOL_CORE_REFINEMENT_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "columns/column.h"
@@ -45,32 +44,6 @@ struct RefinementStats {
   uint32_t workers = 1;         ///< threads that executed refine morsels
 };
 
-/// Sentinel for a grid cell whose classification has not been computed
-/// (the BoxRelation values occupy 0..2).
-constexpr uint8_t kCellUnclassified = 0xFF;
-
-/// Lets a caller seed a refinement with grid cell classifications computed
-/// by earlier queries over the same (geometry, buffer) and capture the
-/// table this refinement extends — the hook the query result cache plugs
-/// in. Classification is deterministic, so a seeded run produces row ids
-/// and stats byte-identical to an unseeded one: seeded cells still count
-/// toward RefinementStats on their first touch by the query.
-class GridCellHook {
- public:
-  virtual ~GridCellHook() = default;
-
-  /// Prior classifications for this exact grid: num_cells entries of
-  /// BoxRelation values with kCellUnclassified holes, or nullptr for none.
-  /// Only a table of exactly cols*rows entries may be returned.
-  virtual std::shared_ptr<const std::vector<uint8_t>> Seed(
-      const Box& extent, uint32_t cols, uint32_t rows) = 0;
-
-  /// The final cell table after refinement. Called only when this
-  /// refinement classified at least one cell the seed did not cover.
-  virtual void Publish(const Box& extent, uint32_t cols, uint32_t rows,
-                       std::vector<uint8_t> cells) = 0;
-};
-
 /// Refines candidate rows against `geometry` (buffered by `buffer` for
 /// "near"/ST_DWithin semantics; 0 for exact containment). Candidate rows
 /// are given as set bits of `candidates`; accepted row ids are appended to
@@ -87,8 +60,7 @@ class GridCellHook {
 Status GridRefine(const Column& x, const Column& y, const BitVector& candidates,
                   const Geometry& geometry, double buffer,
                   const RefineOptions& options, std::vector<uint64_t>* out_rows,
-                  RefinementStats* stats = nullptr, ThreadPool* pool = nullptr,
-                  GridCellHook* cell_hook = nullptr);
+                  RefinementStats* stats = nullptr, ThreadPool* pool = nullptr);
 
 /// Exhaustive refinement: exact test per candidate, no grid. The oracle in
 /// tests and the baseline of E4.

@@ -231,7 +231,7 @@ Result<SelectionResult> ShardRouter::Execute(
 
   Timer query_timer;
 
-  // ---- Cache tier (a): an exact repeat against this exact shard set
+  // ---- Result cache: an exact repeat against this exact shard set
   // replays the merged row ids and stats.
   std::string cache_key;
   if (cache_ != nullptr) {
@@ -250,11 +250,7 @@ Result<SelectionResult> ShardRouter::Execute(
     }
   }
   auto store_selection = [&]() {
-    if (cache_ == nullptr) return;
-    if (!cache_->ShouldAdmit(cache::Tier::kSelection, cache_key,
-                             result.row_ids.size() * sizeof(uint64_t))) {
-      return;
-    }
+    if (cache_ == nullptr || !cache_->ShouldAdmit(cache_key)) return;
     auto value = std::make_shared<cache::CachedSelection>();
     value->row_ids = result.row_ids;
     value->filter_x = result.filter_x;
@@ -487,34 +483,12 @@ Result<double> ShardRouter::Aggregate(
   // per-shard value reads all see the same shard set even while appends
   // publish.
   ShardsView view = View();
-  // Cache tier (c): selection key + the aggregated column's per-shard
-  // epochs + the aggregate kind. COUNT falls out of tier (a).
-  std::string agg_key;
-  if (cache_ != nullptr && kind != AggKind::kCount) {
-    GEOCOL_ASSIGN_OR_RETURN(std::string sel_key,
-                            SelectionKey(view, geometry, buffer, thematic));
-    cache::KeyBuilder kb("agg");
-    kb.Append(sel_key);
-    kb.Append(column);
-    for (const auto& shard : view.shards) {
-      GEOCOL_ASSIGN_OR_RETURN(uint64_t e, shard->ColumnEpoch(column));
-      kb.AppendU64(e);
-    }
-    kb.AppendU32(static_cast<uint32_t>(kind));
-    agg_key = kb.Take();
-    double cached;
-    if (cache_->LookupAggregate(agg_key, &cached)) return cached;
-  }
   GEOCOL_ASSIGN_OR_RETURN(SelectionResult sel,
                           Execute(view, geometry, buffer, thematic));
   if (kind == AggKind::kCount) {
     return static_cast<double>(sel.row_ids.size());
   }
-  GEOCOL_ASSIGN_OR_RETURN(
-      double value, AggregateGlobalRows(view, sel.row_ids, column, kind,
-                                        pool_.get()));
-  if (cache_ != nullptr) cache_->InsertAggregate(agg_key, value);
-  return value;
+  return AggregateGlobalRows(view, sel.row_ids, column, kind, pool_.get());
 }
 
 Status ShardRouter::Append(const FlatTable& batch) {

@@ -151,7 +151,7 @@ class ShardRouter {
                                   const Geometry& geometry, double buffer,
                                   const std::vector<AttributeRange>& thematic);
 
-  /// Tier (a)/(c) key prefix: the byte image of the pinned shard set
+  /// Result cache key: the byte image of the pinned shard set
   /// (layout id, shard count, and every shard's base offset, version
   /// token and referenced-column epochs) plus the query and the
   /// result-shaping knobs — re-sharding changes the layout id, an append

@@ -21,51 +21,6 @@ uint32_t EffectiveThreads(uint32_t requested) {
   return hw == 0 ? 1 : static_cast<uint32_t>(hw);
 }
 
-// Bridges GridRefine's cell hook to cache tier (b). The key carries the
-// geometry bits plus the exact grid frame (extent, cols, rows) and no
-// table identity: any query refining the same geometry on an identical
-// grid shares the classifications, whatever its candidate rows.
-class CacheCellHook final : public GridCellHook {
- public:
-  CacheCellHook(cache::QueryResultCache* cache, const Geometry& geometry,
-                double buffer)
-      : cache_(cache), geometry_(geometry), buffer_(buffer) {}
-
-  std::shared_ptr<const std::vector<uint8_t>> Seed(const Box& extent,
-                                                   uint32_t cols,
-                                                   uint32_t rows) override {
-    auto seed = cache_->LookupGridCells(Key(extent, cols, rows));
-    seeded_ = seed != nullptr;
-    return seed;
-  }
-
-  void Publish(const Box& extent, uint32_t cols, uint32_t rows,
-               std::vector<uint8_t> cells) override {
-    cache_->MergeGridCells(Key(extent, cols, rows), std::move(cells));
-  }
-
-  bool seeded() const { return seeded_; }
-
- private:
-  std::string Key(const Box& extent, uint32_t cols, uint32_t rows) const {
-    cache::KeyBuilder kb("grid");
-    kb.AppendGeometry(geometry_);
-    kb.AppendDouble(buffer_);
-    kb.AppendDouble(extent.min_x);
-    kb.AppendDouble(extent.min_y);
-    kb.AppendDouble(extent.max_x);
-    kb.AppendDouble(extent.max_y);
-    kb.AppendU32(cols);
-    kb.AppendU32(rows);
-    return kb.Take();
-  }
-
-  cache::QueryResultCache* cache_;
-  const Geometry& geometry_;
-  double buffer_;
-  bool seeded_ = false;
-};
-
 }  // namespace
 
 Result<double> AggregateRows(const Column& column,
@@ -236,6 +191,19 @@ Result<SelectionResult> SpatialQueryEngine::SelectInBox(const Box& box) {
   return Execute(Geometry(box), 0.0, {});
 }
 
+Result<SelectionResult> SpatialQueryEngine::SelectInBoxUncached(
+    const Box& box) {
+  return Execute(Geometry(box), 0.0, {}, /*use_cache=*/false);
+}
+
+bool SpatialQueryEngine::SelectionCached(
+    const Geometry& geometry, double buffer,
+    const std::vector<AttributeRange>& thematic) const {
+  if (cache_ == nullptr) return false;
+  Result<std::string> key = SelectionKey(geometry, buffer, thematic);
+  return key.ok() && cache_->Contains(*key);
+}
+
 Result<SelectionResult> SpatialQueryEngine::SelectInGeometry(
     const Geometry& geometry) {
   return Execute(geometry, 0.0, {});
@@ -257,33 +225,14 @@ Result<double> SpatialQueryEngine::Aggregate(
     const Geometry& geometry, double buffer,
     const std::vector<AttributeRange>& thematic, const std::string& column,
     AggKind kind) {
-  // Cache tier (c): the aggregate keys on the full selection key plus the
-  // aggregated column's (name, epoch) and the aggregate kind. COUNT skips
-  // the tier — it falls out of a tier (a) hit for free.
-  std::string agg_key;
-  if (cache_ != nullptr && kind != AggKind::kCount) {
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr agg_col, table_->GetColumn(column));
-    GEOCOL_ASSIGN_OR_RETURN(std::string sel_key,
-                            SelectionKey(geometry, buffer, thematic));
-    cache::KeyBuilder kb("agg");
-    kb.Append(sel_key);
-    kb.Append(column);
-    kb.AppendU64(agg_col->epoch());
-    kb.AppendU32(static_cast<uint32_t>(kind));
-    agg_key = kb.Take();
-    double cached;
-    if (cache_->LookupAggregate(agg_key, &cached)) return cached;
-  }
+  // A cached selection makes this a gather over the replayed rows.
   GEOCOL_ASSIGN_OR_RETURN(SelectionResult sel,
                           Execute(geometry, buffer, thematic));
   if (kind == AggKind::kCount) {
     return static_cast<double>(sel.row_ids.size());
   }
   GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(column));
-  GEOCOL_ASSIGN_OR_RETURN(double value,
-                          AggregateRows(*col, sel.row_ids, kind, pool_));
-  if (cache_ != nullptr) cache_->InsertAggregate(agg_key, value);
-  return value;
+  return AggregateRows(*col, sel.row_ids, kind, pool_);
 }
 
 Status SpatialQueryEngine::FilterColumn(const ColumnPtr& column, double lo,
@@ -331,7 +280,7 @@ Status SpatialQueryEngine::FilterColumn(const ColumnPtr& column, double lo,
 
 Result<SelectionResult> SpatialQueryEngine::Execute(
     const Geometry& geometry, double buffer,
-    const std::vector<AttributeRange>& thematic) {
+    const std::vector<AttributeRange>& thematic, bool use_cache) {
   GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xcol, table_->GetColumn(x_name_));
   GEOCOL_ASSIGN_OR_RETURN(ColumnPtr ycol, table_->GetColumn(y_name_));
   if (xcol->size() != ycol->size()) {
@@ -353,14 +302,15 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
   c_queries.Increment();
   Timer query_timer;
 
-  // ---- Cache tier (a): an exact repeat (same table epochs, geometry
-  // bits, ranges and knobs) replays the stored row ids and stats. The
-  // profile records the replay as a single cache.hit span.
+  // ---- Result cache: an exact repeat (same table epochs, geometry bits,
+  // ranges and knobs) replays the stored row ids and stats. The profile
+  // records the replay as a single cache.hit span.
+  cache::QueryResultCache* const cache = use_cache ? cache_ : nullptr;
   std::string cache_key;
-  if (cache_ != nullptr) {
+  if (cache != nullptr) {
     GEOCOL_ASSIGN_OR_RETURN(cache_key,
                             SelectionKey(geometry, buffer, thematic));
-    if (auto hit = cache_->LookupSelection(cache_key)) {
+    if (auto hit = cache->LookupSelection(cache_key)) {
       result.row_ids = hit->row_ids;
       result.filter_x = hit->filter_x;
       result.filter_y = hit->filter_y;
@@ -374,19 +324,15 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
     }
   }
   auto store_selection = [&]() {
-    if (cache_ == nullptr) return;
-    // Pre-check admission so a doorkeeper-deferred (first-sighting) large
-    // result skips the row-id copy entirely, not just the insert.
-    if (!cache_->ShouldAdmit(cache::Tier::kSelection, cache_key,
-                             result.row_ids.size() * sizeof(uint64_t))) {
-      return;
-    }
+    // Pre-check admission so a doorkeeper-deferred (first-sighting) result
+    // skips the row-id copy entirely, not just the insert.
+    if (cache == nullptr || !cache->ShouldAdmit(cache_key)) return;
     auto value = std::make_shared<cache::CachedSelection>();
     value->row_ids = result.row_ids;
     value->filter_x = result.filter_x;
     value->filter_y = result.filter_y;
     value->refine = result.refine;
-    cache_->InsertSelection(cache_key, std::move(value));
+    cache->InsertSelection(cache_key, std::move(value));
   };
 
   // ---- Step 1: filter. Imprint range selections on x and y over the
@@ -503,13 +449,9 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
     h_query.Observe(query_timer.ElapsedNanos());
     return result;
   }
-  // Tier (b): seed the refinement grid with classifications from earlier
-  // queries over the same geometry, and publish what this query adds.
-  CacheCellHook cell_hook(cache_, geometry, buffer);
-  GEOCOL_RETURN_NOT_OK(
-      GridRefine(*xcol, *ycol, rows, geometry, buffer, options_.refine,
-                 &result.row_ids, &result.refine, pool_,
-                 cache_ != nullptr ? &cell_hook : nullptr));
+  GEOCOL_RETURN_NOT_OK(GridRefine(*xcol, *ycol, rows, geometry, buffer,
+                                  options_.refine, &result.row_ids,
+                                  &result.refine, pool_));
   char detail[128];
   std::snprintf(detail, sizeof(detail),
                 "grid=%ux%u cells in/bnd/out=%llu/%llu/%llu exact=%llu",
@@ -518,13 +460,10 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
                 static_cast<unsigned long long>(result.refine.cells_boundary),
                 static_cast<unsigned long long>(result.refine.cells_outside),
                 static_cast<unsigned long long>(result.refine.exact_tests));
-  int32_t refine_span = result.profile.AddParallel(
+  result.profile.AddParallel(
       options_.refine.use_grid ? "refine.grid" : "refine.exhaustive",
       t.ElapsedNanos(), candidates, result.row_ids.size(),
       result.refine.workers, detail);
-  if (cell_hook.seeded()) {
-    result.profile.AddAttr(refine_span, "cache_hit", "grid");
-  }
   store_selection();
   h_query.Observe(query_timer.ElapsedNanos());
   return result;

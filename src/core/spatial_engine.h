@@ -135,6 +135,11 @@ class SpatialQueryEngine {
   /// is exact during the filter step already.
   Result<SelectionResult> SelectInBox(const Box& box);
 
+  /// SelectInBox without the result cache: no lookup, no insert, no
+  /// sighting. For boxes whose key never repeats, such as the server's
+  /// shared-scan superset (server/batch.h).
+  Result<SelectionResult> SelectInBoxUncached(const Box& box);
+
   /// All points contained in `geometry` (polygon/multipolygon/box).
   Result<SelectionResult> SelectInGeometry(const Geometry& geometry);
 
@@ -177,17 +182,24 @@ class SpatialQueryEngine {
   /// The cache this engine consults, or nullptr when cache-off.
   cache::QueryResultCache* result_cache() const { return cache_; }
 
+  /// True when Select(geometry, buffer, thematic) would replay a resident
+  /// cache entry right now. Probes without counting a hit or a miss.
+  bool SelectionCached(const Geometry& geometry, double buffer,
+                       const std::vector<AttributeRange>& thematic) const;
+
  private:
-  /// Shared two-step implementation.
+  /// Shared two-step implementation; `use_cache` false skips the result
+  /// cache even when the engine has one.
   Result<SelectionResult> Execute(const Geometry& geometry, double buffer,
-                                  const std::vector<AttributeRange>& thematic);
+                                  const std::vector<AttributeRange>& thematic,
+                                  bool use_cache = true);
 
   /// Filter step on one column; returns a row-level selection.
   Status FilterColumn(const ColumnPtr& column, double lo, double hi,
                       BitVector* rows, ImprintScanStats* stats,
                       QueryProfile* profile, const std::string& op_name);
 
-  /// Tier (a)/(c) key prefix: the complete byte image of everything the
+  /// Result cache key: the complete byte image of everything the
   /// selection depends on — table id, per-column epochs, geometry bits,
   /// thematic ranges, and result-shaping knobs (thread count, imprint and
   /// refine options). NotFound when a thematic column is missing.

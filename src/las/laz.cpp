@@ -138,13 +138,16 @@ Status LazCompress(const std::vector<LasPointRecord>& points,
     if (begin >= end && begin > 0) break;
     for (size_t stream = 0; stream < kNumStreams; ++stream) {
       ExtractStream(points, stream, begin, end, &vals);
-      // Delta + zigzag; the first value is the chunk base.
+      // Delta + zigzag; the first value is the chunk base. The delta
+      // wraps modulo 2^64 (the decoder's sum wraps back), so extreme
+      // neighbours such as INT64_MIN after INT64_MAX round-trip.
       uint64_t max_zz = 0;
-      int64_t prev = 0;
+      uint64_t prev = 0;
       std::vector<uint64_t> zz(vals.size());
       for (size_t i = 0; i < vals.size(); ++i) {
-        zz[i] = ZigZagEncode(vals[i] - prev);
-        prev = vals[i];
+        const uint64_t cur = static_cast<uint64_t>(vals[i]);
+        zz[i] = ZigZagEncode(static_cast<int64_t>(cur - prev));
+        prev = cur;
         max_zz = std::max(max_zz, zz[i]);
       }
       uint8_t bits = max_zz == 0
@@ -176,14 +179,14 @@ Status LazDecompress(const std::vector<uint8_t>& data, uint64_t count,
       uint8_t bits = data[byte_pos];
       BitReader chunk(data.data() + byte_pos + 1, data.size() - byte_pos - 1);
       vals.assign(n, 0);
-      int64_t prev = 0;
+      uint64_t prev = 0;
       for (size_t i = 0; i < n; ++i) {
         uint64_t z = 0;
         if (bits > 0 && !chunk.Read(&z, bits)) {
           return Status::Corruption("LAZ payload truncated (stream data)");
         }
-        prev += ZigZagDecode(z);
-        vals[i] = prev;
+        prev += static_cast<uint64_t>(ZigZagDecode(z));
+        vals[i] = static_cast<int64_t>(prev);
       }
       InjectStream(out, stream, begin, vals);
       size_t stream_bytes = (static_cast<size_t>(bits) * n + 7) / 8;

@@ -105,6 +105,12 @@ bool BatchablePlan(const sql::PlannedQuery& plan) {
   return true;
 }
 
+bool SelectionResident(const sql::PlannedQuery& plan) {
+  Result<Geometry> geometry = plan.QueryGeometry();
+  return geometry.ok() &&
+         plan.engine->SelectionCached(*geometry, plan.buffer, plan.thematic);
+}
+
 Result<Box> PlanViewport(const sql::PlannedQuery& plan) {
   // x/y attribute ranges (`x BETWEEN a AND b` parses as a range, not a
   // geometry) narrow the viewport: no row outside them can pass the
@@ -133,8 +139,10 @@ Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
   Timer scan_timer;
   std::vector<uint64_t> candidates;
   if (!superset.empty()) {
+    // The union of this group's boxes never repeats: no cache lookup, no
+    // insert, no sighting.
     GEOCOL_ASSIGN_OR_RETURN(SelectionResult sel,
-                            engine->SelectInBox(superset));
+                            engine->SelectInBoxUncached(superset));
     candidates = std::move(sel.row_ids);
   }
 

@@ -5,7 +5,9 @@
 // native-clamped range compares the solo path uses — so every member's
 // row set (and therefore its result bytes) is identical to running the
 // query alone. N queued scans collapse into one scan plus N cheap
-// re-filters over the candidates.
+// re-filters over the candidates. The superset box is a one-off, so its
+// scan bypasses the result cache; a statement whose own selection is
+// already cached does not join a group at all (SelectionResident).
 #ifndef GEOCOL_SERVER_BATCH_H_
 #define GEOCOL_SERVER_BATCH_H_
 
@@ -27,6 +29,11 @@ namespace server {
 /// (refinement is not a range conjunction), and EXPLAIN [ANALYZE]
 /// (answers describe execution, not data).
 bool BatchablePlan(const sql::PlannedQuery& plan);
+
+/// True when the selection of batchable `plan` is resident in its
+/// engine's result cache, so running it solo replays the entry. Counts no
+/// cache hit or miss.
+bool SelectionResident(const sql::PlannedQuery& plan);
 
 /// The plan's effective selection box: the query window of
 /// PlannedQuery::QueryGeometry() (the geometry envelope, or the table

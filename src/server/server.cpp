@@ -333,7 +333,10 @@ void Server::ConnectionLoop(int fd, uint64_t conn_index) {
           }
           task->plan = std::move(*plan);
         }
-        if (options_.shared_scan_batching && BatchablePlan(task->plan)) {
+        // A statement whose selection is already cached runs solo and
+        // replays the entry instead of joining a shared scan.
+        if (options_.shared_scan_batching && BatchablePlan(task->plan) &&
+            !SelectionResident(task->plan)) {
           Result<Box> viewport = PlanViewport(task->plan);
           if (viewport.ok()) {
             task->batch_key = reinterpret_cast<uintptr_t>(task->plan.engine);

@@ -1,10 +1,11 @@
 // Differential cache-equivalence suite: a seeded randomized workload runs
-// twice through one engine — cold (every query computed) then warm (every
-// query served or seeded by the cache) — and every observable of every
-// query must be byte-identical between the two passes AND equal to a
-// cache-off engine: row ids, filter/refine statistics, and aggregate
-// values (compared bit-for-bit, NaN included). The matrix covers
-// {serial, parallel} x {scalar, best SIMD level}.
+// three times through one engine — cold (every query computed, its
+// sighting noted), admitting (computed again and stored) and warm (every
+// query served by the cache) — and every observable of every query must
+// be byte-identical between the passes AND equal to a cache-off engine:
+// row ids, filter/refine statistics, and aggregate values (compared
+// bit-for-bit, NaN included). The matrix covers {serial, parallel} x
+// {scalar, best SIMD level}.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -205,9 +206,9 @@ TEST(CacheEquivalenceTest, ColdAndWarmPassesMatchCacheOffEngine) {
     on.cache.instance = std::make_shared<cache::QueryResultCache>();
     SpatialQueryEngine cached(table, on);
 
-    // Pass 1 (cold) and pass 2 (warm) results, compared against the
-    // cache-off oracle query by query.
-    for (int pass = 0; pass < 2; ++pass) {
+    // Pass 1 (cold: sightings noted), pass 2 (admitting) and pass 3
+    // (warm) results, compared against the cache-off oracle query by query.
+    for (int pass = 0; pass < 3; ++pass) {
       for (size_t i = 0; i < workload.size(); ++i) {
         const WorkloadQuery& q = workload[i];
         SCOPED_TRACE(testing::Message() << "pass=" << pass << " query=" << i);
@@ -237,77 +238,6 @@ TEST(CacheEquivalenceTest, ColdAndWarmPassesMatchCacheOffEngine) {
   }
 }
 
-// Tier (b) reuse: the cell-table key is (geometry, buffer, exact grid
-// frame) with no table identity or engine knobs, so engines whose
-// selection keys differ — thread count, imprints on/off — share grid
-// classifications whenever their candidate sets (and hence grids)
-// coincide. A serial scalar engine warms the tier; every other engine
-// config then refines seeded and must reproduce the row ids AND stats of
-// its own cache-off oracle. The table is large enough that the threaded
-// configs take the parallel (atomic cell table) seeded path.
-TEST(CacheEquivalenceTest, GridSeedingPreservesResultsAndStats) {
-  SimdLevelGuard guard;
-  auto table = MakeTable(150000, 8, Box(0, 0, 1000, 1000));
-  auto shared = std::make_shared<cache::QueryResultCache>(64ull << 20);
-  Polygon poly;
-  poly.shell.points = {{100, 100}, {900, 200}, {700, 800}, {200, 600}};
-  Geometry g(poly);
-  std::vector<AttributeRange> thematic = {{"classification", 2, 7}};
-
-  simd::SetSimdLevel(simd::SimdLevel::kScalar);
-  {
-    EngineOptions warm;
-    warm.num_threads = 1;
-    warm.cache.budget_bytes = 64ull << 20;
-    warm.cache.instance = shared;
-    SpatialQueryEngine warmer(table, warm);
-    ASSERT_TRUE(warmer.Select(g, 0.0, thematic).ok());
-  }
-  const size_t kGrid = static_cast<size_t>(cache::Tier::kGridCells);
-  const uint64_t grid_hits_before = shared->Stats().tier[kGrid].hits;
-
-  for (const EngineConfig& cfg : Configs()) {
-    if (cfg.threads == 1 && cfg.level == simd::SimdLevel::kScalar) {
-      continue;  // same selection key as the warmer: a tier (a) hit
-    }
-    SCOPED_TRACE(testing::Message() << "threads=" << cfg.threads << " simd="
-                                    << simd::SimdLevelName(cfg.level));
-    simd::SetSimdLevel(cfg.level);
-    EngineOptions off;
-    off.num_threads = cfg.threads;
-    SpatialQueryEngine oracle(table, off);
-    EngineOptions on = off;
-    on.cache.budget_bytes = 64ull << 20;
-    on.cache.instance = shared;
-    SpatialQueryEngine seeded(table, on);
-    auto got = seeded.Select(g, 0.0, thematic);
-    auto want = oracle.Select(g, 0.0, thematic);
-    ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(want.ok());
-    ExpectSelectionEq(*got, *want, "seeded vs oracle");
-  }
-
-  // An imprint-free engine produces the same candidates through a full
-  // scan — same grid, so it seeds from the shared tier too.
-  simd::SetSimdLevel(simd::SimdLevel::kScalar);
-  {
-    EngineOptions off;
-    off.num_threads = 1;
-    off.use_imprints = false;
-    SpatialQueryEngine oracle(table, off);
-    EngineOptions on = off;
-    on.cache.budget_bytes = 64ull << 20;
-    on.cache.instance = shared;
-    SpatialQueryEngine seeded(table, on);
-    auto got = seeded.Select(g, 0.0, thematic);
-    auto want = oracle.Select(g, 0.0, thematic);
-    ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(want.ok());
-    ExpectSelectionEq(*got, *want, "full-scan seeded vs oracle");
-  }
-  EXPECT_GT(shared->Stats().tier[kGrid].hits, grid_hits_before);
-}
-
 // An exact repeat must collapse to a single cache.hit span carrying the
 // cache_hit=selection attribute EXPLAIN ANALYZE renders.
 TEST(CacheEquivalenceTest, HitProfileRecordsCacheHitSpan) {
@@ -321,10 +251,14 @@ TEST(CacheEquivalenceTest, HitProfileRecordsCacheHitSpan) {
   poly.shell.points = {{10, 10}, {90, 20}, {70, 80}, {20, 60}};
   Geometry g(poly);
 
-  auto cold = eng.SelectInGeometry(g);
-  ASSERT_TRUE(cold.ok());
-  for (const auto& op : cold->profile.operators()) {
-    EXPECT_NE(op.name, "cache.hit");
+  std::vector<uint64_t> cold_rows;
+  for (int i = 0; i < 2; ++i) {  // first sighting, then admission
+    auto cold = eng.SelectInGeometry(g);
+    ASSERT_TRUE(cold.ok());
+    for (const auto& op : cold->profile.operators()) {
+      EXPECT_NE(op.name, "cache.hit");
+    }
+    cold_rows = cold->row_ids;
   }
 
   auto warm = eng.SelectInGeometry(g);
@@ -335,7 +269,7 @@ TEST(CacheEquivalenceTest, HitProfileRecordsCacheHitSpan) {
   ASSERT_EQ(op.attrs.size(), 1u);
   EXPECT_EQ(op.attrs[0].first, "cache_hit");
   EXPECT_EQ(op.attrs[0].second, "selection");
-  EXPECT_EQ(warm->row_ids, cold->row_ids);
+  EXPECT_EQ(warm->row_ids, cold_rows);
 }
 
 // Budget 0 must leave the engine entirely detached from the cache: no

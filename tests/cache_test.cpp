@@ -1,5 +1,6 @@
 // Unit and integration tests of the query result cache: key construction,
-// LRU budget enforcement, epoch-bump invalidation (append, shuffle, and
+// second-sighting admission, LRU budget enforcement, epoch-bump
+// invalidation (append, shuffle, and
 // the imprint-sidecar quarantine path), and concurrent lookups/inserts
 // under a tiny budget that forces evictions. The concurrency test also
 // runs under the TSan CI job.
@@ -53,6 +54,13 @@ std::shared_ptr<const CachedSelection> MakeSelection(size_t rows) {
   return sel;
 }
 
+// Inserts `key` twice: the first sighting is only noted, the second
+// stores the value.
+void Admit(QueryResultCache& c, const std::string& key, size_t rows) {
+  c.InsertSelection(key, MakeSelection(rows));
+  c.InsertSelection(key, MakeSelection(rows));
+}
+
 // ---------------------------------------------------------------------------
 // Key construction.
 // ---------------------------------------------------------------------------
@@ -90,7 +98,7 @@ TEST(KeyBuilderTest, GeometryTypeIsPartOfTheKey) {
 
 TEST(QueryCacheTest, LookupReturnsExactInsertedValue) {
   QueryResultCache c(1 << 20);
-  c.InsertSelection("k1", MakeSelection(10));
+  Admit(c, "k1", 10);
   auto hit = c.LookupSelection("k1");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->row_ids.size(), 10u);
@@ -100,23 +108,12 @@ TEST(QueryCacheTest, LookupReturnsExactInsertedValue) {
   EXPECT_EQ(stats.tier[static_cast<size_t>(Tier::kSelection)].misses, 1u);
 }
 
-TEST(QueryCacheTest, MismatchedTierNeverAliases) {
-  QueryResultCache c(1 << 20);
-  c.InsertAggregate("same-key", 42.0);
-  EXPECT_EQ(c.LookupSelection("same-key"), nullptr);
-  double out = 0;
-  EXPECT_TRUE(c.LookupAggregate("same-key", &out));
-  EXPECT_EQ(out, 42.0);
-}
-
 TEST(QueryCacheTest, BudgetEvictsLeastRecentlyUsed) {
   // All keys land in one shard only probabilistically; instead drive one
   // key's shard over its slice with same-shard entries by reusing a single
   // key prefix and checking global accounting.
   QueryResultCache c(QueryResultCache::kShards * 4096);
-  for (int i = 0; i < 64; ++i) {
-    c.InsertSelection("key-" + std::to_string(i), MakeSelection(64));
-  }
+  for (int i = 0; i < 64; ++i) Admit(c, "key-" + std::to_string(i), 64);
   cache::CacheStats stats = c.Stats();
   const auto& sel = stats.tier[static_cast<size_t>(Tier::kSelection)];
   EXPECT_GT(sel.evictions, 0u);
@@ -126,51 +123,75 @@ TEST(QueryCacheTest, BudgetEvictsLeastRecentlyUsed) {
 
 TEST(QueryCacheTest, TouchedEntriesSurviveEviction) {
   QueryResultCache c(QueryResultCache::kShards * 8192);
-  c.InsertSelection("hot", MakeSelection(16));
+  Admit(c, "hot", 16);
   for (int i = 0; i < 256; ++i) {
     // Keep "hot" at the front of its shard's LRU while filling the cache.
     ASSERT_NE(c.LookupSelection("hot"), nullptr) << "iteration " << i;
-    c.InsertSelection("cold-" + std::to_string(i), MakeSelection(16));
+    Admit(c, "cold-" + std::to_string(i), 16);
   }
   EXPECT_NE(c.LookupSelection("hot"), nullptr);
 }
 
 TEST(QueryCacheTest, OversizedEntriesAreNotInserted) {
   QueryResultCache c(QueryResultCache::kShards * 512);
-  c.InsertSelection("huge", MakeSelection(100000));
+  Admit(c, "huge", 100000);
   EXPECT_EQ(c.LookupSelection("huge"), nullptr);
   EXPECT_EQ(c.bytes_used(), 0u);
 }
 
-TEST(QueryCacheTest, DoorkeeperAdmitsLargeEntriesOnSecondSighting) {
+TEST(QueryCacheTest, EverySelectionIsAdmittedOnSecondSighting) {
   QueryResultCache c(64 << 20);
-  const size_t rows = QueryResultCache::kDoorkeeperBytes / sizeof(uint64_t);
-  c.InsertSelection("big", MakeSelection(rows));
-  EXPECT_EQ(c.LookupSelection("big"), nullptr);  // first sighting: deferred
-  c.InsertSelection("big", MakeSelection(rows));
-  EXPECT_NE(c.LookupSelection("big"), nullptr);  // second sighting: admitted
-  // Small entries skip the doorkeeper entirely.
-  c.InsertSelection("small", MakeSelection(16));
-  EXPECT_NE(c.LookupSelection("small"), nullptr);
+  for (size_t rows : {size_t{1}, size_t{16}, size_t{64 * 1024}}) {
+    const std::string key = "k" + std::to_string(rows);
+    c.InsertSelection(key, MakeSelection(rows));
+    EXPECT_FALSE(c.Contains(key)) << rows;  // first sighting: noted only
+    c.InsertSelection(key, MakeSelection(rows));
+    EXPECT_TRUE(c.Contains(key)) << rows;  // second sighting: admitted
+  }
+  const cache::CacheStats stats = c.Stats();
+  EXPECT_EQ(stats.tier[static_cast<size_t>(Tier::kSelection)].inserts, 3u);
+}
+
+// A never-repeating stream (a client panning a map) holds fingerprints
+// only: not one byte of entries.
+TEST(QueryCacheTest, DistinctKeysInsertedOnceHoldNoBytes) {
+  QueryResultCache c(64 << 20);
+  for (int i = 0; i < 1000; ++i) {
+    c.InsertSelection("pan-" + std::to_string(i), MakeSelection(4));
+  }
+  EXPECT_EQ(c.bytes_used(), 0u);
+  const cache::CacheStats stats = c.Stats();
+  EXPECT_EQ(stats.tier[static_cast<size_t>(Tier::kSelection)].entries, 0u);
+  EXPECT_EQ(stats.tier[static_cast<size_t>(Tier::kSelection)].inserts, 0u);
 }
 
 TEST(QueryCacheTest, ShouldAdmitMatchesInsertBehaviour) {
   QueryResultCache c(64 << 20);
-  const uint64_t big = QueryResultCache::kDoorkeeperBytes;
-  EXPECT_TRUE(c.ShouldAdmit(Tier::kSelection, "small", 128));
-  EXPECT_FALSE(c.ShouldAdmit(Tier::kSelection, "big", big));  // noted
-  EXPECT_TRUE(c.ShouldAdmit(Tier::kSelection, "big", big));
+  EXPECT_FALSE(c.ShouldAdmit("k"));  // noted
+  EXPECT_TRUE(c.ShouldAdmit("k"));
+  // The insert after an admitting pre-check stores the value at once.
+  c.InsertSelection("k", MakeSelection(8));
+  ASSERT_NE(c.LookupSelection("k"), nullptr);
   // Once the entry is resident, re-checks always admit (refresh path).
-  c.InsertSelection("big", MakeSelection(big / sizeof(uint64_t)));
-  ASSERT_NE(c.LookupSelection("big"), nullptr);
-  EXPECT_TRUE(c.ShouldAdmit(Tier::kSelection, "big", big));
+  EXPECT_TRUE(c.ShouldAdmit("k"));
+}
+
+TEST(QueryCacheTest, ContainsCountsNothing) {
+  QueryResultCache c(1 << 20);
+  EXPECT_FALSE(c.Contains("k"));
+  Admit(c, "k", 8);
+  EXPECT_TRUE(c.Contains("k"));
+  // The probe recorded no sighting: "j" still needs two inserts.
+  EXPECT_FALSE(c.Contains("j"));
+  c.InsertSelection("j", MakeSelection(8));
+  EXPECT_FALSE(c.Contains("j"));
+  const cache::CacheStats stats = c.Stats();
+  EXPECT_EQ(stats.TotalHits() + stats.TotalMisses(), 0u);
 }
 
 TEST(QueryCacheTest, ShrinkingBudgetEvictsImmediately) {
   QueryResultCache c(1 << 20);
-  for (int i = 0; i < 32; ++i) {
-    c.InsertSelection("k" + std::to_string(i), MakeSelection(64));
-  }
+  for (int i = 0; i < 32; ++i) Admit(c, "k" + std::to_string(i), 64);
   EXPECT_GT(c.bytes_used(), 0u);
   c.SetBudget(0);
   EXPECT_EQ(c.bytes_used(), 0u);
@@ -186,24 +207,11 @@ TEST(QueryCacheTest, GrowBudgetIsMonotonic) {
 
 TEST(QueryCacheTest, ClearDropsEntriesButKeepsBudget) {
   QueryResultCache c(1 << 20);
-  c.InsertSelection("k", MakeSelection(8));
+  Admit(c, "k", 8);
   c.Clear();
   EXPECT_EQ(c.bytes_used(), 0u);
   EXPECT_EQ(c.budget_bytes(), 1u << 20);
   EXPECT_EQ(c.LookupSelection("k"), nullptr);
-}
-
-TEST(QueryCacheTest, MergeGridCellsFillsUnclassifiedHoles) {
-  QueryResultCache c(1 << 20);
-  std::vector<uint8_t> first = {0, kCellUnclassified, 2, kCellUnclassified};
-  c.MergeGridCells("g", std::move(first));
-  std::vector<uint8_t> second = {kCellUnclassified, 1, kCellUnclassified,
-                                 kCellUnclassified};
-  c.MergeGridCells("g", std::move(second));
-  auto merged = c.LookupGridCells("g");
-  ASSERT_NE(merged, nullptr);
-  std::vector<uint8_t> expect = {0, 1, 2, kCellUnclassified};
-  EXPECT_EQ(*merged, expect);
 }
 
 TEST(QueryCacheTest, HitsFeedMetricsRegistry) {
@@ -211,7 +219,7 @@ TEST(QueryCacheTest, HitsFeedMetricsRegistry) {
       "geocol_cache_selection_hits_total");
   uint64_t before = hits.Value();
   QueryResultCache c(1 << 20);
-  c.InsertSelection("k", MakeSelection(4));
+  Admit(c, "k", 4);
   ASSERT_NE(c.LookupSelection("k"), nullptr);
   EXPECT_EQ(hits.Value(), before + 1);
 }
@@ -229,6 +237,31 @@ EngineOptions CachedOptions() {
   return opts;
 }
 
+TEST(CacheAdmissionTest, ThirdExecutionIsTheFirstHit) {
+  auto table = MakeTable(8000, 30, Box(0, 0, 100, 100));
+  EngineOptions opts = CachedOptions();
+  SpatialQueryEngine eng(table, opts);
+  const Geometry g(Box(20, 20, 60, 70));
+  auto stats = [&] {
+    return opts.cache.instance->Stats()
+        .tier[static_cast<size_t>(Tier::kSelection)];
+  };
+
+  auto first = eng.SelectInGeometry(g);  // miss, sighting noted
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(opts.cache.instance->bytes_used(), 0u);
+  auto second = eng.SelectInGeometry(g);  // miss, admitted
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(stats().inserts, 1u);
+  EXPECT_EQ(stats().hits, 0u);
+  auto third = eng.SelectInGeometry(g);  // hit
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(stats().hits, 1u);
+  EXPECT_EQ(stats().misses, 2u);
+  EXPECT_EQ(third->profile.operators()[0].name, "cache.hit");
+  EXPECT_EQ(third->row_ids, first->row_ids);
+}
+
 TEST(CacheInvalidationTest, AppendBetweenRepeatsIsNeverStale) {
   auto table = MakeTable(8000, 31, Box(0, 0, 100, 100));
   EngineOptions opts = CachedOptions();
@@ -239,6 +272,7 @@ TEST(CacheInvalidationTest, AppendBetweenRepeatsIsNeverStale) {
 
   auto before = eng.SelectInGeometry(g);
   ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(eng.SelectInGeometry(g).ok());  // admit
   auto repeat = eng.SelectInGeometry(g);
   ASSERT_TRUE(repeat.ok());
   ASSERT_EQ(repeat->profile.operators()[0].name, "cache.hit");
@@ -269,7 +303,7 @@ TEST(CacheInvalidationTest, ShuffleBetweenRepeatsIsNeverStale) {
 
   auto before = eng.SelectInGeometry(g);
   ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(eng.SelectInGeometry(g).ok());  // populate
+  ASSERT_TRUE(eng.SelectInGeometry(g).ok());  // admit
 
   // Reverse the table. Row ids change; the count must not.
   std::vector<uint64_t> perm(table->num_rows());
@@ -285,24 +319,28 @@ TEST(CacheInvalidationTest, ShuffleBetweenRepeatsIsNeverStale) {
   EXPECT_EQ(after->row_ids, expect);
 }
 
-TEST(CacheInvalidationTest, AggregateInvalidatesWithItsColumn) {
+// An aggregate over a cached selection re-aggregates the replayed rows,
+// so it reads the aggregated column as it is now: a raw update of z (epoch
+// bump on z only; the x/y selection key is unchanged) shows at once.
+TEST(CacheInvalidationTest, AggregateOverCachedSelectionReadsCurrentValues) {
   auto table = MakeTable(8000, 33, Box(0, 0, 100, 100));
   EngineOptions opts = CachedOptions();
   SpatialQueryEngine eng(table, opts);
   Geometry g(Box(0, 0, 100, 100));
 
-  auto first = eng.Aggregate(g, 0.0, {}, "z", AggKind::kMax);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(eng.Aggregate(g, 0.0, {}, "z", AggKind::kMax).ok());
+  for (int i = 0; i < 2; ++i) {  // miss, then admit
+    ASSERT_TRUE(eng.Aggregate(g, 0.0, {}, "z", AggKind::kMax).ok());
+  }
+  uint8_t* raw = table->column("z")->BeginRawUpdate();
+  ASSERT_NE(raw, nullptr);
+  const double peak = 1000.0;
+  std::memcpy(raw, &peak, sizeof(peak));
 
-  table->column("x")->Append(50.0);
-  table->column("y")->Append(50.0);
-  table->column("z")->Append(1000.0);
-  table->column("classification")->Append(uint8_t{0});
-
-  auto second = eng.Aggregate(g, 0.0, {}, "z", AggKind::kMax);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second, 1000.0);
+  const uint64_t hits_before = opts.cache.instance->Stats().TotalHits();
+  auto after = eng.Aggregate(g, 0.0, {}, "z", AggKind::kMax);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(*after, 1000.0);
+  EXPECT_EQ(opts.cache.instance->Stats().TotalHits(), hits_before + 1);
 }
 
 // The sidecar quarantine/rebuild path must compose with the cache: a
@@ -331,6 +369,7 @@ TEST(CacheInvalidationTest, SidecarQuarantineRebuildKeepsCacheCorrect) {
     auto res = eng.SelectInGeometry(g);
     ASSERT_TRUE(res.ok());
     expect = res->row_ids;
+    ASSERT_TRUE(eng.SelectInGeometry(g).ok());  // admit
     ASSERT_TRUE(PathExists(idx_dir + "/x.gim"));
   }
 

@@ -1,8 +1,9 @@
 // Server lifecycle and protocol robustness (DESIGN.md §16): start/stop
 // idempotence and restart, graceful drain of in-flight queries on
 // shutdown, malformed/truncated frames rejected without crashing (a
-// seeded frame fuzzer plus targeted corruptions), and oversized requests
-// capped with a typed TOO_LARGE error.
+// seeded frame fuzzer plus targeted corruptions), oversized requests
+// capped with a typed TOO_LARGE error, and how the result cache meets
+// shared-scan batching at admission.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -13,16 +14,20 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cache/query_cache.h"
 #include "gis/catalog.h"
 #include "pointcloud/generator.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "sql/executor.h"
+#include "sql/session.h"
 #include "util/rng.h"
 
 namespace geocol {
@@ -304,6 +309,157 @@ TEST_F(ServerTest, MidReplyDisconnectsDoNotLeakConnectionSlots) {
   ASSERT_TRUE(rs->ok);
   EXPECT_EQ(rs->result.rows[0][0].number, num_rows_);
   srv.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Result cache x shared-scan batching. The engine binds a private cache;
+// a one-worker server is held on a plug statement until every statement
+// under test is queued, so the worker's next pops see them all at once.
+// ---------------------------------------------------------------------------
+
+class ServerCacheTest : public ::testing::Test {
+ protected:
+  static constexpr const char* kPlug = "SELECT COUNT(*) FROM ahn2";
+
+  void SetUp() override {
+    AhnGeneratorOptions opts;
+    opts.extent = Box(85000, 444000, 85060, 444060);
+    AhnGenerator gen(opts);
+    auto table = gen.GenerateTable(5000);
+    ASSERT_TRUE(table.ok());
+    EngineOptions eopts;
+    eopts.cache.budget_bytes = 16ull << 20;
+    eopts.cache.instance = cache_;
+    ASSERT_TRUE(catalog_.AddPointCloud("ahn2", *table, eopts).ok());
+  }
+
+  /// Runs `sql` twice through a local session on the same engine: the
+  /// first sighting, then the admission. Returns the reply digest.
+  uint32_t MakeResident(const std::string& sql) {
+    sql::Session local(&catalog_);
+    uint32_t digest = 0;
+    for (int i = 0; i < 2; ++i) {
+      auto rs = local.Execute(sql);
+      EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+      if (rs.ok()) digest = sql::ResultSetDigest(*rs);
+    }
+    EXPECT_GT(cache_->Stats().tier[0].entries, 0u);
+    return digest;
+  }
+
+  /// Serves `statements` behind the plug. `before_release` runs once all
+  /// are queued and the worker is still held. Returns the reply digests
+  /// in statement order.
+  std::vector<uint32_t> ServePiledUp(
+      const std::vector<std::string>& statements,
+      const std::function<void()>& before_release,
+      server::ServerStats* stats) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool release = false;
+    std::atomic<int> held{0};
+    server::ServerOptions sopts;
+    sopts.workers = 1;
+    sopts.before_execute_hook = [&](const server::QueryTask&) {
+      if (held.fetch_add(1) == 0) {
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return release; });
+      }
+    };
+    server::Server srv(&catalog_, sopts);
+    EXPECT_TRUE(srv.Start().ok());
+    const int port = srv.port();
+    std::thread plug([&] {
+      auto client = MustConnect(port);
+      auto rs = client.Query(kPlug);
+      EXPECT_TRUE(rs.ok() && rs->ok);
+    });
+    while (held.load() == 0) std::this_thread::yield();
+
+    std::vector<uint32_t> digests(statements.size(), 0);
+    std::vector<std::thread> clients;
+    for (size_t i = 0; i < statements.size(); ++i) {
+      clients.emplace_back([&, i] {
+        auto client = MustConnect(port);
+        auto rs = client.Query(statements[i]);
+        EXPECT_TRUE(rs.ok() && rs->ok) << statements[i];
+        if (rs.ok() && rs->ok) digests[i] = sql::ResultSetDigest(rs->result);
+      });
+    }
+    while (srv.stats().queue_depth < statements.size()) {
+      std::this_thread::yield();
+    }
+    before_release();
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    plug.join();
+    for (auto& t : clients) t.join();
+    srv.Stop();
+    *stats = srv.stats();
+    return digests;
+  }
+
+  std::shared_ptr<cache::QueryResultCache> cache_ =
+      std::make_shared<cache::QueryResultCache>();
+  Catalog catalog_;
+};
+
+const std::vector<std::string>& OverlappingViewports() {
+  static const std::vector<std::string> statements = {
+      "SELECT COUNT(*) FROM ahn2 WHERE x BETWEEN 85005 AND 85045"
+      " AND y BETWEEN 444005 AND 444045",
+      "SELECT AVG(z), MAX(z) FROM ahn2 WHERE x BETWEEN 85015 AND 85055"
+      " AND y BETWEEN 444010 AND 444050",
+      "SELECT x, y, z FROM ahn2 WHERE x BETWEEN 85020 AND 85040"
+      " AND y BETWEEN 444020 AND 444040 ORDER BY z DESC LIMIT 8",
+  };
+  return statements;
+}
+
+TEST_F(ServerCacheTest, ResidentSelectionRunsSoloFromTheCache) {
+  const std::string resident =
+      "SELECT COUNT(*), AVG(z) FROM ahn2 WHERE x BETWEEN 85010 AND 85050"
+      " AND y BETWEEN 444010 AND 444050";
+  const uint32_t solo_digest = MakeResident(resident);
+  MakeResident(kPlug);
+  std::vector<std::string> statements = {resident, OverlappingViewports()[0],
+                                         OverlappingViewports()[1]};
+  cache::CacheStats before;
+  server::ServerStats s;
+  auto digests =
+      ServePiledUp(statements, [&] { before = cache_->Stats(); }, &s);
+  const cache::CacheStats after = cache_->Stats();
+
+  // The two viewports share one scan; the resident statement is no member.
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_EQ(s.batch_members, 2u);
+  EXPECT_EQ(s.batch_fallbacks, 0u);
+  EXPECT_EQ(digests[0], solo_digest);
+  // Its reply came from the cache: one hit for it and one for the plug.
+  EXPECT_EQ(after.tier[0].hits, before.tier[0].hits + 2);
+  EXPECT_EQ(after.tier[0].misses, before.tier[0].misses);
+}
+
+TEST_F(ServerCacheTest, SharedScanAddsNoCacheEntryAndNoMiss) {
+  MakeResident(kPlug);
+  cache::CacheStats before;
+  server::ServerStats s;
+  ServePiledUp(OverlappingViewports(), [&] { before = cache_->Stats(); },
+               &s);
+  const cache::CacheStats after = cache_->Stats();
+
+  EXPECT_EQ(s.batches, 1u);
+  EXPECT_EQ(s.batch_members, OverlappingViewports().size());
+  // The superset scan neither looked up nor stored, and batch members
+  // render from the shared rows: only the plug's hit moved the counters.
+  EXPECT_EQ(after.tier[0].misses, before.tier[0].misses);
+  EXPECT_EQ(after.tier[0].inserts, before.tier[0].inserts);
+  EXPECT_EQ(after.tier[0].entries, before.tier[0].entries);
+  EXPECT_EQ(after.tier[0].hits, before.tier[0].hits + 1);
+  EXPECT_EQ(cache_->bytes_used(), before.bytes_used);
 }
 
 }  // namespace

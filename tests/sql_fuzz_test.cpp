@@ -2,9 +2,10 @@
 // lexer/parser/planner/executor — every outcome is either a result set or
 // a clean Status. Also mutates valid statements (truncation, token swaps).
 //
-// Every fuzzed statement is executed TWICE through a session whose result
-// cache is enabled — the first execution misses, the second is served or
-// seeded by the cache — and both outcomes must agree cell for cell
+// Every fuzzed statement is executed THREE times through a session whose
+// result cache is enabled — the first execution misses, the second misses
+// and is admitted, the third is served by the cache — and all outcomes
+// must agree cell for cell
 // (numbers compared bitwise, so NaN aggregates count as equal). A fuzzer
 // that never crashes but silently returns stale or aliased cache entries
 // would fail here.
@@ -54,30 +55,33 @@ bool SameResultSet(const sql::ResultSet& a, const sql::ResultSet& b) {
   return true;
 }
 
-// Session options with the result cache enabled, so the second execution of
-// every fuzzed statement runs miss-then-hit through src/cache/.
+// Session options with the result cache enabled, so the executions of
+// every fuzzed statement run miss, admit, hit through src/cache/.
 sql::SessionOptions CacheOnOptions() {
   auto opts = sql::SessionOptions::FromEnv();
   opts.cache_budget_bytes = 32ll << 20;
   return opts;
 }
 
-// Executes `text` twice through the same session and checks the two
-// outcomes agree: same ok-ness, same error code on failure, identical
-// result set on success. EXPLAIN ANALYZE output is exempt from the row
-// diff — its rows are the span tree, which embeds wall-clock timings.
-Result<sql::ResultSet> ExecuteTwice(sql::Session& session,
-                                    const std::string& text) {
+// Executes `text` three times through the same session and checks the
+// later outcomes agree with the first: same ok-ness, same error code on
+// failure, identical result set on success. EXPLAIN ANALYZE output is
+// exempt from the row diff — its rows are the span tree, which embeds
+// wall-clock timings.
+Result<sql::ResultSet> ExecuteRepeated(sql::Session& session,
+                                       const std::string& text) {
   auto first = session.Execute(text);
-  auto second = session.Execute(text);
-  EXPECT_EQ(first.ok(), second.ok()) << text;
-  if (!first.ok() && !second.ok()) {
-    EXPECT_EQ(first.status().code(), second.status().code()) << text;
-  }
-  if (first.ok() && second.ok() &&
-      !(first->columns.size() == 1 &&
-        first->columns[0] == "explain analyze")) {
-    EXPECT_TRUE(SameResultSet(*first, *second)) << text;
+  for (int run = 1; run < 3; ++run) {
+    auto again = session.Execute(text);
+    EXPECT_EQ(first.ok(), again.ok()) << text << " run " << run;
+    if (!first.ok() && !again.ok()) {
+      EXPECT_EQ(first.status().code(), again.status().code()) << text;
+    }
+    if (first.ok() && again.ok() &&
+        !(first->columns.size() == 1 &&
+          first->columns[0] == "explain analyze")) {
+      EXPECT_TRUE(SameResultSet(*first, *again)) << text << " run " << run;
+    }
   }
   return first;
 }
@@ -131,7 +135,7 @@ TEST_F(SqlFuzzTest, RandomTokenSoupNeverCrashes) {
       text += kTokens[rng.Uniform(std::size(kTokens))];
       text += ' ';
     }
-    auto rs = ExecuteTwice(session, text);
+    auto rs = ExecuteRepeated(session, text);
     executed += rs.ok();
     if (!rs.ok()) {
       // Errors must be classified, never Internal.
@@ -155,7 +159,7 @@ TEST_F(SqlFuzzTest, TruncationsOfValidQueryNeverCrash) {
       "'BOX(85010 444010, 85050 444050)') AND classification BETWEEN 2 AND "
       "6 ORDER BY z DESC LIMIT 10";
   for (size_t cut = 0; cut <= query.size(); ++cut) {
-    auto rs = ExecuteTwice(session, query.substr(0, cut));
+    auto rs = ExecuteRepeated(session, query.substr(0, cut));
     if (!rs.ok()) {
       EXPECT_NE(rs.status().code(), StatusCode::kInternal)
           << "cut at " << cut;
@@ -177,7 +181,7 @@ TEST_F(SqlFuzzTest, RandomByteMutationsNeverCrash) {
       char c = static_cast<char>(32 + rng.Uniform(95));  // printable ASCII
       text[at] = c;
     }
-    auto rs = ExecuteTwice(session, text);
+    auto rs = ExecuteRepeated(session, text);
     if (!rs.ok()) {
       EXPECT_NE(rs.status().code(), StatusCode::kInternal) << text;
     }
@@ -189,15 +193,15 @@ TEST_F(SqlFuzzTest, DeepNestingAndLongInputs) {
   // Very long predicate chain.
   std::string text = "SELECT COUNT(*) FROM ahn2 WHERE z >= 0";
   for (int i = 0; i < 500; ++i) text += " AND z <= 1000";
-  auto rs = ExecuteTwice(session, text);
+  auto rs = ExecuteRepeated(session, text);
   EXPECT_TRUE(rs.ok());
   // Pathologically long identifier.
   std::string long_ident(10000, 'a');
-  EXPECT_FALSE(ExecuteTwice(session, "SELECT " + long_ident + " FROM ahn2")
+  EXPECT_FALSE(ExecuteRepeated(session, "SELECT " + long_ident + " FROM ahn2")
                    .ok());
   // Deeply parenthesised garbage.
   std::string parens = "SELECT x FROM ahn2 WHERE " + std::string(2000, '(');
-  EXPECT_FALSE(ExecuteTwice(session, parens).ok());
+  EXPECT_FALSE(ExecuteRepeated(session, parens).ok());
 }
 
 // Multi-tenant concurrency: a fuzzed statement stream executed through 4

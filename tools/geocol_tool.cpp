@@ -137,6 +137,7 @@ int Usage() {
                "  metrics  <table_dir> [\"<SQL>\"] [--format prom|json] [--layers <dir>]\n"
                "  trace    <table_dir> \"<SQL>\" [--out <path>] [--jsonl] [--layers <dir>]\n"
                "  cache    <table_dir> \"<SQL>\" [--budget-mb N] [--repeat N] [--paged [--chunk-mb N]] [--layers <dir>]\n"
+               "           (--repeat defaults to 3: run 1 misses, run 2 is admitted, run 3 hits)\n"
                "  top      <table_dir> [--once] [--interval-ms N] [--export <jsonl>]\n"
                "  heat     <table_dir> [--top N]\n"
                "  replay   <table_dir> [--json <path>] [--layers <dir>] [--paged [--chunk-mb N]]\n"
@@ -721,10 +722,12 @@ int CmdTrace(const Args& args) {
 }
 
 /// `geocol cache <table_dir> "<SQL>" [--budget-mb N] [--repeat N]`: runs
-/// the query --repeat times through one session with the result cache
-/// bound at --budget-mb, printing per-run wall times and the cache's
-/// per-tier statistics — the interactive proof of the repeated-viewport
-/// speedup (EXPERIMENTS.md E13).
+/// the query --repeat times (default 3) through one session with the
+/// result cache bound at --budget-mb, printing per-run wall times and the
+/// cache's statistics — the interactive proof of the repeated-viewport
+/// speedup (EXPERIMENTS.md E13). A selection is admitted on its second
+/// sighting, so run 1 misses, run 2 misses and is stored, and run 3 is
+/// the first hit.
 int CmdCache(const Args& args) {
   if (args.positional.size() < 2) return Usage();
   Catalog catalog;
@@ -741,8 +744,7 @@ int CmdCache(const Args& args) {
     Timer t;
     auto rs = session.Execute(args.positional[1]);
     if (!rs.ok()) return Fail(rs.status());
-    // A tier (a) hit shows up as the profile collapsing to one
-    // cache.hit span.
+    // A hit shows up as the profile collapsing to one cache.hit span.
     const auto& ops = session.last_profile().operators();
     bool hit = !ops.empty() && ops[0].name == "cache.hit";
     std::printf("run %llu: %8.3f ms  %llu row(s)%s\n",
