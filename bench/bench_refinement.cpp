@@ -8,6 +8,7 @@
 // to decide whether a grid cell satisfies or not the spatial relation in a
 // single step."
 #include <cstdio>
+#include <numeric>
 
 #include "bench/bench_common.h"
 #include "core/refinement.h"
@@ -23,8 +24,8 @@ int main(int argc, char** argv) {
 
   auto table = GenerateSurvey(n);
   ColumnPtr x = table->column("x"), y = table->column("y");
-  BitVector candidates(x->size());
-  candidates.SetAll();
+  std::vector<uint64_t> candidates(x->size());
+  std::iota(candidates.begin(), candidates.end(), 0);
   Box extent(x->Stats().min, y->Stats().min, x->Stats().max, y->Stats().max);
   Point center = extent.center();
   double radius = std::min(extent.width(), extent.height()) * 0.35;

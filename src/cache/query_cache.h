@@ -59,8 +59,7 @@ constexpr size_t kNumTiers = 3;
 /// span instead).
 struct CachedSelection {
   std::vector<uint64_t> row_ids;
-  ImprintScanStats filter_x;
-  ImprintScanStats filter_y;
+  ImprintScanStats filter;
   RefinementStats refine;
 
   size_t MemoryBytes() const {

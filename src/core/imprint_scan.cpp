@@ -1,9 +1,10 @@
 #include "core/imprint_scan.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <functional>
 #include <numeric>
-#include <span>
 #include <vector>
 
 #include "core/imprints_io.h"
@@ -22,156 +23,288 @@ namespace {
 // the fork/join overhead would dominate.
 constexpr uint64_t kMinParallelScanRows = 1 << 17;
 // Morsel granularity (rows); rounded up to a multiple of lcm(64, values
-// per line) so every morsel covers whole cache lines and whole BitVector
-// words.
+// per line) so every morsel covers whole cache lines of every column and
+// whole 64-bit words.
 constexpr uint64_t kTargetMorselRows = 1 << 16;
+// Value checks run on the pieces of a segment cut by this global row grid:
+// one stack scratch per piece, and a piece never straddles a paging chunk
+// (chunk_rows is a power of two >= 32768).
+constexpr uint64_t kCheckRows = 4096;
 
-/// One maximal run of candidate cache lines from the imprint filter.
-struct CandidateRun {
-  uint64_t first_line;
-  uint64_t line_count;
-  bool full;
+/// Writes the selection bits of rows [a, b) of one term — a piece inside
+/// one paging chunk — to `words` (bit 0 = row a); returns how many are set.
+using CheckFn =
+    std::function<Result<uint64_t>(uint64_t a, uint64_t b, uint64_t* words)>;
+
+/// A term prepared for one scan.
+struct ScanTerm {
+  const ImprintsIndex* index = nullptr;
+  uint64_t vpl = 1;   ///< rows per cache line (1 without an index)
+  ImprintMask mask;
+  CheckFn check;
 };
 
-}  // namespace
+/// Bit of term `t` in a segment's mask of terms whose values need checks.
+/// Terms past the 63rd share the last bit and are checked together.
+inline uint64_t TermBit(size_t t) {
+  return uint64_t{1} << std::min<size_t>(t, 63);
+}
 
-Status ImprintRangeSelect(const Column& column, const ImprintsIndex& index,
-                          double lo, double hi, BitVector* out_rows,
-                          ImprintScanStats* stats, ThreadPool* pool) {
-  if (index.built_epoch() != column.epoch()) {
-    return Status::Internal("stale imprints index (column was modified)");
-  }
-  const auto scan_start = std::chrono::steady_clock::now();
-  out_rows->Resize(column.size());
-  ImprintScanStats merged;
-  merged.lines_total = index.num_lines();
+/// Scans rows [row_begin, row_end) — whole cache lines of every term and
+/// whole words of `bits` — setting the bits of the selected rows.
+/// Segments are maximal row ranges over which every term's imprint status
+/// (miss, full, partial) is constant; adjacent segments with the same
+/// partial terms coalesce before their values are checked.
+Status ScanMorsel(const std::vector<ScanTerm>& terms, size_t lead,
+                  uint64_t row_begin, uint64_t row_end, BitVector* bits,
+                  ImprintScanStats& st) {
+  const size_t nt = terms.size();
+  std::vector<ImprintsIndex::Cursor> cursors;
+  for (const ScanTerm& t : terms) cursors.emplace_back(t.index);
+  const ScanTerm& d = terms[lead];
+  const uint64_t vd = d.vpl;
+  const bool count_lines = d.index != nullptr;
+  uint64_t cand_next = 0, checked_next = 0, lines_checked = 0;
+  auto new_lines = [vd](uint64_t a, uint64_t b, uint64_t* next) {
+    const uint64_t la = std::max(a / vd, *next);
+    const uint64_t lb = (b - 1) / vd + 1;
+    *next = lb;
+    return lb > la ? lb - la : 0;
+  };
 
-  const bool want_parallel = pool != nullptr && pool->num_threads() > 0 &&
-                             column.size() >= kMinParallelScanRows;
-
-  Status scan_status;
-  DispatchDataType(column.type(), [&]<typename T>() {
-    // Compare in the column's native type: the bounds are clamped into T
-    // once per scan, so large int64 values are never rounded through
-    // double. An unsatisfiable clamped range selects nothing.
-    NativeRange<T> nr = ClampRangeToType<T>(lo, hi);
-    if (nr.empty) return;
-
-    const uint64_t n = column.size();
-    const uint64_t vpl = index.values_per_line();
-
-    // Scans the lines [first_line, first_line + line_count) of one run,
-    // shared by the serial path and the clipped per-morsel path. Values are
-    // reached through ForEachValueRun: resident columns get the contiguous
-    // span (exactly the old direct-pointer path), paged columns fault only
-    // the chunks their boundary runs overlap — full runs never touch a
-    // value, so imprint pruning translates straight into chunks never read.
-    // A chunk split restarts the 4096-value stride mid-run, which changes
-    // kernel call boundaries but not the selected bits or the stat sums.
-    auto scan_lines = [&](uint64_t first_line, uint64_t line_count, bool full,
-                          ImprintScanStats& st) -> Status {
-      st.lines_candidate += line_count;
-      uint64_t first_row = first_line * vpl;
-      uint64_t last_row = std::min((first_line + line_count) * vpl, n);
-      if (full) {
-        st.lines_full += line_count;
-        out_rows->SetRange(first_row, last_row);
-        st.rows_selected += last_row - first_row;
-        st.rows_full += last_row - first_row;
-        return Status::OK();
-      }
-      // Boundary run: the SIMD range kernel turns each chunk of values into
-      // selection words on the stack, which land in the BitVector with two
-      // ORs per word. Workers stay write-disjoint because morsels cover
-      // whole 64-bit words and the chunk never crosses last_row.
-      return ForEachValueRun<T>(
-          column, first_row, last_row,
-          [&](const T* vals, uint64_t first, size_t count) {
-            constexpr uint64_t kChunkValues = 4096;
-            uint64_t scratch[kChunkValues / 64];
-            for (uint64_t off = 0; off < count; off += kChunkValues) {
-              const uint64_t cn = std::min<uint64_t>(kChunkValues, count - off);
-              const uint64_t sel = simd::RangeSelectBits(vals + off, cn, nr.lo,
-                                                         nr.hi, scratch);
-              out_rows->OrWordsAt(first + off, scratch, cn);
-              st.values_checked += cn;
-              st.rows_selected += sel;
+  uint64_t acc[kCheckRows / 64], tmp[kCheckRows / 64];
+  // Checks the values of one coalesced segment, piece by piece. Each
+  // piece stops at the first term whose AND leaves no row.
+  auto check_segment = [&](uint64_t a, uint64_t b, uint64_t mask) -> Status {
+    for (uint64_t p = a; p < b;) {
+      const uint64_t q = std::min(b, (p / kCheckRows + 1) * kCheckRows);
+      const uint64_t nw = (q - p + 63) / 64;
+      bool first = true;
+      uint64_t selected = 0;
+      for (uint64_t m = mask; m != 0 && (first || selected != 0); m &= m - 1) {
+        const size_t bit = std::countr_zero(m);
+        const size_t last = bit == 63 ? nt : bit + 1;
+        for (size_t t = bit; t < last && (first || selected != 0); ++t) {
+          GEOCOL_ASSIGN_OR_RETURN(
+              selected, terms[t].check(p, q, first ? acc : tmp));
+          st.values_checked += q - p;
+          if (!first) {
+            selected = 0;
+            for (uint64_t w = 0; w < nw; ++w) {
+              acc[w] &= tmp[w];
+              selected += std::popcount(acc[w]);
             }
-          });
-    };
-
-    if (!want_parallel) {
-      index.FilterRangeRuns(lo, hi,
-                            [&](uint64_t first_line, uint64_t line_count,
-                                bool full) {
-                              if (!scan_status.ok()) return;
-                              scan_status =
-                                  scan_lines(first_line, line_count, full,
-                                             merged);
-                            });
-      return;
-    }
-
-    // Parallel scan: materialise the candidate runs (touches only the
-    // compressed imprint stream), then carve the row space into morsels
-    // whose boundaries are multiples of lcm(64, values_per_line). Every
-    // morsel covers whole cache lines (stats split exactly) and whole
-    // 64-bit words (workers write disjoint BitVector words).
-    std::vector<CandidateRun> runs;
-    index.FilterRangeRuns(lo, hi, [&](uint64_t first_line, uint64_t line_count,
-                                      bool full) {
-      runs.push_back({first_line, line_count, full});
-    });
-    if (runs.empty()) return;
-
-    const uint64_t unit = std::lcm<uint64_t>(64, vpl);
-    const uint64_t morsel_rows = ((kTargetMorselRows + unit - 1) / unit) * unit;
-    const uint64_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
-    if (num_morsels < 2) {
-      for (const CandidateRun& r : runs) {
-        scan_status = scan_lines(r.first_line, r.line_count, r.full, merged);
-        if (!scan_status.ok()) return;
+          }
+          first = false;
+        }
       }
-      return;
+      if (selected != 0) {
+        bits->OrWordsAt(p, acc, q - p);
+        st.rows_selected += selected;
+      }
+      p = q;
     }
+    return Status::OK();
+  };
 
+  uint64_t pend_a = 0, pend_b = 0, pend_mask = 0;
+  auto flush = [&]() -> Status {
+    if (pend_b == pend_a) return Status::OK();
+    if (count_lines) {
+      st.lines_candidate += new_lines(pend_a, pend_b, &cand_next);
+      if (pend_mask != 0) {
+        lines_checked += new_lines(pend_a, pend_b, &checked_next);
+      }
+    }
+    if (pend_mask != 0) return check_segment(pend_a, pend_b, pend_mask);
+    bits->SetRange(pend_a, pend_b);
+    st.rows_selected += pend_b - pend_a;
+    st.rows_full += pend_b - pend_a;
+    return Status::OK();
+  };
+  auto emit = [&](uint64_t a, uint64_t b, uint64_t mask) -> Status {
+    if (a != pend_b || mask != pend_mask) {
+      GEOCOL_RETURN_NOT_OK(flush());
+      pend_a = a;
+      pend_mask = mask;
+    }
+    pend_b = b;
+    return Status::OK();
+  };
+
+  // Per probed term, the stretch of rows ending at end_row (before line
+  // end_line) over which its imprint status holds: 0 miss, 1 full, 2
+  // partial.
+  struct Stretch {
+    uint64_t end_row = 0, end_line = 0;
+    int state = 0;
+  };
+  std::vector<Stretch> stretches(nt);
+  // Splits the lead column's candidate rows [r, r1) into segments by probing
+  // every other term's imprint at the row's cache line. A stretch extends
+  // over following lines of the same status up to r1. Rows only ascend,
+  // so a term is re-sought only past its stretch, and a contiguous walk
+  // continues at end_line without dividing.
+  auto probe = [&](uint64_t r, uint64_t r1, uint64_t lead_mask) -> Status {
+    while (r < r1) {
+      uint64_t end = r1;
+      uint64_t mask = lead_mask;
+      bool miss = false;
+      for (size_t t = 0; t < nt && !miss; ++t) {
+        if (t == lead) continue;
+        const ScanTerm& pt = terms[t];
+        if (pt.index == nullptr) {
+          mask |= TermBit(t);
+          continue;
+        }
+        Stretch& s = stretches[t];
+        if (r >= s.end_row) {
+          ImprintsIndex::Cursor& c = cursors[t];
+          auto state = [&pt](uint64_t v) {
+            if ((v & pt.mask.query) == 0) return 0;
+            return (v & ~pt.mask.inner) == 0 ? 1 : 2;
+          };
+          s.state = state(c.Seek(r == s.end_row ? s.end_line : r / pt.vpl));
+          s.end_line = c.run_end();
+          while (s.end_line * pt.vpl < r1 &&
+                 state(c.Seek(s.end_line)) == s.state) {
+            s.end_line = c.run_end();
+          }
+          s.end_row = std::min(s.end_line * pt.vpl, row_end);
+        }
+        miss = s.state == 0;
+        if (s.state == 2) mask |= TermBit(t);
+        end = miss ? std::min(s.end_row, r1) : std::min(end, s.end_row);
+      }
+      if (!miss) GEOCOL_RETURN_NOT_OK(emit(r, end, mask));
+      r = end;
+    }
+    return Status::OK();
+  };
+
+  if (d.index == nullptr) {
+    GEOCOL_RETURN_NOT_OK(probe(row_begin, row_end, TermBit(lead)));
+  } else {
+    Status status;
+    d.index->CandidateRuns(
+        d.mask, row_begin / vd, (row_end + vd - 1) / vd,
+        [&](uint64_t first, uint64_t count, bool full) {
+          if (!status.ok()) return;
+          status = probe(first * vd, std::min((first + count) * vd, row_end),
+                         full ? 0 : TermBit(lead));
+        });
+    GEOCOL_RETURN_NOT_OK(status);
+  }
+  GEOCOL_RETURN_NOT_OK(flush());
+  st.lines_full += st.lines_candidate - lines_checked;
+  return Status::OK();
+}
+
+/// Plans the scan of `terms` and runs it morsel by morsel into `bits`
+/// (resized to the column length); when `rows` is non-null, also appends
+/// the selected row ids to it.
+Status RunScan(const std::vector<RangeTerm>& terms, ThreadPool* pool,
+               BitVector* bits, std::vector<uint64_t>* rows,
+               ImprintScanStats* stats) {
+  if (terms.empty()) return Status::InvalidArgument("scan without terms");
+  const auto scan_start = std::chrono::steady_clock::now();
+  const uint64_t n = terms[0].column->size();
+  bits->Resize(n);
+  std::vector<ScanTerm> plan(terms.size());
+  bool empty = false;
+  uint64_t unit = 64;
+  for (size_t t = 0; t < terms.size(); ++t) {
+    const RangeTerm& rt = terms[t];
+    const Column& column = *rt.column;
+    if (column.size() != n) {
+      return Status::InvalidArgument("scan columns differ in length");
+    }
+    ScanTerm& st = plan[t];
+    st.index = rt.index;
+    if (rt.index != nullptr) {
+      if (rt.index->built_epoch() != column.epoch()) {
+        return Status::Internal("stale imprints index (column was modified)");
+      }
+      st.vpl = rt.index->values_per_line();
+      st.mask = rt.index->MaskForRange(rt.lo, rt.hi);
+      unit = std::lcm(unit, st.vpl);
+    }
+    DispatchDataType(column.type(), [&]<typename T>() {
+      // Compare in the column's native type: the bounds are clamped into T
+      // once per scan, so large int64 values are never rounded through
+      // double. An unsatisfiable clamped range selects nothing.
+      const NativeRange<T> nr = ClampRangeToType<T>(rt.lo, rt.hi);
+      empty |= nr.empty;
+      // Pieces never straddle a paging chunk, so ForEachValueRun makes
+      // exactly one call.
+      st.check = [&column, nr](uint64_t a, uint64_t b,
+                               uint64_t* words) -> Result<uint64_t> {
+        uint64_t selected = 0;
+        GEOCOL_RETURN_NOT_OK(ForEachValueRun<T>(
+            column, a, b, [&](const T* vals, uint64_t, size_t count) {
+              selected = simd::RangeSelectBits(vals, count, nr.lo, nr.hi,
+                                               words);
+            }));
+        return selected;
+      };
+    });
+  }
+  // Drive from the spatial column whose dictionary is cheaper to walk.
+  size_t lead = 0;
+  if (plan.size() > 1 && plan[0].index != nullptr && plan[1].index != nullptr &&
+      plan[1].index->dictionary().size() < plan[0].index->dictionary().size()) {
+    lead = 1;
+  }
+
+  ImprintScanStats merged;
+  if (plan[lead].index) merged.lines_total = plan[lead].index->num_lines();
+  if (!empty) {
+    const uint64_t morsel_rows =
+        ((kTargetMorselRows + unit - 1) / unit) * unit;
+    const uint64_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
+    const bool parallel = pool != nullptr && pool->num_threads() > 0 &&
+                          n >= kMinParallelScanRows && num_morsels > 1;
+    auto for_each_morsel = [&](const std::function<void(size_t)>& fn) {
+      if (parallel) {
+        pool->ParallelFor(num_morsels, fn);
+      } else {
+        for (size_t m = 0; m < num_morsels; ++m) fn(m);
+      }
+    };
     std::vector<ImprintScanStats> morsel_stats(num_morsels);
     std::vector<Status> morsel_status(num_morsels);
-    pool->ParallelFor(num_morsels, [&](size_t m) {
+    for_each_morsel([&](size_t m) {
       const uint64_t row_begin = m * morsel_rows;
-      const uint64_t row_end = std::min(n, row_begin + morsel_rows);
-      const uint64_t line_begin = row_begin / vpl;
-      const uint64_t line_end = (row_end + vpl - 1) / vpl;
-      ImprintScanStats& st = morsel_stats[m];
-      // First run overlapping this morsel; runs are sorted and disjoint.
-      auto it = std::partition_point(
-          runs.begin(), runs.end(), [&](const CandidateRun& r) {
-            return r.first_line + r.line_count <= line_begin;
-          });
-      for (; it != runs.end() && it->first_line < line_end; ++it) {
-        uint64_t lb = std::max(it->first_line, line_begin);
-        uint64_t le = std::min(it->first_line + it->line_count, line_end);
-        morsel_status[m] = scan_lines(lb, le - lb, it->full, st);
-        if (!morsel_status[m].ok()) return;
-      }
+      morsel_status[m] = ScanMorsel(plan, lead, row_begin,
+                                    std::min(n, row_begin + morsel_rows),
+                                    bits, morsel_stats[m]);
     });
-    for (Status& st : morsel_status) {
-      if (!st.ok()) {
-        scan_status = std::move(st);
-        return;
-      }
+    if (parallel) {
+      merged.workers = static_cast<uint32_t>(
+          std::min<uint64_t>(num_morsels, pool->num_threads() + 1));
     }
-    for (const ImprintScanStats& st : morsel_stats) {
+    for (Status& st : morsel_status) GEOCOL_RETURN_NOT_OK(std::move(st));
+    std::vector<uint64_t> offset(num_morsels + 1, rows ? rows->size() : 0);
+    for (size_t m = 0; m < num_morsels; ++m) {
+      const ImprintScanStats& st = morsel_stats[m];
       merged.lines_candidate += st.lines_candidate;
       merged.lines_full += st.lines_full;
       merged.values_checked += st.values_checked;
       merged.rows_selected += st.rows_selected;
       merged.rows_full += st.rows_full;
+      offset[m + 1] = offset[m] + st.rows_selected;
     }
-    merged.workers = static_cast<uint32_t>(
-        std::min<uint64_t>(num_morsels, pool->num_threads() + 1));
-  });
-  GEOCOL_RETURN_NOT_OK(scan_status);
+    // Row ids: the list is sized once, and each morsel writes its rows in
+    // ascending order at its own offset, so the morsels concatenate in
+    // order without copying.
+    if (rows != nullptr) {
+      rows->resize(offset[num_morsels]);
+      for_each_morsel([&](size_t m) {
+        bits->CollectSetBitsInRange(m * morsel_rows, (m + 1) * morsel_rows,
+                                    rows->data() + offset[m]);
+      });
+    }
+  }
   // Work counters feed `geocol metrics` exposition and must stay equal to
   // the span attributes EXPLAIN ANALYZE reports (asserted in tests).
   GEOCOL_METRIC_COUNTER(c_scans, "geocol_imprint_scans_total");
@@ -194,6 +327,21 @@ Status ImprintRangeSelect(const Column& column, const ImprintsIndex& index,
                      .count());
   if (stats != nullptr) *stats = merged;
   return Status::OK();
+}
+
+}  // namespace
+
+Status ConjunctiveRangeSelect(const std::vector<RangeTerm>& terms,
+                              std::vector<uint64_t>* out_rows,
+                              ImprintScanStats* stats, ThreadPool* pool) {
+  BitVector bits;
+  return RunScan(terms, pool, &bits, out_rows, stats);
+}
+
+Status ImprintRangeSelect(const Column& column, const ImprintsIndex& index,
+                          double lo, double hi, BitVector* out_rows,
+                          ImprintScanStats* stats, ThreadPool* pool) {
+  return RunScan({{&column, &index, lo, hi}}, pool, out_rows, nullptr, stats);
 }
 
 Status FullScanRangeSelect(const Column& column, double lo, double hi,

@@ -1,10 +1,21 @@
-// Imprint-accelerated range selection over a column: the "filtering" step
-// of the paper's query model (§3.3), turned into a row-level selection.
-// Cache lines whose imprint misses the query mask are never touched; lines
-// fully inside the range are accepted wholesale; only boundary lines incur
-// per-value comparisons. With a thread pool the candidate cacheline runs
-// are partitioned into morsels aligned to 64-row boundaries, so workers
-// write disjoint BitVector words without synchronisation.
+// Imprint-accelerated range selection: the "filtering" step of the
+// paper's query model (§3.3), turned into a row-level selection.
+//
+// The filter is one conjunctive scan over every range of a query (x, y and
+// the residual thematic ranges). It walks the candidate runs of one
+// driving imprint and, at each candidate line, probes every other
+// column's imprint through an ImprintsIndex::Cursor; a column with a
+// different values-per-line is probed by row range. Cache lines where any
+// imprint misses are never touched; lines where every imprint is "full"
+// are accepted wholesale; the SIMD range kernel runs only on the columns
+// whose line is not full, and their selection words are ANDed into one row
+// bitmap. The row space is cut into morsels aligned to lcm(64, every
+// values-per-line), so every morsel covers whole cache lines of every
+// column and whole bitmap words; with a thread pool the morsels run in
+// parallel, and the serial scan walks the same morsels in order, so both
+// produce the same rows and stats. Row ids are then written once, each
+// morsel's ascending rows at its own offset of one exactly sized list.
+// The cursors and their checkpoints live in memory only.
 #ifndef GEOCOL_CORE_IMPRINT_SCAN_H_
 #define GEOCOL_CORE_IMPRINT_SCAN_H_
 
@@ -13,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "columns/column.h"
 #include "core/imprints.h"
@@ -24,13 +36,15 @@ namespace geocol {
 class ThreadPool;
 
 /// Work accounting of one imprint-filtered scan (drives E3/E5 reporting).
-/// Parallel scans merge per-morsel counters; because morsels cover whole
-/// cache lines, the merged stats equal the serial scan's exactly.
+/// Lines are cache lines of the driving column. Parallel scans merge
+/// per-morsel counters; because morsels cover whole cache lines, the
+/// merged stats equal the serial scan's exactly. A scan without imprints
+/// counts no lines.
 struct ImprintScanStats {
   uint64_t lines_total = 0;
-  uint64_t lines_candidate = 0;  ///< imprint hit: line was visited
-  uint64_t lines_full = 0;       ///< accepted without per-value checks
-  uint64_t values_checked = 0;   ///< per-value comparisons performed
+  uint64_t lines_candidate = 0;  ///< every imprint hit some of its rows
+  uint64_t lines_full = 0;       ///< candidate lines with no value checked
+  uint64_t values_checked = 0;   ///< per-value comparisons, all columns
   uint64_t rows_selected = 0;
   uint64_t rows_full = 0;        ///< rows accepted via full lines (no check)
   uint32_t workers = 1;          ///< threads that executed scan morsels
@@ -53,13 +67,31 @@ struct ImprintScanStats {
   }
 };
 
-/// Selects rows with value in [lo, hi] using the imprints index.
-/// `out_rows` is resized to the column length. The index must have been
-/// built on the current column state (epoch match) — Internal error
-/// otherwise. Values are compared in the column's native type (the bounds
-/// are clamped into it once per scan). A non-null `pool` scans candidate
-/// runs in parallel morsels; the selection and stats are identical to the
-/// serial scan.
+/// One conjunct of a conjunctive scan: rows whose `column` value lies in
+/// [lo, hi], compared in the column's native type (the bounds are clamped
+/// into it once per scan).
+struct RangeTerm {
+  const Column* column = nullptr;
+  /// Imprint built on the column's current state (epoch match — Internal
+  /// error otherwise), or null: every line of the term is then a non-full
+  /// candidate and all its values are checked.
+  const ImprintsIndex* index = nullptr;
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+/// Selects the rows that satisfy every term, as ascending row ids appended
+/// to `out_rows`. All columns must have the same length. The scan is
+/// driven by whichever of the first two terms (the spatial pair) has the
+/// shorter imprint dictionary. A non-null `pool` scans morsels in
+/// parallel; the rows and stats equal the serial scan's.
+Status ConjunctiveRangeSelect(const std::vector<RangeTerm>& terms,
+                              std::vector<uint64_t>* out_rows,
+                              ImprintScanStats* stats = nullptr,
+                              ThreadPool* pool = nullptr);
+
+/// The one-term scan into a row bitmap: `out_rows` is resized to the
+/// column length and bit r is set when row r's value lies in [lo, hi].
 Status ImprintRangeSelect(const Column& column, const ImprintsIndex& index,
                           double lo, double hi, BitVector* out_rows,
                           ImprintScanStats* stats = nullptr,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
 
 #include "util/thread_pool.h"
 
@@ -84,11 +83,9 @@ Status BinarizeLines(const Column& column, const BinBounds& bins,
   return Status::OK();
 }
 
-/// Canonical greedy dictionary encoding over a stream of vector runs.
-/// Feeding it the maximal-run decomposition of the per-line vectors
-/// reproduces the serial build byte-for-byte (PR 1's stitching invariant:
+/// Canonical greedy dictionary encoding over a stream of vector runs:
 /// runs of >= 2 lines become repeat entries, singletons coalesce into
-/// literal entries). Adjacent Add() calls with equal vectors merge, so
+/// literal entries. Adjacent Add() calls with equal vectors merge, so
 /// chunk/seam boundaries in the input stream never show in the output.
 class RunEmitter {
  public:
@@ -116,17 +113,14 @@ class RunEmitter {
     while (count > 0) {
       uint64_t piece = std::min<uint64_t>(count, kMaxCount);
       count -= piece;
+      vectors_->push_back(pending_vec_);
       if (piece >= 2) {
-        vectors_->push_back(pending_vec_);
         dict_->push_back({static_cast<uint32_t>(piece), true});
+      } else if (!dict_->empty() && !dict_->back().repeat &&
+                 dict_->back().count < kMaxCount) {
+        ++dict_->back().count;
       } else {
-        vectors_->push_back(pending_vec_);
-        if (!dict_->empty() && !dict_->back().repeat &&
-            dict_->back().count < kMaxCount) {
-          ++dict_->back().count;
-        } else {
-          dict_->push_back({1, false});
-        }
+        dict_->push_back({1, false});
       }
     }
   }
@@ -142,13 +136,6 @@ class RunEmitter {
 Result<ImprintsIndex> ImprintsIndex::Build(const Column& column,
                                            const ImprintsOptions& options,
                                            ThreadPool* pool) {
-  if (column.empty()) {
-    return Status::InvalidArgument("cannot build imprints on empty column");
-  }
-  if (options.cacheline_bytes < column.width() ||
-      options.cacheline_bytes % column.width() != 0) {
-    return Status::InvalidArgument("cacheline size incompatible with type width");
-  }
   GEOCOL_ASSIGN_OR_RETURN(
       BinBounds bins,
       BinBounds::Sample(column, options.max_bins, options.sample_size,
@@ -177,96 +164,30 @@ Result<ImprintsIndex> ImprintsIndex::BuildWithBins(const Column& column,
   ix.built_epoch_ = column.epoch();
   ix.vectors_.reserve(ix.num_lines_ / 4 + 16);
 
-  if (pool != nullptr && pool->num_threads() > 0 &&
-      ix.num_lines_ >= kMinParallelBuildLines) {
-    // Parallel build: workers binarise disjoint line chunks into maximal
-    // runs of identical vectors; the dictionary is then stitched serially,
-    // merging runs that touch across chunk seams. The emission rules below
-    // reproduce the serial greedy encoding exactly (runs of >= 2 lines
-    // become repeat entries, singleton runs coalesce into literal entries),
-    // so parallel and serial builds are byte-identical.
-    std::vector<std::vector<VectorRun>> chunk_runs;
-    GEOCOL_RETURN_NOT_OK(BinarizeLines(column, bins, ix.values_per_line_,
-                                       ix.num_rows_, 0, ix.num_lines_, pool,
-                                       &chunk_runs));
-    RunEmitter emitter(&ix.vectors_, &ix.dict_);
-    for (const auto& runs : chunk_runs) {
-      for (const VectorRun& r : runs) emitter.Add(r.vec, r.count);
-    }
-    emitter.Finish();
-    return ix;
+  // Binarise the lines into maximal runs of identical vectors (in chunks
+  // across `pool` when the column is large), then encode the runs in
+  // order. RunEmitter merges runs that touch across chunk seams, so the
+  // index does not depend on the chunking: serial and parallel builds are
+  // byte-identical.
+  std::vector<std::vector<VectorRun>> chunk_runs;
+  GEOCOL_RETURN_NOT_OK(BinarizeLines(column, bins, ix.values_per_line_,
+                                     ix.num_rows_, 0, ix.num_lines_, pool,
+                                     &chunk_runs));
+  RunEmitter emitter(&ix.vectors_, &ix.dict_);
+  for (const auto& runs : chunk_runs) {
+    for (const VectorRun& r : runs) emitter.Add(r.vec, r.count);
   }
-
-  Status build_status;
-  DispatchDataType(column.type(), [&]<typename T>() {
-    uint64_t prev_vector = 0;
-    bool have_prev = false;
-    // Lines arrive through ForEachValueRun: resident columns see the whole
-    // span in one run (exactly the old direct-indexing loop), paged
-    // columns binarise one faulted chunk at a time. Paging-chunk
-    // boundaries are multiples of values_per_line, so a cache line never
-    // straddles two runs and the greedy encoding state (prev_vector, the
-    // open dictionary entry) simply carries across run seams.
-    build_status = ForEachValueRun<T>(
-        column, 0, ix.num_rows_, [&](const T* vals, uint64_t first,
-                                     size_t count) {
-          for (uint64_t line = first / ix.values_per_line_;
-               line * ix.values_per_line_ < first + count; ++line) {
-            uint64_t lf = line * ix.values_per_line_;
-            uint64_t ll =
-                std::min<uint64_t>(lf + ix.values_per_line_, first + count);
-            uint64_t v = 0;
-            for (uint64_t i = lf; i < ll; ++i) {
-              v |= uint64_t{1}
-                   << bins.BinOf(static_cast<double>(vals[i - first]));
-            }
-            if (have_prev && v == prev_vector && !ix.dict_.empty() &&
-                ix.dict_.back().count < kMaxCount) {
-              DictEntry& back = ix.dict_.back();
-              if (back.repeat) {
-                // Extend the run of identical vectors.
-                ++back.count;
-              } else if (back.count == 1) {
-                // The single vector becomes a repeat group of two lines.
-                back.repeat = true;
-                back.count = 2;
-              } else {
-                // Detach the trailing vector from the literal run; it seeds
-                // a new repeat group (the vector is already the last one
-                // stored).
-                --back.count;
-                ix.dict_.push_back({2, true});
-              }
-            } else {
-              ix.vectors_.push_back(v);
-              if (!ix.dict_.empty() && !ix.dict_.back().repeat &&
-                  ix.dict_.back().count < kMaxCount) {
-                ++ix.dict_.back().count;
-              } else {
-                ix.dict_.push_back({1, false});
-              }
-              prev_vector = v;
-              have_prev = true;
-            }
-          }
-        });
-  });
-  GEOCOL_RETURN_NOT_OK(build_status);
+  emitter.Finish();
+  ix.BuildCheckpoints();
   return ix;
 }
 
 Result<ImprintsIndex> ImprintsIndex::ExtendAppend(const ImprintsIndex& base,
                                                   const Column& column,
                                                   ThreadPool* pool) {
-  if (column.empty()) {
-    return Status::InvalidArgument("cannot extend imprints over empty column");
-  }
   if (column.size() < base.num_rows_) {
     return Status::InvalidArgument(
         "imprints extend: column shrank below the indexed prefix");
-  }
-  if (base.values_per_line_ == 0) {
-    return Status::InvalidArgument("imprints extend: bad base geometry");
   }
 
   ImprintsIndex ix;
@@ -283,35 +204,15 @@ Result<ImprintsIndex> ImprintsIndex::ExtendAppend(const ImprintsIndex& base,
   // and everything after is binarised fresh from the column.
   uint64_t seam_line = base.num_rows_ / ix.values_per_line_;
 
-  // Decode the base dictionary back into the maximal-run decomposition of
-  // its per-line vectors, truncated at the seam. Adjacent equal runs are
-  // re-coalesced here so runs the encoder split at the kMaxCount cap come
-  // back as one — the emitter below must see maximal runs to reproduce the
-  // from-scratch encoding byte-for-byte.
-  std::vector<VectorRun> head;
-  head.reserve(base.dict_.size());
-  auto add_head = [&head](uint64_t vec, uint64_t count) {
-    if (count == 0) return;
-    if (!head.empty() && head.back().vec == vec) {
-      head.back().count += count;
-    } else {
-      head.push_back({vec, count});
-    }
-  };
-  uint64_t line = 0;
-  size_t vec_idx = 0;
-  for (const DictEntry& e : base.dict_) {
-    if (line >= seam_line) break;
-    if (e.repeat) {
-      uint64_t v = base.vectors_[vec_idx++];
-      add_head(v, std::min<uint64_t>(e.count, seam_line - line));
-      line += e.count;
-    } else {
-      for (uint32_t j = 0; j < e.count && line < seam_line; ++j, ++line) {
-        add_head(base.vectors_[vec_idx + j], 1);
-      }
-      vec_idx += e.count;
-    }
+  // Walk the base's per-line vectors up to the seam; the emitter below
+  // re-coalesces adjacent equal runs (also runs the encoder split at the
+  // kMaxCount cap), so it sees the maximal runs a from-scratch build
+  // would and reproduces its encoding byte-for-byte.
+  RunEmitter emitter(&ix.vectors_, &ix.dict_);
+  Cursor cursor(&base);
+  for (uint64_t line = 0; line < seam_line; line = cursor.run_end()) {
+    const uint64_t v = cursor.Seek(line);
+    emitter.Add(v, std::min(cursor.run_end(), seam_line) - line);
   }
 
   std::vector<std::vector<VectorRun>> tail_chunks;
@@ -319,12 +220,11 @@ Result<ImprintsIndex> ImprintsIndex::ExtendAppend(const ImprintsIndex& base,
                                      ix.num_rows_, seam_line, ix.num_lines_,
                                      pool, &tail_chunks));
 
-  RunEmitter emitter(&ix.vectors_, &ix.dict_);
-  for (const VectorRun& r : head) emitter.Add(r.vec, r.count);
   for (const auto& runs : tail_chunks) {
     for (const VectorRun& r : runs) emitter.Add(r.vec, r.count);
   }
   emitter.Finish();
+  ix.BuildCheckpoints();
   return ix;
 }
 
@@ -360,21 +260,22 @@ Result<ImprintsIndex> ImprintsIndex::Restore(BinBounds bins,
   ix.built_epoch_ = built_epoch;
   ix.vectors_ = std::move(vectors);
   ix.dict_ = std::move(dict);
+  ix.BuildCheckpoints();
   return ix;
 }
 
-uint64_t ImprintsIndex::VectorAtLine(uint64_t line) const {
-  assert(line < num_lines_);
-  uint64_t at = 0;
-  size_t vec_idx = 0;
-  for (const DictEntry& e : dict_) {
-    if (line < at + e.count) {
-      return e.repeat ? vectors_[vec_idx] : vectors_[vec_idx + (line - at)];
+void ImprintsIndex::BuildCheckpoints() {
+  checkpoints_.clear();
+  checkpoints_.reserve((num_lines_ + kCheckpointLines - 1) / kCheckpointLines);
+  uint64_t first = 0, vec = 0;
+  for (size_t e = 0; e < dict_.size(); ++e) {
+    const uint64_t end = first + dict_[e].count;
+    while (checkpoints_.size() * kCheckpointLines < end) {
+      checkpoints_.push_back({first, vec, e});
     }
-    at += e.count;
-    vec_idx += e.repeat ? 1 : e.count;
+    first = end;
+    vec += dict_[e].repeat ? 1 : dict_[e].count;
   }
-  return 0;
 }
 
 ImprintMask ImprintsIndex::MaskForRange(double lo, double hi) const {
@@ -404,12 +305,13 @@ void ImprintsIndex::FilterRange(double lo, double hi, BitVector* candidates,
                                 BitVector* full_lines) const {
   candidates->Resize(num_lines_);
   if (full_lines != nullptr) full_lines->Resize(num_lines_);
-  FilterRangeRuns(lo, hi, [&](uint64_t first, uint64_t count, bool full) {
-    candidates->SetRange(first, first + count);
-    if (full && full_lines != nullptr) {
-      full_lines->SetRange(first, first + count);
-    }
-  });
+  CandidateRuns(MaskForRange(lo, hi), 0, num_lines_,
+                [&](uint64_t first, uint64_t count, bool full) {
+                  candidates->SetRange(first, first + count);
+                  if (full && full_lines != nullptr) {
+                    full_lines->SetRange(first, first + count);
+                  }
+                });
 }
 
 ImprintsStorage ImprintsIndex::Storage(uint64_t column_payload_bytes) const {

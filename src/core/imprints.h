@@ -13,9 +13,18 @@
 // candidate iff its imprint intersects the query mask; it qualifies fully —
 // no per-value checks needed — iff its imprint has no bits outside the
 // inner mask.
+//
+// Random access: every index keeps one checkpoint (dictionary entry,
+// vector index, first line of that entry) per kCheckpointLines cache
+// lines, so a Cursor reaches any line after walking at most that many
+// dictionary entries. The checkpoints are derived from the dictionary in
+// memory whenever an index is built, extended or restored; the on-disk
+// GIM2 format (core/imprints_io.h) does not store them and is unchanged.
 #ifndef GEOCOL_CORE_IMPRINTS_H_
 #define GEOCOL_CORE_IMPRINTS_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -117,10 +126,13 @@ class ImprintsIndex {
   void FilterRange(double lo, double hi, BitVector* candidates,
                    BitVector* full_lines = nullptr) const;
 
-  /// As FilterRange but invokes `fn(first_line, line_count, full)` per
-  /// maximal run, avoiding bit vector materialisation.
+  /// As FilterRange for the lines [line_begin, line_end), but invokes
+  /// `fn(first_line, line_count, full)` per maximal run of candidate lines
+  /// with equal `full`, avoiding bit vector materialisation. The walk
+  /// starts at line_begin's checkpoint.
   template <typename Fn>
-  void FilterRangeRuns(double lo, double hi, Fn&& fn) const;
+  void CandidateRuns(const ImprintMask& mask, uint64_t line_begin,
+                     uint64_t line_end, Fn&& fn) const;
 
   ImprintsStorage Storage(uint64_t column_payload_bytes) const;
 
@@ -140,10 +152,39 @@ class ImprintsIndex {
   const std::vector<uint64_t>& vectors() const { return vectors_; }
   const std::vector<DictEntry>& dictionary() const { return dict_; }
 
-  /// Imprint vector stored for cache line `line` (walks the compressed
-  /// dictionary, O(dict entries)). Used by the incremental-stitch probe
-  /// verification; not a scan-path primitive.
-  uint64_t VectorAtLine(uint64_t line) const;
+  /// Cache lines between two checkpoints.
+  static constexpr uint64_t kCheckpointLines = 64;
+
+  /// Forward cursor over the per-line vectors. Seek() starts from the
+  /// cursor's current dictionary entry when the target line is at most
+  /// kCheckpointLines past it, and from the target's checkpoint otherwise,
+  /// so any seek walks at most about kCheckpointLines entries and an
+  /// ascending walk costs O(1) per line. A cursor must not outlive its
+  /// index; distinct cursors over one index are independent.
+  class Cursor {
+   public:
+    explicit Cursor(const ImprintsIndex* index) : ix_(index) {}
+
+    /// Imprint vector of cache line `line` (< num_lines()).
+    uint64_t Seek(uint64_t line);
+
+    /// One past the last line known to share the vector the last Seek
+    /// returned: the end of its repeat entry, or line + 1 inside a
+    /// literal entry.
+    uint64_t run_end() const { return run_end_; }
+
+   private:
+    const ImprintsIndex* ix_ = nullptr;
+    size_t entry_ = 0;          ///< dictionary entry holding the last line
+    size_t vec_ = 0;            ///< vectors_ index of that entry's first vector
+    uint64_t entry_first_ = 0;  ///< first line of that entry
+    uint64_t run_end_ = 0;
+  };
+
+  /// Imprint vector stored for cache line `line`, through the checkpoints
+  /// (O(kCheckpointLines)). Used by the incremental-stitch probe
+  /// verification.
+  uint64_t VectorAtLine(uint64_t line) const { return Cursor(this).Seek(line); }
 
   /// Reassembles an index from persisted parts (see core/imprints_io.h).
   /// Validates structural invariants (dictionary covers all lines, vector
@@ -157,6 +198,17 @@ class ImprintsIndex {
  private:
   ImprintsIndex() = default;
 
+  /// Where the walk to line k * kCheckpointLines starts: the dictionary
+  /// entry holding that line, its first vector and its first line.
+  struct Checkpoint {
+    uint64_t first_line;
+    uint64_t vec;
+    uint64_t entry;
+  };
+
+  /// Derives checkpoints_ from dict_; every constructor path ends here.
+  void BuildCheckpoints();
+
   BinBounds bins_;
   uint32_t values_per_line_ = 0;
   uint64_t num_lines_ = 0;
@@ -164,18 +216,44 @@ class ImprintsIndex {
   uint64_t built_epoch_ = 0;
   std::vector<uint64_t> vectors_;
   std::vector<DictEntry> dict_;
+  std::vector<Checkpoint> checkpoints_;
 };
 
+inline uint64_t ImprintsIndex::Cursor::Seek(uint64_t line) {
+  assert(line < ix_->num_lines_);
+  const std::vector<DictEntry>& dict = ix_->dict_;
+  if (line < entry_first_ ||
+      line >= entry_first_ + dict[entry_].count + kCheckpointLines) {
+    const Checkpoint& c = ix_->checkpoints_[line / kCheckpointLines];
+    entry_ = c.entry;
+    vec_ = c.vec;
+    entry_first_ = c.first_line;
+  }
+  while (line >= entry_first_ + dict[entry_].count) {
+    const DictEntry& e = dict[entry_++];
+    entry_first_ += e.count;
+    vec_ += e.repeat ? 1 : e.count;
+  }
+  const DictEntry& e = dict[entry_];
+  if (e.repeat) {
+    run_end_ = entry_first_ + e.count;
+    return ix_->vectors_[vec_];
+  }
+  run_end_ = line + 1;
+  return ix_->vectors_[vec_ + (line - entry_first_)];
+}
+
 template <typename Fn>
-void ImprintsIndex::FilterRangeRuns(double lo, double hi, Fn&& fn) const {
-  ImprintMask mask = MaskForRange(lo, hi);
-  uint64_t line = 0;
-  size_t vec_idx = 0;
+void ImprintsIndex::CandidateRuns(const ImprintMask& mask, uint64_t line_begin,
+                                  uint64_t line_end, Fn&& fn) const {
+  if (line_begin >= line_end) return;
+  const Checkpoint& c = checkpoints_[line_begin / kCheckpointLines];
+  uint64_t line = c.first_line;
+  size_t vec_idx = c.vec;
   // Coalesce adjacent emissions with equal `full` status.
   uint64_t run_start = 0, run_len = 0;
   bool run_full = false;
   auto emit = [&](uint64_t start, uint64_t count, bool full) {
-    if (count == 0) return;
     if (run_len > 0 && run_full == full && run_start + run_len == start) {
       run_len += count;
       return;
@@ -185,26 +263,30 @@ void ImprintsIndex::FilterRangeRuns(double lo, double hi, Fn&& fn) const {
     run_len = count;
     run_full = full;
   };
-  for (const DictEntry& e : dict_) {
+  for (size_t i = c.entry; line < line_end; ++i) {
+    const DictEntry& e = dict_[i];
     if (e.repeat) {
-      uint64_t v = vectors_[vec_idx++];
-      if ((v & mask.query) != 0) {
-        emit(line, e.count, (v & ~mask.inner) == 0);
+      const uint64_t v = vectors_[vec_idx++];
+      const uint64_t first = std::max(line, line_begin);
+      const uint64_t last = std::min(line + e.count, line_end);
+      if ((v & mask.query) != 0 && first < last) {
+        emit(first, last - first, (v & ~mask.inner) == 0);
       }
-      line += e.count;
     } else {
-      for (uint32_t j = 0; j < e.count; ++j) {
-        uint64_t v = vectors_[vec_idx++];
+      const uint64_t j_end = std::min<uint64_t>(e.count, line_end - line);
+      for (uint64_t j = line < line_begin ? line_begin - line : 0; j < j_end;
+           ++j) {
+        const uint64_t v = vectors_[vec_idx + j];
         if ((v & mask.query) != 0) {
-          emit(line, 1, (v & ~mask.inner) == 0);
+          emit(line + j, 1, (v & ~mask.inner) == 0);
         }
-        ++line;
       }
+      vec_idx += e.count;
     }
+    line += e.count;
   }
   if (run_len > 0) fn(run_start, run_len, run_full);
 }
-
 }  // namespace geocol
 
 #endif  // GEOCOL_CORE_IMPRINTS_H_

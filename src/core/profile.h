@@ -88,8 +88,8 @@ class QueryProfile {
   /// Appends every span of `other`, preserving order. Root spans of
   /// `other` become children of this profile's innermost open span (if
   /// any); start offsets are re-based onto this profile's epoch. Used to
-  /// merge the branch-local profiles of concurrently executed filter
-  /// steps back into the query profile in a deterministic order.
+  /// merge the branch-local profiles of concurrently scanned shards back
+  /// into the query profile in a deterministic order.
   void Append(const QueryProfile& other);
 
   const std::vector<OperatorProfile>& operators() const { return ops_; }
@@ -108,13 +108,13 @@ class QueryProfile {
   int64_t TotalNanos() const;
 
   /// Wall time actually covered by spans: the measure of the union of
-  /// the root spans' [start, start+nanos) intervals. Concurrent filter
-  /// branches overlap and are counted once, so this is the honest
-  /// wall-time figure for the query.
+  /// the root spans' [start, start+nanos) intervals. Overlapping spans
+  /// are counted once, so this is the honest wall-time figure for the
+  /// query.
   int64_t CriticalPathNanos() const;
 
   /// Multi-line plan rendering as an indented tree:
-  ///   filter.imprints.x      1.23 ms   12500 -> 830 lines  [mask=...]
+  ///   filter.imprints        1.23 ms   12500 -> 830 lines  [mask=...]
   /// with trailing "TOTAL (sum)" and "WALL (critical path)" lines.
   std::string ToString() const;
 
@@ -130,30 +130,6 @@ class QueryProfile {
 /// first use). Stable for the thread's lifetime; used to lane spans in
 /// trace exports.
 uint32_t CurrentProfileThreadId();
-
-/// RAII helper: opens a span on construction, closes it on destruction.
-/// Only safe when the profile outlives the scope (do not use across
-/// moves/returns of the profile).
-class ScopedSpan {
- public:
-  ScopedSpan(QueryProfile* profile, std::string name)
-      : profile_(profile), index_(profile->OpenSpan(std::move(name))) {}
-  ~ScopedSpan() { profile_->CloseSpan(rows_in_, rows_out_); }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
-  int32_t index() const { return index_; }
-  void SetRows(uint64_t rows_in, uint64_t rows_out) {
-    rows_in_ = rows_in;
-    rows_out_ = rows_out;
-  }
-
- private:
-  QueryProfile* profile_;
-  int32_t index_;
-  uint64_t rows_in_ = 0;
-  uint64_t rows_out_ = 0;
-};
 
 }  // namespace geocol
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 
 #include "geom/predicates.h"
@@ -32,9 +33,9 @@ void RecordRefineMetrics(const RefinementStats& st) {
   c_exact.Increment(st.exact_tests);
 }
 
-// Candidate vectors below this size refine serially even with a pool.
+// Tables below this many rows refine serially even with a pool.
 constexpr size_t kMinParallelRefineRows = 1 << 17;
-// Rows per refinement morsel; multiple of 64 so ranges cover whole words.
+// Row-space span of one refinement morsel.
 constexpr size_t kRefineMorselRows = 1 << 16;
 // Candidate rows per SIMD batch: gather + cell assignment + exact tests run
 // over blocks this size, keeping the scratch buffers cache-resident.
@@ -50,12 +51,12 @@ inline void ExactTestBatch(const Geometry& g, double buffer, const double* xs,
 }
 
 Status CheckInputs(const Column& x, const Column& y,
-                   const BitVector& candidates) {
+                   std::span<const uint64_t> candidates) {
   if (x.size() != y.size()) {
     return Status::InvalidArgument("x/y column length mismatch");
   }
-  if (candidates.size() != x.size()) {
-    return Status::InvalidArgument("candidate vector length mismatch");
+  if (!candidates.empty() && candidates.back() >= x.size()) {
+    return Status::InvalidArgument("candidate row beyond the columns");
   }
   return Status::OK();
 }
@@ -153,37 +154,61 @@ Status RefineRowsBatched(const Column& x, const Column& y,
   return Status::OK();
 }
 
-Status ParallelGridRefine(const Column& x, const Column& y,
-                          const BitVector& candidates,
-                          const Geometry& geometry, double buffer,
-                          const RefineOptions& options, ThreadPool* pool,
-                          std::vector<uint64_t>* out_rows,
-                          RefinementStats* stats) {
-  RefinementStats local;
-  const size_t n = candidates.size();
-  const size_t num_morsels = (n + kRefineMorselRows - 1) / kRefineMorselRows;
-  local.workers = static_cast<uint32_t>(
-      std::min(num_morsels, pool->num_threads() + 1));
+}  // namespace
 
-  // Pass 1 (parallel): per-morsel candidate row lists and extents. The
-  // popcount pre-pass sizes each list exactly, so collection never
-  // reallocates mid-scan.
-  std::vector<std::vector<uint64_t>> morsel_rows(num_morsels);
-  std::vector<Box> morsel_extent(num_morsels);
+Status GridRefine(const Column& x, const Column& y,
+                  std::span<const uint64_t> candidates,
+                  const Geometry& geometry, double buffer,
+                  const RefineOptions& options, std::vector<uint64_t>* out_rows,
+                  RefinementStats* stats, ThreadPool* pool) {
+  GEOCOL_RETURN_NOT_OK(CheckInputs(x, y, candidates));
+  if (!options.use_grid) {
+    return ExhaustiveRefine(x, y, candidates, geometry, buffer, out_rows,
+                            stats);
+  }
+  // Morsels: the candidates split at row-space boundaries; a serial
+  // refinement is one morsel.
+  const bool parallel = pool != nullptr && pool->num_threads() > 0 &&
+                        x.size() >= kMinParallelRefineRows;
+  const size_t num_morsels =
+      parallel ? (x.size() + kRefineMorselRows - 1) / kRefineMorselRows : 1;
+  std::vector<std::span<const uint64_t>> morsel_rows(num_morsels);
+  const uint64_t* at = candidates.data();
+  const uint64_t* const end = at + candidates.size();
+  for (size_t m = 0; m < num_morsels; ++m) {
+    const uint64_t* stop =
+        m + 1 == num_morsels
+            ? end
+            : std::lower_bound(at, end, (m + 1) * kRefineMorselRows);
+    morsel_rows[m] = {at, stop};
+    at = stop;
+  }
   std::vector<Status> morsel_status(num_morsels);
-  pool->ParallelFor(num_morsels, [&](size_t m) {
-    size_t begin = m * kRefineMorselRows;
-    size_t end = std::min(n, begin + kRefineMorselRows);
-    std::vector<uint64_t>& rows = morsel_rows[m];
-    rows.reserve(candidates.CountInRange(begin, end));
-    candidates.CollectSetBitsInRange(begin, end, &rows);
-    morsel_status[m] =
-        GatherExtent(x, y, rows.data(), rows.size(), &morsel_extent[m]);
+  auto for_each_morsel = [&](const std::function<void(size_t)>& fn) {
+    if (parallel) {
+      pool->ParallelFor(num_morsels, fn);
+    } else {
+      fn(0);
+    }
+  };
+  RefinementStats local;
+  if (parallel) {
+    local.workers = static_cast<uint32_t>(
+        std::min(num_morsels, pool->num_threads() + 1));
+  }
+
+  // Pass 1: the candidates' extent. The grid only needs to cover the
+  // filtered superset, which is already close to the query envelope
+  // thanks to the imprint filter.
+  std::vector<Box> morsel_extent(num_morsels);
+  for_each_morsel([&](size_t m) {
+    morsel_status[m] = GatherExtent(x, y, morsel_rows[m].data(),
+                                    morsel_rows[m].size(), &morsel_extent[m]);
   });
   for (Status& st : morsel_status) GEOCOL_RETURN_NOT_OK(std::move(st));
   Box extent;
   for (const Box& b : morsel_extent) extent.Extend(b);
-  for (const auto& rows : morsel_rows) local.candidates += rows.size();
+  local.candidates = candidates.size();
   if (local.candidates == 0) {
     RecordRefineMetrics(local);
     if (stats != nullptr) *stats = local;
@@ -197,10 +222,13 @@ Status ParallelGridRefine(const Column& x, const Column& y,
   local.grid_cols = grid.cols();
   local.grid_rows = grid.rows();
 
-  // Pass 2 (parallel): classify-and-test. Cell classifications are shared
-  // through an atomic table; ClassifyCell is deterministic, so the only
-  // race is which worker publishes first — the CAS winner also counts the
-  // cell in its stats, keeping per-cell counters exact.
+  // Pass 2: classify-and-test. Cells are classified lazily — only cells
+  // that actually hold candidates are ever evaluated against the geometry
+  // (§3.3: "the spatial relation is then evaluated between each non-empty
+  // cell and G"). Classifications are shared through an atomic table;
+  // ClassifyCell is deterministic, so the only race is which worker
+  // publishes first — the CAS winner also counts the cell in its stats,
+  // keeping per-cell counters exact.
   std::unique_ptr<std::atomic<uint8_t>[]> cell_class(
       new std::atomic<uint8_t>[grid.num_cells()]);
   for (uint64_t c = 0; c < grid.num_cells(); ++c) {
@@ -225,11 +253,11 @@ Status ParallelGridRefine(const Column& x, const Column& y,
 
   std::vector<std::vector<uint64_t>> morsel_out(num_morsels);
   std::vector<RefinementStats> morsel_stats(num_morsels);
-  pool->ParallelFor(num_morsels, [&](size_t m) {
-    morsel_status[m] =
-        RefineRowsBatched(x, y, morsel_rows[m].data(), morsel_rows[m].size(),
-                          grid, geometry, buffer, classify, &morsel_out[m],
-                          morsel_stats[m]);
+  for_each_morsel([&](size_t m) {
+    morsel_status[m] = RefineRowsBatched(
+        x, y, morsel_rows[m].data(), morsel_rows[m].size(), grid, geometry,
+        buffer, classify, parallel ? &morsel_out[m] : out_rows,
+        morsel_stats[m]);
   });
   for (Status& st : morsel_status) GEOCOL_RETURN_NOT_OK(std::move(st));
 
@@ -249,77 +277,13 @@ Status ParallelGridRefine(const Column& x, const Column& y,
   return Status::OK();
 }
 
-}  // namespace
-
-Status GridRefine(const Column& x, const Column& y, const BitVector& candidates,
-                  const Geometry& geometry, double buffer,
-                  const RefineOptions& options, std::vector<uint64_t>* out_rows,
-                  RefinementStats* stats, ThreadPool* pool) {
-  GEOCOL_RETURN_NOT_OK(CheckInputs(x, y, candidates));
-  if (!options.use_grid) {
-    return ExhaustiveRefine(x, y, candidates, geometry, buffer, out_rows,
-                            stats);
-  }
-  if (pool != nullptr && pool->num_threads() > 0 &&
-      candidates.size() >= kMinParallelRefineRows) {
-    return ParallelGridRefine(x, y, candidates, geometry, buffer, options,
-                              pool, out_rows, stats);
-  }
-  RefinementStats local;
-
-  // Pass 1: collect candidate rows and their extent. The grid only needs to
-  // cover the filtered superset, which is already close to the query
-  // envelope thanks to the imprint filter. Count() pre-sizes the row list
-  // so collection never reallocates.
-  std::vector<uint64_t> cand_rows;
-  cand_rows.reserve(candidates.Count());
-  candidates.CollectSetBits(&cand_rows);
-  Box extent;
-  GEOCOL_RETURN_NOT_OK(
-      GatherExtent(x, y, cand_rows.data(), cand_rows.size(), &extent));
-  local.candidates = cand_rows.size();
-  if (cand_rows.empty()) {
-    RecordRefineMetrics(local);
-    if (stats != nullptr) *stats = local;
-    return Status::OK();
-  }
-
-  RegularGrid grid = RegularGrid::ForExpectedPoints(
-      extent, cand_rows.size(), options.target_points_per_cell,
-      options.max_cells_per_axis);
-  local.cells_total = grid.num_cells();
-  local.grid_cols = grid.cols();
-  local.grid_rows = grid.rows();
-
-  // Pass 2: classify cells lazily — only cells that actually hold
-  // candidates are ever evaluated against the geometry (§3.3: "the spatial
-  // relation is then evaluated between each non-empty cell and G").
-  std::vector<uint8_t> cell_class(grid.num_cells(), kUnclassified);
-  auto classify = [&](uint64_t cell, RefinementStats& st) -> BoxRelation {
-    uint8_t& cls = cell_class[cell];
-    if (cls == kUnclassified) {
-      cls = static_cast<uint8_t>(grid.ClassifyCell(cell, geometry, buffer));
-      CountCell(st, cls);
-    }
-    return static_cast<BoxRelation>(cls);
-  };
-  GEOCOL_RETURN_NOT_OK(RefineRowsBatched(x, y, cand_rows.data(),
-                                         cand_rows.size(), grid, geometry,
-                                         buffer, classify, out_rows, local));
-  RecordRefineMetrics(local);
-  if (stats != nullptr) *stats = local;
-  return Status::OK();
-}
-
 Status ExhaustiveRefine(const Column& x, const Column& y,
-                        const BitVector& candidates, const Geometry& geometry,
-                        double buffer, std::vector<uint64_t>* out_rows,
+                        std::span<const uint64_t> cand_rows,
+                        const Geometry& geometry, double buffer,
+                        std::vector<uint64_t>* out_rows,
                         RefinementStats* stats) {
-  GEOCOL_RETURN_NOT_OK(CheckInputs(x, y, candidates));
+  GEOCOL_RETURN_NOT_OK(CheckInputs(x, y, cand_rows));
   RefinementStats local;
-  std::vector<uint64_t> cand_rows;
-  cand_rows.reserve(candidates.Count());
-  candidates.CollectSetBits(&cand_rows);
   local.candidates = cand_rows.size();
   local.exact_tests = cand_rows.size();
   std::vector<double> xs(kRefineBlockRows), ys(kRefineBlockRows);

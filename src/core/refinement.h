@@ -7,12 +7,12 @@
 #define GEOCOL_CORE_REFINEMENT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "columns/column.h"
 #include "geom/geometry.h"
 #include "geom/grid.h"
-#include "util/bitvector.h"
 #include "util/status.h"
 
 namespace geocol {
@@ -45,19 +45,21 @@ struct RefinementStats {
 };
 
 /// Refines candidate rows against `geometry` (buffered by `buffer` for
-/// "near"/ST_DWithin semantics; 0 for exact containment). Candidate rows
-/// are given as set bits of `candidates`; accepted row ids are appended to
-/// `out_rows` in ascending order. `x`/`y` must be FlatTable columns of
-/// equal length covering the same rows.
+/// "near"/ST_DWithin semantics; 0 for exact containment). `candidates`
+/// holds ascending row ids below x.size() (the filter step's output);
+/// accepted row ids are appended to `out_rows` in ascending order. `x`/`y`
+/// must be FlatTable columns of equal length covering the same rows.
 ///
-/// A non-null `pool` splits the candidate vector into word-aligned row
-/// ranges refined by parallel workers, each appending to a local row list;
-/// the lists are concatenated in range order, so the result is identical
-/// to the serial pass. Cell classifications are shared through an atomic
-/// per-cell table (classification is deterministic, so racing workers
-/// agree); per-cell stats are counted by the unique worker that published
-/// the classification, making the merged stats equal the serial ones.
-Status GridRefine(const Column& x, const Column& y, const BitVector& candidates,
+/// A non-null `pool` splits the candidates at fixed row-space boundaries
+/// (every 65,536 rows of the table) into ranges refined by parallel
+/// workers, each appending to a local row list; the lists are concatenated
+/// in range order, so the result is identical to the serial pass. Cell
+/// classifications are shared through an atomic per-cell table
+/// (classification is deterministic, so racing workers agree); per-cell
+/// stats are counted by the unique worker that published the
+/// classification, making the merged stats equal the serial ones.
+Status GridRefine(const Column& x, const Column& y,
+                  std::span<const uint64_t> candidates,
                   const Geometry& geometry, double buffer,
                   const RefineOptions& options, std::vector<uint64_t>* out_rows,
                   RefinementStats* stats = nullptr, ThreadPool* pool = nullptr);
@@ -65,7 +67,8 @@ Status GridRefine(const Column& x, const Column& y, const BitVector& candidates,
 /// Exhaustive refinement: exact test per candidate, no grid. The oracle in
 /// tests and the baseline of E4.
 Status ExhaustiveRefine(const Column& x, const Column& y,
-                        const BitVector& candidates, const Geometry& geometry,
+                        std::span<const uint64_t> candidates,
+                        const Geometry& geometry,
                         double buffer, std::vector<uint64_t>* out_rows,
                         RefinementStats* stats = nullptr);
 

@@ -239,8 +239,7 @@ Result<SelectionResult> ShardRouter::Execute(
                             SelectionKey(view, geometry, buffer, thematic));
     if (auto hit = cache_->LookupSelection(cache_key)) {
       result.row_ids = hit->row_ids;
-      result.filter_x = hit->filter_x;
-      result.filter_y = hit->filter_y;
+      result.filter = hit->filter;
       result.refine = hit->refine;
       int32_t span =
           result.profile.Add("cache.hit", query_timer.ElapsedNanos(),
@@ -253,8 +252,7 @@ Result<SelectionResult> ShardRouter::Execute(
     if (cache_ == nullptr || !cache_->ShouldAdmit(cache_key)) return;
     auto value = std::make_shared<cache::CachedSelection>();
     value->row_ids = result.row_ids;
-    value->filter_x = result.filter_x;
-    value->filter_y = result.filter_y;
+    value->filter = result.filter;
     value->refine = result.refine;
     cache_->InsertSelection(cache_key, std::move(value));
   };
@@ -379,12 +377,10 @@ Result<SelectionResult> ShardRouter::Execute(
                               /*covered=*/false, n);
     result.profile.Append(b.profile);
     if (branches.size() == 1 && num_covered == 0) {
-      result.filter_x = b.sel.filter_x;
-      result.filter_y = b.sel.filter_y;
+      result.filter = b.sel.filter;
       result.refine = b.sel.refine;
     } else {
-      AccumulateFilterStats(b.sel.filter_x, &result.filter_x);
-      AccumulateFilterStats(b.sel.filter_y, &result.filter_y);
+      AccumulateFilterStats(b.sel.filter, &result.filter);
       AccumulateRefineStats(b.sel.refine, &result.refine);
     }
   }

@@ -84,22 +84,6 @@ SpatialQueryEngine::SpatialQueryEngine(std::shared_ptr<FlatTable> table,
   Init();
 }
 
-SpatialQueryEngine::SpatialQueryEngine(std::shared_ptr<FlatTable> table,
-                                       EngineOptions options,
-                                       std::string x_column,
-                                       std::string y_column,
-                                       ThreadPool* borrowed_pool)
-    : table_(std::move(table)),
-      options_(options),
-      x_name_(std::move(x_column)),
-      y_name_(std::move(y_column)),
-      imprints_(std::make_shared<ImprintManager>(options.imprints)),
-      pool_(borrowed_pool != nullptr && borrowed_pool->num_threads() > 0
-                ? borrowed_pool
-                : nullptr) {
-  Init();
-}
-
 SpatialQueryEngine::SpatialQueryEngine(
     std::shared_ptr<FlatTable> table, EngineOptions options,
     std::string x_column, std::string y_column, ThreadPool* borrowed_pool,
@@ -108,12 +92,13 @@ SpatialQueryEngine::SpatialQueryEngine(
       options_(options),
       x_name_(std::move(x_column)),
       y_name_(std::move(y_column)),
-      imprints_(std::move(shared_imprints)),
-      owns_imprints_(false),
+      imprints_(shared_imprints != nullptr
+                    ? shared_imprints
+                    : std::make_shared<ImprintManager>(options.imprints)),
+      owns_imprints_(shared_imprints == nullptr),
       pool_(borrowed_pool != nullptr && borrowed_pool->num_threads() > 0
                 ? borrowed_pool
                 : nullptr) {
-  assert(imprints_ != nullptr);
   Init();
 }
 
@@ -235,49 +220,6 @@ Result<double> SpatialQueryEngine::Aggregate(
   return AggregateRows(*col, sel.row_ids, kind, pool_);
 }
 
-Status SpatialQueryEngine::FilterColumn(const ColumnPtr& column, double lo,
-                                        double hi, BitVector* rows,
-                                        ImprintScanStats* stats,
-                                        QueryProfile* profile,
-                                        const std::string& op_name) {
-  Timer t;
-  if (options_.use_imprints) {
-    GEOCOL_ASSIGN_OR_RETURN(std::shared_ptr<const ImprintsIndex> ix,
-                            imprints_->GetOrBuild(column));
-    double build_ms = t.ElapsedMillis();
-    Timer t2;
-    GEOCOL_RETURN_NOT_OK(
-        ImprintRangeSelect(*column, *ix, lo, hi, rows, stats, pool_));
-    char detail[128];
-    std::snprintf(detail, sizeof(detail),
-                  "lines %llu/%llu full=%llu (build %.2f ms)",
-                  static_cast<unsigned long long>(stats->lines_candidate),
-                  static_cast<unsigned long long>(stats->lines_total),
-                  static_cast<unsigned long long>(stats->lines_full), build_ms);
-    int32_t span =
-        profile->AddParallel(op_name, t2.ElapsedNanos(), column->size(),
-                             stats->rows_selected, stats->workers, detail);
-    // Span attributes mirror the registry counters one-to-one so EXPLAIN
-    // ANALYZE output can be cross-checked against `geocol metrics`.
-    profile->AddAttr(span, "cachelines_probed", stats->lines_candidate);
-    profile->AddAttr(span, "cachelines_total", stats->lines_total);
-    profile->AddAttr(span, "cachelines_full", stats->lines_full);
-    profile->AddAttr(span, "values_checked", stats->values_checked);
-    profile->AddAttr(span, "rows_selected", stats->rows_selected);
-    profile->AddAttr(span, "false_positive_rate", stats->FalsePositiveRate());
-    return Status::OK();
-  }
-  GEOCOL_RETURN_NOT_OK(FullScanRangeSelect(*column, lo, hi, rows));
-  ImprintScanStats local;
-  local.lines_total = 0;
-  local.values_checked = column->size();
-  local.rows_selected = rows->Count();
-  *stats = local;
-  profile->Add(op_name + ".scan", t.ElapsedNanos(), column->size(),
-               local.rows_selected);
-  return Status::OK();
-}
-
 Result<SelectionResult> SpatialQueryEngine::Execute(
     const Geometry& geometry, double buffer,
     const std::vector<AttributeRange>& thematic, bool use_cache) {
@@ -290,7 +232,7 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
   if (xcol->empty()) return result;
 
   // Ranges on x/y fold into the filter window; only the other columns'
-  // ranges remain as separate filter branches.
+  // ranges remain as residual terms of the filter scan.
   const QueryWindow window =
       MakeQueryWindow(geometry, buffer, thematic, x_name_, y_name_);
   if (window.empty) return result;
@@ -312,8 +254,7 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
                             SelectionKey(geometry, buffer, thematic));
     if (auto hit = cache->LookupSelection(cache_key)) {
       result.row_ids = hit->row_ids;
-      result.filter_x = hit->filter_x;
-      result.filter_y = hit->filter_y;
+      result.filter = hit->filter;
       result.refine = hit->refine;
       int32_t span =
           result.profile.Add("cache.hit", query_timer.ElapsedNanos(),
@@ -329,127 +270,79 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
     if (cache == nullptr || !cache->ShouldAdmit(cache_key)) return;
     auto value = std::make_shared<cache::CachedSelection>();
     value->row_ids = result.row_ids;
-    value->filter_x = result.filter_x;
-    value->filter_y = result.filter_y;
+    value->filter = result.filter;
     value->refine = result.refine;
     cache->InsertSelection(cache_key, std::move(value));
   };
 
-  // ---- Step 1: filter. Imprint range selections on x and y over the
-  // query window, intersected, then the residual thematic ranges, each
-  // narrowing the selection. With a
-  // pool, all filter branches execute concurrently into branch-local state
-  // (selection, stats, profile); results merge in the serial order, so the
-  // selection, stats and operator order are identical to serial execution.
-  BitVector rows;
-  result.profile.OpenSpan("filter");
-  if (pool_ != nullptr) {
-    struct FilterBranch {
-      ColumnPtr column;
-      double lo, hi;
-      std::string op;
-      BitVector rows;
-      ImprintScanStats stats;
-      QueryProfile profile;
-      Status status;
-    };
-    std::vector<FilterBranch> branches;
-    branches.reserve(2 + residual.size());
-    branches.push_back(
-        {xcol, env.min_x, env.max_x, "filter.imprints.x", {}, {}, {}, {}});
-    branches.push_back(
-        {ycol, env.min_y, env.max_y, "filter.imprints.y", {}, {}, {}, {}});
-    for (const AttributeRange& attr : residual) {
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
-      if (col->size() != xcol->size()) {
-        return Status::Corruption("thematic column length mismatch: " +
-                                  attr.column);
-      }
-      branches.push_back({col, attr.lo, attr.hi,
-                          "filter.imprints." + attr.column, {}, {}, {}, {}});
+  // ---- Step 1: filter. One conjunctive scan over the query window's x
+  // and y ranges and the residual thematic ranges (core/imprint_scan.h)
+  // yields the ascending candidate rows.
+  std::vector<ColumnPtr> columns = {xcol, ycol};
+  std::vector<RangeTerm> terms = {{xcol.get(), nullptr, env.min_x, env.max_x},
+                                  {ycol.get(), nullptr, env.min_y, env.max_y}};
+  for (const AttributeRange& attr : residual) {
+    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
+    if (col->size() != xcol->size()) {
+      return Status::Corruption("thematic column length mismatch: " +
+                                attr.column);
     }
-    pool_->ParallelFor(branches.size(), [&](size_t i) {
-      FilterBranch& b = branches[i];
-      b.status = FilterColumn(b.column, b.lo, b.hi, &b.rows, &b.stats,
-                              &b.profile, b.op);
-    });
-    for (const FilterBranch& b : branches) {
-      GEOCOL_RETURN_NOT_OK(b.status);
-    }
-    result.filter_x = branches[0].stats;
-    result.filter_y = branches[1].stats;
-    result.profile.Append(branches[0].profile);
-    result.profile.Append(branches[1].profile);
-    rows = std::move(branches[0].rows);
-    {
-      Timer t;
-      rows.And(branches[1].rows);
-      result.profile.Add(
-          "filter.intersect", t.ElapsedNanos(),
-          result.filter_x.rows_selected + result.filter_y.rows_selected,
-          rows.Count());
-    }
-    for (size_t i = 2; i < branches.size(); ++i) {
-      const FilterBranch& b = branches[i];
-      result.profile.Append(b.profile);
-      Timer t;
-      rows.And(b.rows);
-      result.profile.Add("filter.intersect." + residual[i - 2].column,
-                         t.ElapsedNanos(), b.stats.rows_selected, rows.Count());
-    }
-  } else {
-    GEOCOL_RETURN_NOT_OK(FilterColumn(xcol, env.min_x, env.max_x, &rows,
-                                      &result.filter_x, &result.profile,
-                                      "filter.imprints.x"));
-    BitVector rows_y;
-    GEOCOL_RETURN_NOT_OK(FilterColumn(ycol, env.min_y, env.max_y, &rows_y,
-                                      &result.filter_y, &result.profile,
-                                      "filter.imprints.y"));
-    {
-      Timer t;
-      rows.And(rows_y);
-      result.profile.Add(
-          "filter.intersect", t.ElapsedNanos(),
-          result.filter_x.rows_selected + result.filter_y.rows_selected,
-          rows.Count());
-    }
-    for (const AttributeRange& attr : residual) {
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table_->GetColumn(attr.column));
-      if (col->size() != xcol->size()) {
-        return Status::Corruption("thematic column length mismatch: " +
-                                  attr.column);
-      }
-      BitVector sel;
-      ImprintScanStats st;
-      GEOCOL_RETURN_NOT_OK(FilterColumn(col, attr.lo, attr.hi, &sel, &st,
-                                        &result.profile,
-                                        "filter.imprints." + attr.column));
-      Timer t;
-      rows.And(sel);
-      result.profile.Add("filter.intersect." + attr.column, t.ElapsedNanos(),
-                         st.rows_selected, rows.Count());
+    terms.push_back({col.get(), nullptr, attr.lo, attr.hi});
+    columns.push_back(std::move(col));
+  }
+  Timer build_timer;
+  std::vector<std::shared_ptr<const ImprintsIndex>> indexes;
+  if (options_.use_imprints) {
+    for (size_t i = 0; i < columns.size(); ++i) {
+      GEOCOL_ASSIGN_OR_RETURN(indexes.emplace_back(),
+                              imprints_->GetOrBuild(columns[i]));
+      terms[i].index = indexes.back().get();
     }
   }
+  const double build_ms = build_timer.ElapsedMillis();
+  Timer filter_timer;
+  std::vector<uint64_t> candidates;
+  GEOCOL_RETURN_NOT_OK(
+      ConjunctiveRangeSelect(terms, &candidates, &result.filter, pool_));
+  const ImprintScanStats& fs = result.filter;
+  char filter_detail[128];
+  std::snprintf(filter_detail, sizeof(filter_detail),
+                "lines %llu/%llu full=%llu (build %.2f ms)",
+                static_cast<unsigned long long>(fs.lines_candidate),
+                static_cast<unsigned long long>(fs.lines_total),
+                static_cast<unsigned long long>(fs.lines_full), build_ms);
+  const int32_t filter_span = result.profile.AddParallel(
+      options_.use_imprints ? "filter.imprints" : "filter.scan",
+      filter_timer.ElapsedNanos(), xcol->size(), candidates.size(), fs.workers,
+      filter_detail);
+  // The cacheline, value and row attributes mirror the registry counters
+  // one-to-one so EXPLAIN ANALYZE output can be cross-checked against
+  // `geocol metrics`.
+  result.profile.AddAttr(filter_span, "columns",
+                         static_cast<uint64_t>(terms.size()));
+  result.profile.AddAttr(filter_span, "cachelines_probed", fs.lines_candidate);
+  result.profile.AddAttr(filter_span, "cachelines_total", fs.lines_total);
+  result.profile.AddAttr(filter_span, "cachelines_full", fs.lines_full);
+  result.profile.AddAttr(filter_span, "values_checked", fs.values_checked);
+  result.profile.AddAttr(filter_span, "rows_selected", fs.rows_selected);
+  result.profile.AddAttr(filter_span, "false_positive_rate",
+                         fs.FalsePositiveRate());
 
   // ---- Step 2: refinement. A box query with no buffer is already exact
-  // after the envelope filter; everything else goes through the grid. The
-  // filter span must close before the refine timer starts so the two
-  // spans never overlap in trace exports.
-  uint64_t candidates = rows.Count();
-  result.profile.CloseSpan(xcol->size(), candidates);
+  // after the envelope filter; everything else goes through the grid.
+  const uint64_t num_candidates = candidates.size();
   Timer t;
   if (geometry.is_box() && buffer == 0.0) {
-    result.row_ids.reserve(candidates);
-    rows.CollectSetBits(&result.row_ids);
-    result.refine.candidates = candidates;
-    result.refine.accepted = candidates;
-    result.profile.Add("refine.none(box)", t.ElapsedNanos(), candidates,
-                       candidates);
+    result.row_ids = std::move(candidates);
+    result.refine.candidates = num_candidates;
+    result.refine.accepted = num_candidates;
+    result.profile.Add("refine.none(box)", t.ElapsedNanos(), num_candidates,
+                       num_candidates);
     store_selection();
     h_query.Observe(query_timer.ElapsedNanos());
     return result;
   }
-  GEOCOL_RETURN_NOT_OK(GridRefine(*xcol, *ycol, rows, geometry, buffer,
+  GEOCOL_RETURN_NOT_OK(GridRefine(*xcol, *ycol, candidates, geometry, buffer,
                                   options_.refine, &result.row_ids,
                                   &result.refine, pool_));
   char detail[128];
@@ -462,7 +355,7 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
                 static_cast<unsigned long long>(result.refine.exact_tests));
   result.profile.AddParallel(
       options_.refine.use_grid ? "refine.grid" : "refine.exhaustive",
-      t.ElapsedNanos(), candidates, result.row_ids.size(),
+      t.ElapsedNanos(), num_candidates, result.row_ids.size(),
       result.refine.workers, detail);
   store_selection();
   h_query.Observe(query_timer.ElapsedNanos());

@@ -41,7 +41,8 @@ struct CacheOptions {
 struct EngineOptions {
   ImprintsOptions imprints;
   RefineOptions refine;
-  /// When false the filter step degrades to a full scan of x/y.
+  /// When false the filter step checks every value of every filtered
+  /// column (the same scan with every cache line a non-full candidate).
   bool use_imprints = true;
   /// Query/build parallelism: 0 = one thread per hardware core, 1 = the
   /// serial executor (results, stats and profiles identical to the engine
@@ -65,8 +66,7 @@ struct EngineOptions {
 /// Result of a spatial selection.
 struct SelectionResult {
   std::vector<uint64_t> row_ids;     ///< ascending qualifying row ids
-  ImprintScanStats filter_x;         ///< filter-step accounting
-  ImprintScanStats filter_y;
+  ImprintScanStats filter;           ///< filter-step accounting
   RefinementStats refine;            ///< refinement-step accounting
   QueryProfile profile;              ///< per-operator wall times
 
@@ -104,23 +104,18 @@ class SpatialQueryEngine {
   /// As above, but executes on `borrowed_pool` (not owned; nullptr runs
   /// serially) instead of creating a private pool from
   /// `options.num_threads`. The shard router uses this so all shard
-  /// engines share one morsel pool.
-  SpatialQueryEngine(std::shared_ptr<FlatTable> table, EngineOptions options,
-                     std::string x_column, std::string y_column,
-                     ThreadPool* borrowed_pool);
-
-  /// As above, additionally sharing an existing imprint manager instead of
-  /// creating a private one. The live-table path hands every published
-  /// snapshot engine the same manager, so an epoch's imprints are built
-  /// once, survive across epochs for untouched columns, and appended
-  /// columns extend their lineage base's index incrementally. The manager
-  /// must already be configured (pool, sidecar dir) — this constructor
-  /// never mutates it, so hand-off races cannot occur with queries running
-  /// on older snapshots.
+  /// engines share one morsel pool. A non-null `shared_imprints` is used
+  /// instead of a private imprint manager: the live-table path hands every
+  /// published snapshot engine the same manager, so an epoch's imprints
+  /// are built once, survive across epochs for untouched columns, and
+  /// appended columns extend their lineage base's index incrementally.
+  /// That manager must already be configured (pool, sidecar dir) — the
+  /// engine never mutates it, so hand-off races cannot occur with queries
+  /// running on older snapshots.
   SpatialQueryEngine(std::shared_ptr<FlatTable> table, EngineOptions options,
                      std::string x_column, std::string y_column,
                      ThreadPool* borrowed_pool,
-                     std::shared_ptr<ImprintManager> shared_imprints);
+                     std::shared_ptr<ImprintManager> shared_imprints = nullptr);
 
   const FlatTable& table() const { return *table_; }
   const EngineOptions& options() const { return options_; }
@@ -193,11 +188,6 @@ class SpatialQueryEngine {
   Result<SelectionResult> Execute(const Geometry& geometry, double buffer,
                                   const std::vector<AttributeRange>& thematic,
                                   bool use_cache = true);
-
-  /// Filter step on one column; returns a row-level selection.
-  Status FilterColumn(const ColumnPtr& column, double lo, double hi,
-                      BitVector* rows, ImprintScanStats* stats,
-                      QueryProfile* profile, const std::string& op_name);
 
   /// Result cache key: the complete byte image of everything the
   /// selection depends on — table id, per-column epochs, geometry bits,

@@ -58,11 +58,11 @@ class BitVector {
   /// Appends the index of every set bit to `out`.
   void CollectSetBits(std::vector<uint64_t>* out) const;
 
-  /// Appends the index of every set bit in [begin, end) to `out`. Used by
-  /// the morsel-driven executor to split a selection vector across workers;
-  /// 64-aligned `begin`/`end` keep the scan on whole words.
-  void CollectSetBitsInRange(size_t begin, size_t end,
-                             std::vector<uint64_t>* out) const;
+  /// Writes the index of every set bit in [begin, end) to `out`, in
+  /// ascending order, and returns one past the last index written. The
+  /// morsel-driven scan writes each morsel's rows at its own offset.
+  uint64_t* CollectSetBitsInRange(size_t begin, size_t end,
+                                  uint64_t* out) const;
 
   /// ORs `nbits` bits from `words` (LSB-first) into the vector starting at
   /// `bit_offset`. Bits >= nbits in the source must be zero. This is the

@@ -154,8 +154,7 @@ void ExpectRefineStatsEq(const RefinementStats& a, const RefinementStats& b,
 void ExpectSelectionEq(const SelectionResult& a, const SelectionResult& b,
                        const char* what) {
   EXPECT_EQ(a.row_ids, b.row_ids) << what;
-  ExpectFilterStatsEq(a.filter_x, b.filter_x, what);
-  ExpectFilterStatsEq(a.filter_y, b.filter_y, what);
+  ExpectFilterStatsEq(a.filter, b.filter, what);
   ExpectRefineStatsEq(a.refine, b.refine, what);
 }
 

@@ -4,12 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <map>
 #include <thread>
 #include <vector>
 
+#include "columns/column_file.h"
+#include "columns/paged_column.h"
 #include "core/imprint_scan.h"
+#include "core/native_range.h"
 #include "util/rng.h"
+#include "util/tempdir.h"
 #include "util/thread_pool.h"
 
 namespace geocol {
@@ -299,6 +305,260 @@ TEST(ImprintScanTest, SmallDomainUint8RangesMatchFullScan) {
 
 TEST(ImprintScanTest, SmallDomainInt16RangesMatchFullScan) {
   CheckSmallDomainRanges<int16_t>(-9, 9, 72);
+}
+
+// ---------------- conjunctive scan ----------------
+
+// Five clustered columns of different widths, so the scan maps lines
+// across values-per-line: f64 (8 per line), f32 (16), u8 (64), u16 (32)
+// and i32 (16).
+FlatTable MakeMixedTable(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> a(n);
+  std::vector<float> b(n);
+  std::vector<uint8_t> c(n);
+  std::vector<uint16_t> d(n);
+  std::vector<int32_t> e(n);
+  double walk = 0;
+  for (size_t i = 0; i < n; ++i) {
+    walk += rng.NextGaussian();
+    a[i] = walk;
+    b[i] = static_cast<float>((i % 5000) * 0.2 + rng.UniformDouble(0, 3));
+    c[i] = static_cast<uint8_t>((i / 700) % 12);
+    d[i] = static_cast<uint16_t>(rng.Uniform(4096));
+    e[i] = static_cast<int32_t>(i / 3) - 20000 +
+           static_cast<int32_t>(rng.Uniform(50));
+  }
+  FlatTable t("mixed");
+  EXPECT_TRUE(t.AddColumn(Column::FromVector<double>("a", a)).ok());
+  EXPECT_TRUE(t.AddColumn(Column::FromVector<float>("b", b)).ok());
+  EXPECT_TRUE(t.AddColumn(Column::FromVector<uint8_t>("c", c)).ok());
+  EXPECT_TRUE(t.AddColumn(Column::FromVector<uint16_t>("d", d)).ok());
+  EXPECT_TRUE(t.AddColumn(Column::FromVector<int32_t>("e", e)).ok());
+  return t;
+}
+
+struct Range {
+  double lo, hi;
+};
+
+// The oracle: AND of a full scan per term, as ascending row ids.
+std::vector<uint64_t> AndOfFullScans(const std::vector<ColumnPtr>& cols,
+                                     const std::vector<Range>& ranges) {
+  BitVector acc;
+  for (size_t t = 0; t < cols.size(); ++t) {
+    BitVector rows;
+    EXPECT_TRUE(FullScanRangeSelect(*cols[t], ranges[t].lo, ranges[t].hi,
+                                    &rows).ok());
+    if (t == 0) {
+      acc = std::move(rows);
+    } else {
+      acc.And(rows);
+    }
+  }
+  std::vector<uint64_t> out;
+  acc.CollectSetBits(&out);
+  return out;
+}
+
+struct LineCounts {
+  uint64_t candidate = 0;
+  uint64_t full = 0;
+};
+
+// Brute-force line accounting of a conjunctive scan, from fully decoded
+// imprints: a line of the driving column (the one of the first two terms
+// with the shorter dictionary) is a candidate when some row in it hits
+// every term's imprint, and full when no such row needs a value check (its
+// line is full in every term). A term without an imprint hits every line
+// and is never full. An unsatisfiable term, after clamping into the
+// column's type, scans nothing.
+LineCounts BruteForceLines(const std::vector<ColumnPtr>& cols,
+                           const std::vector<const ImprintsIndex*>& indexes,
+                           const std::vector<Range>& ranges) {
+  LineCounts out;
+  size_t lead = 0;
+  if (indexes.size() > 1 && indexes[0] != nullptr && indexes[1] != nullptr &&
+      indexes[1]->dictionary().size() < indexes[0]->dictionary().size()) {
+    lead = 1;
+  }
+  if (indexes[lead] == nullptr) return out;
+  for (size_t t = 0; t < cols.size(); ++t) {
+    bool empty = false;
+    DispatchDataType(cols[t]->type(), [&]<typename T>() {
+      empty = ClampRangeToType<T>(ranges[t].lo, ranges[t].hi).empty;
+    });
+    if (empty) return out;
+  }
+  const uint64_t n = cols[0]->size();
+  // Per term and row: 0 = miss, 1 = full, 2 = partial.
+  std::vector<std::vector<uint8_t>> status(cols.size(),
+                                           std::vector<uint8_t>(n, 2));
+  for (size_t t = 0; t < cols.size(); ++t) {
+    const ImprintsIndex* ix = indexes[t];
+    if (ix == nullptr) continue;
+    const ImprintMask m = ix->MaskForRange(ranges[t].lo, ranges[t].hi);
+    uint64_t line = 0;
+    size_t vec = 0;
+    for (const ImprintsIndex::DictEntry& e : ix->dictionary()) {
+      for (uint32_t j = 0; j < e.count; ++j, ++line) {
+        const uint64_t v = ix->vectors()[e.repeat ? vec : vec + j];
+        const uint8_t st = (v & m.query) == 0    ? 0
+                           : (v & ~m.inner) == 0 ? 1
+                                                 : 2;
+        auto [first, last] = ix->LineRows(line);
+        for (uint64_t r = first; r < last; ++r) status[t][r] = st;
+      }
+      vec += e.repeat ? 1 : e.count;
+    }
+  }
+  const ImprintsIndex& d = *indexes[lead];
+  for (uint64_t line = 0; line < d.num_lines(); ++line) {
+    auto [first, last] = d.LineRows(line);
+    bool candidate = false, checked = false;
+    for (uint64_t r = first; r < last; ++r) {
+      bool hit = true, full = true;
+      for (size_t t = 0; t < cols.size(); ++t) {
+        hit &= status[t][r] != 0;
+        full &= status[t][r] == 1;
+      }
+      candidate |= hit;
+      checked |= hit && !full;
+    }
+    out.candidate += candidate;
+    out.full += candidate && !checked;
+  }
+  return out;
+}
+
+// The conjunctive scan equals the AND of full scans over mixed types and
+// values-per-line, on row counts that divide by neither 64 nor any
+// values-per-line, for random, empty, NaN, inverted and whole-column
+// ranges, on resident and paged columns, serially and pooled; its line
+// counts equal the brute-force counts, and every configuration reports
+// the same stats.
+TEST(ConjunctiveScanTest, MatchesAndOfFullScans) {
+  ThreadPool pool(3);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (size_t n : {1000u, 4099u, 150001u}) {
+    SCOPED_TRACE(testing::Message() << "rows=" << n);
+    FlatTable resident = MakeMixedTable(n, 500 + n);
+    TempDir dir("conj-scan");
+    ASSERT_TRUE(WriteTableDir(resident, dir.File("t")).ok());
+    auto paged = ReadTableDirPaged(dir.File("t"));
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+
+    // Indexes are built per tier; a paged build reads the same values.
+    std::map<std::string, ImprintsIndex> resident_ix, paged_ix;
+    for (const std::string name : {"a", "b", "c", "d", "e"}) {
+      auto r = ImprintsIndex::Build(**resident.GetColumn(name));
+      auto p = ImprintsIndex::Build(**paged->GetColumn(name));
+      ASSERT_TRUE(r.ok());
+      ASSERT_TRUE(p.ok());
+      ASSERT_TRUE((*paged->GetColumn(name))->paged());
+      resident_ix.emplace(name, std::move(*r));
+      paged_ix.emplace(name, std::move(*p));
+    }
+
+    // Column sets; a "-" suffix scans that term without its imprint.
+    const std::vector<std::vector<std::string>> sets = {
+        {"a", "b", "c", "d", "e"}, {"b", "a", "c"}, {"c", "d"},
+        {"e", "a", "c-"},          {"a-", "b-", "d"}, {"d", "e", "b"}};
+    Rng rng(n);
+    for (const auto& set : sets) {
+      std::vector<std::string> names;
+      std::vector<bool> use_index;
+      for (const std::string& s : set) {
+        names.push_back(s.substr(0, 1));
+        use_index.push_back(s.size() == 1);
+      }
+      std::vector<ColumnPtr> cols;
+      for (const std::string& name : names) {
+        cols.push_back(*resident.GetColumn(name));
+      }
+      for (int q = 0; q < 24; ++q) {
+        std::vector<Range> ranges;
+        for (const ColumnPtr& col : cols) {
+          double u = col->GetDouble(rng.Uniform(n));
+          double v = col->GetDouble(rng.Uniform(n));
+          if (u > v) std::swap(u, v);
+          ranges.push_back({u, v});
+        }
+        // One term of the query gets a special range.
+        const size_t t = rng.Uniform(cols.size());
+        switch (q % 6) {
+          case 1: ranges[t] = {1e12, 2e12}; break;         // matches nothing
+          case 2: ranges[t].lo = nan; break;                // NaN bound
+          case 3: ranges[t] = {ranges[t].hi + 1, ranges[t].lo}; break;
+          case 4: ranges[t] = {-inf, inf}; break;           // whole column
+          case 5:
+            for (Range& r : ranges) r = {-inf, inf};        // every row
+            break;
+          default: break;
+        }
+        SCOPED_TRACE(testing::Message() << "set " << set[0] << "... query "
+                                        << q);
+        const std::vector<uint64_t> want = AndOfFullScans(cols, ranges);
+        std::vector<const ImprintsIndex*> brute_ix;
+        for (size_t i = 0; i < names.size(); ++i) {
+          brute_ix.push_back(use_index[i] ? &resident_ix.at(names[i])
+                                          : nullptr);
+        }
+        const LineCounts lines = BruteForceLines(cols, brute_ix, ranges);
+
+        ImprintScanStats first_stats;
+        bool have_first = false;
+        for (bool use_paged : {false, true}) {
+          for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+            std::vector<RangeTerm> terms;
+            for (size_t i = 0; i < names.size(); ++i) {
+              const Column* col =
+                  use_paged ? paged->GetColumn(names[i])->get()
+                            : resident.GetColumn(names[i])->get();
+              auto& ixs = use_paged ? paged_ix : resident_ix;
+              terms.push_back({col, use_index[i] ? &ixs.at(names[i]) : nullptr,
+                               ranges[i].lo, ranges[i].hi});
+            }
+            std::vector<uint64_t> got;
+            ImprintScanStats st;
+            ASSERT_TRUE(ConjunctiveRangeSelect(terms, &got, &st, p).ok());
+            SCOPED_TRACE(testing::Message()
+                         << (use_paged ? "paged" : "resident")
+                         << (p != nullptr ? " pooled" : " serial"));
+            ASSERT_EQ(got, want);
+            EXPECT_EQ(st.rows_selected, got.size());
+            EXPECT_LE(st.rows_full, st.rows_selected);
+            EXPECT_EQ(st.lines_candidate, lines.candidate);
+            EXPECT_EQ(st.lines_full, lines.full);
+            if (!have_first) {
+              first_stats = st;
+              have_first = true;
+            } else {
+              EXPECT_EQ(st.lines_total, first_stats.lines_total);
+              EXPECT_EQ(st.values_checked, first_stats.values_checked);
+              EXPECT_EQ(st.rows_full, first_stats.rows_full);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConjunctiveScanTest, RejectsStaleIndexAndMismatchedLengths) {
+  auto col = Column::FromVector<double>("c", {1, 2, 3, 4});
+  auto ix = ImprintsIndex::Build(*col);
+  ASSERT_TRUE(ix.ok());
+  auto shorter = Column::FromVector<double>("s", {1, 2, 3});
+  std::vector<uint64_t> rows;
+  EXPECT_FALSE(ConjunctiveRangeSelect({{col.get(), &*ix, 0, 9},
+                                       {shorter.get(), nullptr, 0, 9}},
+                                      &rows)
+                   .ok());
+  col->Append<double>(5.0);
+  EXPECT_EQ(ConjunctiveRangeSelect({{col.get(), &*ix, 0, 9}}, &rows).code(),
+            StatusCode::kInternal);
 }
 
 // ---------------- FullScanRangeSelect ----------------

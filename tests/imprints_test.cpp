@@ -188,7 +188,8 @@ TEST(ImprintsRunsTest, RunsAreCoalescedAndOrdered) {
   uint64_t prev_end = 0;
   bool first = true;
   bool prev_full = false;
-  ix->FilterRangeRuns(100, 200, [&](uint64_t start, uint64_t count, bool full) {
+  ix->CandidateRuns(ix->MaskForRange(100, 200), 0, ix->num_lines(),
+                    [&](uint64_t start, uint64_t count, bool full) {
     ASSERT_GT(count, 0u);
     if (!first) {
       // Strictly ordered and never adjacent-with-same-status (else they
@@ -380,6 +381,110 @@ TEST(ImprintsParallelBuildTest, SmallColumnFallsBackToSerial) {
   ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(parallel->vectors(), serial->vectors());
   EXPECT_EQ(parallel->dictionary().size(), serial->dictionary().size());
+}
+
+// ---------------- cursor & checkpoints ----------------
+
+// Every line's vector, decoded by walking the whole dictionary.
+std::vector<uint64_t> FullDecode(const ImprintsIndex& ix) {
+  std::vector<uint64_t> out;
+  size_t vec = 0;
+  for (const ImprintsIndex::DictEntry& e : ix.dictionary()) {
+    for (uint32_t j = 0; j < e.count; ++j) {
+      out.push_back(ix.vectors()[e.repeat ? vec : vec + j]);
+    }
+    vec += e.repeat ? 1 : e.count;
+  }
+  return out;
+}
+
+// VectorAtLine and a Cursor — walked forward, seeking backward, jumping
+// far ahead — agree with the full decode on every line, and run_end never
+// claims a line whose vector differs.
+void ExpectCursorMatchesDecode(const ImprintsIndex& ix, const char* what) {
+  const std::vector<uint64_t> want = FullDecode(ix);
+  ASSERT_EQ(want.size(), ix.num_lines()) << what;
+  ImprintsIndex::Cursor forward(&ix);
+  for (uint64_t line = 0; line < ix.num_lines(); ++line) {
+    ASSERT_EQ(ix.VectorAtLine(line), want[line]) << what << " line " << line;
+    ASSERT_EQ(forward.Seek(line), want[line]) << what << " line " << line;
+    ASSERT_GT(forward.run_end(), line);
+    ASSERT_LE(forward.run_end(), ix.num_lines());
+    for (uint64_t l = line; l < forward.run_end() && l < line + 200; ++l) {
+      ASSERT_EQ(want[l], want[line]) << what << " run from " << line;
+    }
+  }
+  ImprintsIndex::Cursor backward(&ix);
+  for (uint64_t line = ix.num_lines(); line-- > 0;) {
+    ASSERT_EQ(backward.Seek(line), want[line]) << what << " line " << line;
+  }
+  Rng rng(ix.num_lines());
+  ImprintsIndex::Cursor random(&ix);
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t line = rng.Uniform(ix.num_lines());
+    ASSERT_EQ(random.Seek(line), want[line]) << what << " line " << line;
+  }
+}
+
+TEST(ImprintsCursorTest, MatchesFullDecodeOnBuiltExtendedRestored) {
+  ThreadPool pool(3);
+  Rng rng(93);
+  // Ragged: 70,001 rows leave a 1-row tail line; long constant stretches
+  // give repeat entries spanning many checkpoints, noise gives literals.
+  const size_t n = 70001;
+  std::vector<double> vals(n);
+  for (size_t i = 0; i < n; ++i) {
+    vals[i] = (i / 3000) % 3 == 0 ? static_cast<double>(i / 3000)
+                                  : rng.UniformDouble(0, 1000);
+  }
+  auto col = Column::FromVector<double>("c", vals);
+  auto serial = ImprintsIndex::Build(*col);
+  auto parallel = ImprintsIndex::Build(*col, {}, &pool);
+  ASSERT_TRUE(serial.ok());
+  ASSERT_TRUE(parallel.ok());
+  ExpectCursorMatchesDecode(*serial, "serial build");
+  ExpectCursorMatchesDecode(*parallel, "parallel build");
+
+  // Extended over an appended tail whose seam line is partial.
+  std::vector<double> head(vals.begin(), vals.begin() + 50003);
+  auto base_col = Column::FromVector<double>("c", head);
+  auto base = ImprintsIndex::Build(*base_col);
+  ASSERT_TRUE(base.ok());
+  auto extended = ImprintsIndex::ExtendAppend(*base, *col, &pool);
+  ASSERT_TRUE(extended.ok());
+  ExpectCursorMatchesDecode(*extended, "extended");
+  auto rebuilt = ImprintsIndex::BuildWithBins(*col, base->bins());
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(FullDecode(*extended), FullDecode(*rebuilt));
+
+  auto restored = ImprintsIndex::Restore(
+      serial->bins(), serial->values_per_line(), serial->num_rows(),
+      serial->built_epoch(), serial->vectors(), serial->dictionary());
+  ASSERT_TRUE(restored.ok());
+  ExpectCursorMatchesDecode(*restored, "restored");
+}
+
+// The encoder splits runs longer than its 2^30-line cap into adjacent
+// entries with the same vector. Such a dictionary (emulated at small
+// counts) and a ragged row count must still decode line for line.
+TEST(ImprintsCursorTest, SplitRunsAndRaggedTailRestore) {
+  auto bins = BinBounds::FromBounds({1, 2, 3});
+  ASSERT_TRUE(bins.ok());
+  using E = ImprintsIndex::DictEntry;
+  std::vector<E> dict = {{130, true}, {70, true}, {1, false}, {3, false},
+                         {2, false},  {64, true}, {64, true}, {5, false}};
+  std::vector<uint64_t> vectors = {1, 1, 2, 4, 8, 2, 1, 2,
+                                   4, 4, 1, 2, 8, 4, 2};
+  uint64_t lines = 0;
+  for (const E& e : dict) lines += e.count;
+  const uint32_t vpl = 8;
+  auto ix = ImprintsIndex::Restore(*bins, vpl, (lines - 1) * vpl + 3, 0,
+                                   vectors, dict);
+  ASSERT_TRUE(ix.ok()) << ix.status().ToString();
+  EXPECT_EQ(ix->num_lines(), lines);
+  EXPECT_EQ(ix->LineRows(lines - 1).second - ix->LineRows(lines - 1).first,
+            3u);
+  ExpectCursorMatchesDecode(*ix, "split runs");
 }
 
 // ---------------- compression effectiveness contrast ----------------

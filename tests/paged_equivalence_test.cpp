@@ -228,8 +228,7 @@ TEST(PagedEquivalenceTest, PagedMatchesResidentAcrossThreadsSimdBudgets) {
         // counters — the paged tier reads exactly the cachelines the
         // resident tier reads, it just faults them from disk.
         EXPECT_EQ(got->row_ids, want->row_ids);
-        ExpectFilterStatsEq(got->filter_x, want->filter_x, "x");
-        ExpectFilterStatsEq(got->filter_y, want->filter_y, "y");
+        ExpectFilterStatsEq(got->filter, want->filter, "filter");
         if (q.aggregate) {
           auto want_v = oracle.Aggregate(q.geometry, q.buffer, q.thematic,
                                          q.agg_column, q.kind);

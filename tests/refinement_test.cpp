@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/refinement.h"
 #include "geom/wkt.h"
@@ -26,10 +27,10 @@ XY MakePoints(size_t n, uint64_t seed, const Box& extent) {
           Column::FromVector<double>("y", ys)};
 }
 
-BitVector AllRows(size_t n) {
-  BitVector bv(n);
-  bv.SetAll();
-  return bv;
+std::vector<uint64_t> AllRows(size_t n) {
+  std::vector<uint64_t> rows(n);
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
 }
 
 TEST(RefinementTest, GridEqualsExhaustiveOnPolygon) {
@@ -37,7 +38,7 @@ TEST(RefinementTest, GridEqualsExhaustiveOnPolygon) {
   Polygon poly;
   poly.shell.points = {{10, 10}, {90, 20}, {70, 80}, {20, 60}};
   Geometry g(poly);
-  BitVector cand = AllRows(20000);
+  std::vector<uint64_t> cand = AllRows(20000);
 
   std::vector<uint64_t> grid_rows, exact_rows;
   RefinementStats gs, es;
@@ -57,7 +58,7 @@ TEST(RefinementTest, GridEqualsExhaustiveWithBuffer) {
   LineString road;
   road.points = {{0, 50}, {40, 55}, {100, 45}};
   Geometry g(road);
-  BitVector cand = AllRows(10000);
+  std::vector<uint64_t> cand = AllRows(10000);
   std::vector<uint64_t> grid_rows, exact_rows;
   ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand, g, 8.0, RefineOptions{},
                          &grid_rows, nullptr).ok());
@@ -74,7 +75,7 @@ TEST(RefinementTest, GridEqualsExhaustiveOnMultiPolygonWithHoles) {
       "(20 20, 30 20, 30 30, 20 30, 20 20)), "
       "((60 60, 95 60, 95 95, 60 95, 60 60)))");
   ASSERT_TRUE(g.ok());
-  BitVector cand = AllRows(15000);
+  std::vector<uint64_t> cand = AllRows(15000);
   std::vector<uint64_t> grid_rows, exact_rows;
   ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand, *g, 0.0, RefineOptions{},
                          &grid_rows, nullptr).ok());
@@ -86,9 +87,7 @@ TEST(RefinementTest, GridEqualsExhaustiveOnMultiPolygonWithHoles) {
 TEST(RefinementTest, RespectsCandidateSubset) {
   XY pts = MakePoints(1000, 84, Box(0, 0, 10, 10));
   Geometry g(Polygon::FromBox(Box(0, 0, 10, 10)));  // everything inside
-  BitVector cand(1000);
-  cand.Set(5);
-  cand.Set(500);
+  std::vector<uint64_t> cand = {5, 500};
   std::vector<uint64_t> rows;
   ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand, g, 0.0, RefineOptions{},
                          &rows, nullptr).ok());
@@ -97,7 +96,7 @@ TEST(RefinementTest, RespectsCandidateSubset) {
 
 TEST(RefinementTest, EmptyCandidatesShortCircuit) {
   XY pts = MakePoints(100, 85, Box(0, 0, 1, 1));
-  BitVector cand(100);
+  std::vector<uint64_t> cand;
   std::vector<uint64_t> rows;
   RefinementStats stats;
   ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand,
@@ -111,7 +110,7 @@ TEST(RefinementTest, EmptyCandidatesShortCircuit) {
 TEST(RefinementTest, UseGridFalseDelegatesToExhaustive) {
   XY pts = MakePoints(5000, 86, Box(0, 0, 50, 50));
   Geometry g(Polygon::Circle({25, 25}, 10));
-  BitVector cand = AllRows(5000);
+  std::vector<uint64_t> cand = AllRows(5000);
   RefineOptions no_grid;
   no_grid.use_grid = false;
   std::vector<uint64_t> rows;
@@ -125,7 +124,7 @@ TEST(RefinementTest, UseGridFalseDelegatesToExhaustive) {
 TEST(RefinementTest, StatsBreakdownConsistent) {
   XY pts = MakePoints(30000, 87, Box(0, 0, 100, 100));
   Geometry g(Polygon::FromBox(Box(20, 20, 80, 80)));
-  BitVector cand = AllRows(30000);
+  std::vector<uint64_t> cand = AllRows(30000);
   std::vector<uint64_t> rows;
   RefinementStats s;
   ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand, g, 0.0, RefineOptions{},
@@ -142,12 +141,12 @@ TEST(RefinementTest, StatsBreakdownConsistent) {
 TEST(RefinementTest, MismatchedInputsRejected) {
   auto x = Column::FromVector<double>("x", {1, 2, 3});
   auto y = Column::FromVector<double>("y", {1, 2});
-  BitVector cand(3);
+  std::vector<uint64_t> cand = {0, 1, 2};
   std::vector<uint64_t> rows;
   EXPECT_FALSE(GridRefine(*x, *y, cand, Geometry(Box(0, 0, 1, 1)), 0.0,
                           RefineOptions{}, &rows, nullptr).ok());
   auto y3 = Column::FromVector<double>("y", {1, 2, 3});
-  BitVector cand2(2);
+  std::vector<uint64_t> cand2 = {0, 3};  // row 3 is past the columns
   EXPECT_FALSE(GridRefine(*x, *y3, cand2, Geometry(Box(0, 0, 1, 1)), 0.0,
                           RefineOptions{}, &rows, nullptr).ok());
 }
@@ -155,7 +154,7 @@ TEST(RefinementTest, MismatchedInputsRejected) {
 TEST(RefinementTest, OutputIsAscending) {
   XY pts = MakePoints(8000, 88, Box(0, 0, 100, 100));
   Geometry g(Polygon::Circle({50, 50}, 30, 48));
-  BitVector cand = AllRows(8000);
+  std::vector<uint64_t> cand = AllRows(8000);
   std::vector<uint64_t> rows;
   ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand, g, 0.0, RefineOptions{},
                          &rows, nullptr).ok());
@@ -171,7 +170,7 @@ TEST_P(RefinementGridSweep, ResultIndependentOfCellTarget) {
   Polygon poly;
   poly.shell.points = {{15, 5}, {85, 15}, {95, 85}, {40, 95}, {5, 50}};
   Geometry g(poly);
-  BitVector cand = AllRows(12000);
+  std::vector<uint64_t> cand = AllRows(12000);
   std::vector<uint64_t> exact_rows;
   ASSERT_TRUE(
       ExhaustiveRefine(*pts.x, *pts.y, cand, g, 0.0, &exact_rows, nullptr).ok());

@@ -181,7 +181,7 @@ struct Observed {
   std::vector<uint64_t> row_ids;
   bool aggregate = false;
   double agg_value = 0.0;
-  ImprintScanStats filter_x, filter_y;
+  ImprintScanStats filter;
   RefinementStats refine;
 };
 
@@ -212,8 +212,7 @@ TEST(ShardEquivalenceTest, RouterMatchesSortedEngineAcrossKThreadsSimd) {
       auto sel = oracle.Select(q.geometry, q.buffer, q.thematic);
       ASSERT_TRUE(sel.ok()) << sel.status().ToString();
       o.row_ids = sel->row_ids;
-      o.filter_x = sel->filter_x;
-      o.filter_y = sel->filter_y;
+      o.filter = sel->filter;
       o.refine = sel->refine;
       if (q.aggregate) {
         auto v = oracle.Aggregate(q.geometry, q.buffer, q.thematic,
@@ -244,8 +243,7 @@ TEST(ShardEquivalenceTest, RouterMatchesSortedEngineAcrossKThreadsSimd) {
         if (k == 1) {
           // A single shard IS the sorted table; stats pass through
           // verbatim.
-          ExpectFilterStatsEq(sel->filter_x, expected[i].filter_x, "x");
-          ExpectFilterStatsEq(sel->filter_y, expected[i].filter_y, "y");
+          ExpectFilterStatsEq(sel->filter, expected[i].filter, "filter");
           ExpectRefineStatsEq(sel->refine, expected[i].refine, "refine");
         }
         if (q.aggregate) {
@@ -287,15 +285,13 @@ TEST(ShardEquivalenceTest, MergedStatsDeterministicAcrossConfigs) {
       if (first) {
         Observed o;
         o.row_ids = sel->row_ids;
-        o.filter_x = sel->filter_x;
-        o.filter_y = sel->filter_y;
+        o.filter = sel->filter;
         o.refine = sel->refine;
         baseline.push_back(std::move(o));
       } else {
         SCOPED_TRACE(testing::Message() << "query " << i);
         EXPECT_EQ(sel->row_ids, baseline[i].row_ids);
-        ExpectFilterStatsEq(sel->filter_x, baseline[i].filter_x, "x");
-        ExpectFilterStatsEq(sel->filter_y, baseline[i].filter_y, "y");
+        ExpectFilterStatsEq(sel->filter, baseline[i].filter, "filter");
         ExpectRefineStatsEq(sel->refine, baseline[i].refine, "refine");
       }
     }

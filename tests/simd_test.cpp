@@ -501,9 +501,9 @@ TEST(SimdEndToEnd, GridRefineIdenticalAcrossLevels) {
   }
   ColumnPtr x = Column::FromVector<double>("x", xs);
   ColumnPtr y = Column::FromVector<double>("y", ys);
-  BitVector candidates(n);
+  std::vector<uint64_t> candidates;
   for (size_t i = 0; i < n; ++i) {
-    if (rng.NextBool(0.7)) candidates.Set(i);
+    if (rng.NextBool(0.7)) candidates.push_back(i);
   }
   Polygon poly;
   poly.shell = MakeStar(11, 0.0, 0.0, 10.0);

@@ -225,14 +225,10 @@ TEST(SpatialEngineTest, ProfileHasFilterAndRefineOperators) {
   auto res = eng.SelectInGeometry(Geometry(Polygon::Circle({50, 50}, 20)));
   ASSERT_TRUE(res.ok());
   const auto& ops = res->profile.operators();
-  ASSERT_GE(ops.size(), 5u);
-  // Since PR 4 the profile is a span tree: a "filter" wrapper span parents
-  // the imprint scans, which keep their serial recording order.
-  EXPECT_EQ(ops[0].name, "filter");
-  EXPECT_EQ(ops[1].name, "filter.imprints.x");
-  EXPECT_EQ(ops[2].name, "filter.imprints.y");
-  EXPECT_EQ(ops[1].parent, 0);
-  EXPECT_EQ(ops[2].parent, 0);
+  ASSERT_EQ(ops.size(), 2u);
+  // One conjunctive imprint scan over x and y, then the refinement.
+  EXPECT_EQ(ops[0].name, "filter.imprints");
+  EXPECT_EQ(ops[0].parent, -1);
   bool has_refine = false;
   for (const auto& op : ops) has_refine |= op.name.rfind("refine", 0) == 0;
   EXPECT_TRUE(has_refine);
@@ -349,12 +345,13 @@ TEST(SpatialEngineTest, ParallelMatchesSerialExactly) {
   EXPECT_EQ(p->row_ids, s->row_ids);
 
   // Merged stats equal the serial stats field for field (workers aside).
-  EXPECT_EQ(p->filter_x.lines_candidate, s->filter_x.lines_candidate);
-  EXPECT_EQ(p->filter_x.lines_full, s->filter_x.lines_full);
-  EXPECT_EQ(p->filter_x.values_checked, s->filter_x.values_checked);
-  EXPECT_EQ(p->filter_x.rows_selected, s->filter_x.rows_selected);
-  EXPECT_EQ(p->filter_y.rows_selected, s->filter_y.rows_selected);
-  EXPECT_GT(p->filter_x.workers, 1u);
+  EXPECT_EQ(p->filter.lines_total, s->filter.lines_total);
+  EXPECT_EQ(p->filter.lines_candidate, s->filter.lines_candidate);
+  EXPECT_EQ(p->filter.lines_full, s->filter.lines_full);
+  EXPECT_EQ(p->filter.values_checked, s->filter.values_checked);
+  EXPECT_EQ(p->filter.rows_selected, s->filter.rows_selected);
+  EXPECT_EQ(p->filter.rows_full, s->filter.rows_full);
+  EXPECT_GT(p->filter.workers, 1u);
   EXPECT_EQ(p->refine.candidates, s->refine.candidates);
   EXPECT_EQ(p->refine.accepted, s->refine.accepted);
   EXPECT_EQ(p->refine.cells_nonempty, s->refine.cells_nonempty);

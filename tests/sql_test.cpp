@@ -485,7 +485,7 @@ TEST_F(SqlSessionTest, ExplainAnalyzeReturnsSpanTree) {
     text += '\n';
   }
   EXPECT_NE(text.find("spans ("), std::string::npos);
-  EXPECT_NE(text.find("filter.imprints.x"), std::string::npos);
+  EXPECT_NE(text.find("filter.imprints"), std::string::npos);
   EXPECT_NE(text.find("cachelines_probed="), std::string::npos);
   EXPECT_NE(text.find("false_positive_rate="), std::string::npos);
   EXPECT_NE(text.find("TOTAL (sum)"), std::string::npos);
@@ -561,17 +561,14 @@ TEST_F(SqlExplainAnalyzeGoldenTest, SingleThreadedBoxQueryShape) {
       "'BOX(85010 444010, 85060 444060)')");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(SpanShape(*rs),
-            "  filter\n"
-            "    filter.imprints.x\n"
-            "    filter.imprints.y\n"
-            "    filter.intersect\n"
+            "  filter.imprints\n"
             "  refine.none(box)\n"
             "  TOTAL (sum)\n"
             "  WALL (critical path)\n");
 }
 
-// A BETWEEN viewport folds its x/y ranges into the query window: the same
-// two scans as the equal box, and no filter.imprints/intersect spans for
+// A BETWEEN viewport folds its x/y ranges into the query window: one
+// conjunctive scan over x, y and classification, with no extra terms for
 // x and y as thematic ranges.
 TEST_F(SqlExplainAnalyzeGoldenTest, BetweenViewportFoldsIntoWindow) {
   const std::string where =
@@ -580,15 +577,15 @@ TEST_F(SqlExplainAnalyzeGoldenTest, BetweenViewportFoldsIntoWindow) {
   auto rs = session_->Execute("EXPLAIN ANALYZE SELECT COUNT(*)" + where);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(SpanShape(*rs),
-            "  filter\n"
-            "    filter.imprints.x\n"
-            "    filter.imprints.y\n"
-            "    filter.intersect\n"
-            "    filter.imprints.classification\n"
-            "    filter.intersect.classification\n"
+            "  filter.imprints\n"
             "  refine.none(box)\n"
             "  TOTAL (sum)\n"
             "  WALL (critical path)\n");
+  bool three_columns = false;
+  for (const auto& row : rs->rows) {
+    three_columns |= row[0].text.find("columns=3") != std::string::npos;
+  }
+  EXPECT_TRUE(three_columns);
 
   auto ex = session_->Execute("EXPLAIN SELECT COUNT(*)" + where);
   ASSERT_TRUE(ex.ok());

@@ -407,7 +407,7 @@ TEST(EngineTelemetryTest, SpanAttributesMatchCounterDeltas) {
   ASSERT_TRUE(res.ok());
 
   EXPECT_EQ(reg.GetCounter("geocol_imprint_scans_total").Value() - scans0,
-            2u);  // x and y
+            1u);  // one conjunctive scan over x and y
   EXPECT_EQ(reg.GetCounter("geocol_queries_total").Value() - queries0, 1u);
 
   // EXPLAIN ANALYZE's span attributes must agree with `geocol metrics`:
@@ -423,7 +423,7 @@ TEST(EngineTelemetryTest, SpanAttributesMatchCounterDeltas) {
                 selected0);
 }
 
-TEST(EngineTelemetryTest, FilterSpanParentsImprintOps) {
+TEST(EngineTelemetryTest, FilterIsOneRootSpan) {
   auto table = MakeTable(30000, 8);
   EngineOptions opts;
   opts.num_threads = 4;  // exercise the morsel-parallel merge path
@@ -431,20 +431,15 @@ TEST(EngineTelemetryTest, FilterSpanParentsImprintOps) {
   auto res = eng.SelectInBox(Box(50, 50, 600, 600));
   ASSERT_TRUE(res.ok());
 
-  const auto& ops = res->profile.operators();
-  int32_t filter = -1;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].name == "filter") filter = static_cast<int32_t>(i);
+  // x and y are filtered by one conjunctive scan: a single root span.
+  int filter_spans = 0;
+  for (const auto& op : res->profile.operators()) {
+    if (op.name.rfind("filter", 0) != 0) continue;
+    ++filter_spans;
+    EXPECT_EQ(op.name, "filter.imprints");
+    EXPECT_EQ(op.parent, -1);
   }
-  ASSERT_GE(filter, 0);
-  int children = 0;
-  for (const auto& op : ops) {
-    if (op.parent == filter) {
-      ++children;
-      EXPECT_EQ(op.name.rfind("filter.", 0), 0u) << op.name;
-    }
-  }
-  EXPECT_GE(children, 2);  // x and y imprint scans at least
+  EXPECT_EQ(filter_spans, 1);
   EXPECT_GT(res->profile.CriticalPathNanos(), 0);
 }
 
