@@ -1,7 +1,6 @@
 #include "columns/sharded_table.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <numeric>
@@ -35,11 +34,6 @@ ColumnPtr GatherColumn(const Column& src, const std::vector<uint64_t>& perm,
 }
 
 }  // namespace
-
-uint64_t ShardedTable::NextLayoutId() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
 
 size_t ShardedTable::ShardIndexOf(uint64_t global_row) const {
   // First shard whose base exceeds the row, minus one.

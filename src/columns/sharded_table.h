@@ -48,7 +48,7 @@ struct ShardSlice {
 /// An immutable Hilbert-sharded layout of one logical table. Built once by
 /// Create (or loaded by ReadShardedTableDir); queries go through the shard
 /// router. Mutating a shard's columns afterwards bumps their epochs, which
-/// the router's cache keys observe.
+/// the shard engines' cache keys observe.
 class ShardedTable {
  public:
   /// Sorts `source` rows by Hilbert key of (x, y) scaled to the source
@@ -78,11 +78,6 @@ class ShardedTable {
   /// Extent the Hilbert keys were scaled to (the source table's bounds).
   const Box& extent() const { return extent_; }
 
-  /// Process-unique id assigned at construction; cache keys use it (plus
-  /// the generation and per-shard column epochs) so two layouts can never
-  /// alias each other's entries.
-  uint64_t layout_id() const { return layout_id_; }
-
   /// Incremented by every successful WriteShardedTableDir; 0 for a layout
   /// that has never been persisted.
   uint64_t generation() const { return generation_; }
@@ -103,14 +98,11 @@ class ShardedTable {
                   uint64_t num_rows);
 
  private:
-  static uint64_t NextLayoutId();
-
   std::string name_;
   ShardingOptions options_;
   std::vector<ShardSlice> shards_;
   uint64_t num_rows_ = 0;
   Box extent_;
-  uint64_t layout_id_ = NextLayoutId();
   uint64_t generation_ = 0;
 };
 

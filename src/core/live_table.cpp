@@ -95,9 +95,6 @@ EpochSnapshot LiveTable::MakeSnapshot(uint64_t epoch,
   EpochSnapshot s;
   s.epoch = epoch;
   s.table = table;
-  s.engine = std::make_shared<SpatialQueryEngine>(
-      table, options_.engine, options_.x_column, options_.y_column,
-      pool_.get(), imprints_);
   ColumnPtr x = table->column(options_.x_column);
   ColumnPtr y = table->column(options_.y_column);
   if (x != nullptr && y != nullptr && !x->empty()) {
@@ -105,11 +102,21 @@ EpochSnapshot LiveTable::MakeSnapshot(uint64_t epoch,
     const ColumnStats& ys = y->Stats();
     s.bbox = Box(xs.min, ys.min, xs.max, ys.max);
   }
+  ShardSlice slice;
+  slice.table = table;
+  slice.bbox = s.bbox;
+  auto shard = std::make_shared<LocalShard>(slice, options_.engine,
+                                            options_.x_column,
+                                            options_.y_column, pool_.get(),
+                                            imprints_);
+  s.engine = std::shared_ptr<SpatialQueryEngine>(shard, &shard->engine());
+  s.view = ShardsView::Single(std::move(shard), options_.x_column,
+                              options_.y_column, epoch);
   return s;
 }
 
 void LiveTable::Publish(std::shared_ptr<FlatTable> next) {
-  // Engine construction and bbox read run outside mu_, so in-flight Pin()
+  // Shard construction and bbox read run outside mu_, so in-flight Pin()
   // calls are never stalled behind them.
   uint64_t next_epoch;
   {

@@ -2,9 +2,10 @@
 // LiveTable is an epoch-versioned chain of immutable FlatTable snapshots.
 //
 //   - Readers call Pin() and get an EpochSnapshot: shared_ptr column
-//     versions, the epoch's bbox, and a query engine bound to that exact
-//     version. Everything a query touches is owned by the snapshot, so a
-//     concurrent publish can never mutate, free, or re-index under it.
+//     versions, the epoch's bbox, and a one-shard ShardsView whose shard
+//     engine is bound to that exact version (core/shard.h). Everything a
+//     query touches is owned by the snapshot, so a concurrent publish can
+//     never mutate, free, or re-index under it.
 //   - Writers stage batches through a TableAppender and publish them with
 //     a single atomic swap of the current-snapshot pointer. Columns are
 //     append-only versions (Column::CloneAppend): the new version is a
@@ -30,6 +31,7 @@
 #include <string>
 
 #include "columns/flat_table.h"
+#include "core/shard.h"
 #include "core/spatial_engine.h"
 #include "geom/geometry.h"
 #include "util/status.h"
@@ -42,7 +44,11 @@ namespace geocol {
 struct EpochSnapshot {
   uint64_t epoch = 0;
   std::shared_ptr<FlatTable> table;  ///< this epoch's column versions
-  std::shared_ptr<SpatialQueryEngine> engine;  ///< bound to `table`
+  /// The epoch as a one-shard view: statements execute against it.
+  std::shared_ptr<const ShardsView> view;
+  /// The view's shard engine, bound to `table` (shares the view's
+  /// ownership).
+  std::shared_ptr<SpatialQueryEngine> engine;
   Box bbox;  ///< x/y bounds of the epoch (empty box for an empty table)
 };
 
@@ -93,8 +99,8 @@ class LiveTable {
 
   explicit LiveTable(LiveTableOptions options);
 
-  /// Builds the snapshot wrapper (engine, bbox) for `next` and swaps it in
-  /// as the next epoch. Caller must hold commit_mu_ (or be construction).
+  /// Builds the snapshot wrapper (view, engine, bbox) for `next` and swaps
+  /// it in as the next epoch. Caller must hold commit_mu_ (or be construction).
   void Publish(std::shared_ptr<FlatTable> next);
 
   EpochSnapshot MakeSnapshot(uint64_t epoch,

@@ -1,11 +1,16 @@
-// The shard execution interface: scan/refine/aggregate over an opaque
-// handle. The router talks to shards exclusively through this surface —
-// bbox for pruning, epochs for cache keys, Select for local-row
-// selections, GetColumn for merge-side value access — so a shard that
-// lives in another process or on another node only needs to speak the
-// same contract (DESIGN.md §12 sketches that evolution). Today's only
-// implementation is LocalShard: a slice table plus a cache-off engine on
-// a borrowed morsel pool.
+// The shard execution interface and the pinned view every point-cloud
+// statement executes against (DESIGN.md §12). A shard is an opaque handle
+// — bbox for pruning, Select for local-row selections, table() for
+// merge-side value access — so a shard that lives in another process or on
+// another node only needs to speak the same contract. Today's only
+// implementation is LocalShard: a table plus a query engine.
+//
+// A ShardsView is shard handles plus global row bases. A Hilbert-sharded
+// table pins the router's current view; a flat table is a constant
+// one-shard view over its table, and a live table's epoch is a one-shard
+// view over that epoch's columns. Selection, aggregation, ORDER BY,
+// projection, the NEAR join and shared-scan batching all run over the
+// view, so the three kinds of table share one execution path.
 #ifndef GEOCOL_CORE_SHARD_H_
 #define GEOCOL_CORE_SHARD_H_
 
@@ -19,70 +24,79 @@
 namespace geocol {
 
 /// One spatial shard, addressed opaquely. All row ids in and out of a
-/// shard are LOCAL (0-based within the shard); the router translates to
-/// global ids via the shard's base offset.
+/// shard are LOCAL (0-based within the shard); a view translates to global
+/// ids via the shard's base offset.
 class Shard {
  public:
   virtual ~Shard() = default;
 
   virtual uint64_t num_rows() const = 0;
 
-  /// Tight bounds of the shard's points; the router prunes a shard when
-  /// this misses the query envelope. Empty for a rowless shard.
+  /// Tight bounds of the shard's points; a routed view prunes the shard
+  /// when this misses the query window. Empty for a rowless shard and for
+  /// the one shard of a flat table (whose rows may grow under it).
   virtual const Box& bbox() const = 0;
 
-  /// Mutation epoch of one column — the cache-key ingredient that makes a
-  /// single-shard append invalidate by construction.
-  virtual Result<uint64_t> ColumnEpoch(const std::string& name) const = 0;
-
-  /// Process-unique identity of the shard's current column-version set.
-  /// A live append publishes a NEW table version for the shard, so the
-  /// token changes exactly when the shard's data does; router cache keys
-  /// embed it per shard for precise invalidation.
-  virtual uint64_t VersionToken() const = 0;
-
   /// Exact spatial selection local to this shard: ascending local row ids
-  /// plus the shard's filter/refine stats and profile.
+  /// plus the shard's filter/refine stats and profile. `use_cache` false
+  /// bypasses the shard's result cache (a selection whose key never
+  /// repeats, such as a shared-scan superset).
   virtual Result<SelectionResult> Select(
       const Geometry& geometry, double buffer,
-      const std::vector<AttributeRange>& thematic) = 0;
+      const std::vector<AttributeRange>& thematic, bool use_cache) = 0;
 
-  /// Local column values for merge-side aggregation and projection.
-  virtual Result<ColumnPtr> GetColumn(const std::string& name) const = 0;
+  /// True when Select would replay a resident result-cache entry right
+  /// now. Counts no hit or miss.
+  virtual bool SelectionCached(
+      const Geometry& geometry, double buffer,
+      const std::vector<AttributeRange>& thematic) const = 0;
+
+  /// Rebinds the shard's result-cache budget (the SQL session's knob;
+  /// see SpatialQueryEngine::set_cache_budget).
+  virtual void set_cache_budget(uint64_t budget_bytes) = 0;
+
+  /// The shard's column versions, for merge-side value access.
+  virtual const FlatTable& table() const = 0;
 
   /// Imprint storage currently held for this shard.
   virtual uint64_t IndexStorageBytes() const = 0;
 };
 
-/// In-process shard: wraps a ShardSlice's table with a SpatialQueryEngine
-/// that shares the router's thread pool and never consults the query
-/// result cache (caching happens once, at the router, over merged global
-/// results). When the slice was loaded from disk, imprint sidecars live
-/// in the shard's own directory next to its column files.
+/// In-process shard: a table with a SpatialQueryEngine over it. The
+/// engine keeps the configured result-cache binding, so the cache lives in
+/// the shard engines and every kind of table caches under one key, the
+/// engine's SelectionKey.
 class LocalShard final : public Shard {
  public:
-  /// `options` is the router's engine configuration; the cache binding is
-  /// stripped and the imprints sidecar dir is pointed at `slice.dir`.
+  /// A shard of a sharded layout or a live epoch: the engine runs on
+  /// `pool` (not owned; null = serial). Imprint sidecars live in
+  /// `slice.dir`. A non-null `imprints` is shared instead of a private
+  /// manager, so appended columns extend their lineage base's imprints
+  /// incrementally instead of rebuilding.
   LocalShard(const ShardSlice& slice, const EngineOptions& options,
              const std::string& x_column, const std::string& y_column,
-             ThreadPool* pool);
+             ThreadPool* pool,
+             std::shared_ptr<ImprintManager> imprints = nullptr);
 
-  /// Replacement-shard constructor for live appends: shares the retired
-  /// shard's (pre-configured) imprint manager, so the appended columns
-  /// extend their lineage base's imprints incrementally instead of
-  /// rebuilding, and untouched columns keep their index for free.
-  LocalShard(const ShardSlice& slice, const EngineOptions& options,
-             const std::string& x_column, const std::string& y_column,
-             ThreadPool* pool, std::shared_ptr<ImprintManager> imprints);
+  /// The one shard of a flat table: the engine owns a pool sized by
+  /// `options.num_threads`, over columns "x" and "y". Its bbox is empty —
+  /// a one-shard view is never routed, so nothing prunes against it.
+  LocalShard(std::shared_ptr<FlatTable> table, const EngineOptions& options);
 
   uint64_t num_rows() const override { return table_->num_rows(); }
   const Box& bbox() const override { return bbox_; }
-  Result<uint64_t> ColumnEpoch(const std::string& name) const override;
-  uint64_t VersionToken() const override { return table_->table_id(); }
-  Result<SelectionResult> Select(
+  Result<SelectionResult> Select(const Geometry& geometry, double buffer,
+                                 const std::vector<AttributeRange>& thematic,
+                                 bool use_cache) override;
+  bool SelectionCached(
       const Geometry& geometry, double buffer,
-      const std::vector<AttributeRange>& thematic) override;
-  Result<ColumnPtr> GetColumn(const std::string& name) const override;
+      const std::vector<AttributeRange>& thematic) const override {
+    return engine_.SelectionCached(geometry, buffer, thematic);
+  }
+  void set_cache_budget(uint64_t budget_bytes) override {
+    engine_.set_cache_budget(budget_bytes);
+  }
+  const FlatTable& table() const override { return *table_; }
   uint64_t IndexStorageBytes() const override {
     return engine_.IndexStorageBytes();
   }
@@ -95,12 +109,80 @@ class LocalShard final : public Shard {
   }
 
  private:
-  static EngineOptions ShardOptions(const EngineOptions& options,
-                                    const std::string& dir);
-
   std::shared_ptr<FlatTable> table_;
   Box bbox_;
   SpatialQueryEngine engine_;
+};
+
+/// An immutable set of shards, pinned for the lifetime of one query (or
+/// one SQL statement). Copyable; copies share the shard handles.
+/// shards[i] covers global rows [bases[i], bases[i] + shards[i]->num_rows()).
+struct ShardsView {
+  std::vector<std::shared_ptr<Shard>> shards;
+  std::vector<uint64_t> bases;
+  /// Bumped by every publish (router append, live commit); equal versions
+  /// of one table = identical views.
+  uint64_t version = 0;
+  /// The coordinate columns every shard is indexed on.
+  std::string x_column = "x";
+  std::string y_column = "y";
+  /// True for a Hilbert-sharded layout: selections prune and cover shards
+  /// by bbox, scatter the rest, and record routing counters, shard heat
+  /// (keyed by `name`) and a shard.route span. A one-shard view of a flat
+  /// table or live epoch is not routed: its selection is its shard's.
+  bool routed = false;
+  std::string name;
+  /// Routed views: the layout generation.
+  uint64_t generation = 0;
+  /// Pool the scatter loop runs on; null = serial.
+  ThreadPool* pool = nullptr;
+
+  /// A one-shard view over `shard`, indexed on `x_column`/`y_column`.
+  static std::shared_ptr<const ShardsView> Single(std::shared_ptr<Shard> shard,
+                                                  std::string x_column,
+                                                  std::string y_column,
+                                                  uint64_t version = 0);
+
+  uint64_t total_rows() const {
+    return shards.empty() ? 0 : bases.back() + shards.back()->num_rows();
+  }
+
+  /// Index of the shard holding global `row`.
+  size_t ShardOf(uint64_t row) const;
+
+  /// The box a statement without a spatial predicate selects over: the
+  /// union of a routed view's shard bboxes (which appends keep tight, even
+  /// for points outside the layout's routing extent), or the one shard's
+  /// x/y column bounds, read at call time (a flat table may grow under its
+  /// constant view).
+  Result<Box> Extent() const;
+
+  /// All points matching the spatial predicate and the conjunctive ranges,
+  /// as ascending global row ids. A routed view prunes shards whose bbox
+  /// misses the query window (MakeQueryWindow), emits covered shards' id
+  /// ranges without a scan, scatters the rest on `pool` and merges in
+  /// shard order — bit-identical to one engine over the sorted flat table;
+  /// at K = 1 (no covered shard) the stats match verbatim too, and the
+  /// shard's row vector is moved, not copied. `use_cache` false bypasses
+  /// the shard result caches.
+  Result<SelectionResult> Select(const Geometry& geometry, double buffer,
+                                 const std::vector<AttributeRange>& thematic,
+                                 bool use_cache = true) const;
+
+  /// True when Select would run no scan outside the shard result caches:
+  /// every shard the window neither prunes nor covers has the selection
+  /// resident. Counts no hit or miss.
+  bool SelectionCached(const Geometry& geometry, double buffer,
+                       const std::vector<AttributeRange>& thematic) const;
+
+  /// One column's per-shard versions, for GatherRows/AggregateRows.
+  Result<std::vector<ColumnPtr>> Columns(const std::string& name) const;
+
+  /// Aggregate of `column` over global `rows` (AggregateRows over the
+  /// shards' columns): bit-identical to the flat table's aggregate.
+  Result<double> Aggregate(const std::vector<uint64_t>& rows,
+                           const std::string& column, AggKind kind,
+                           ThreadPool* pool = nullptr) const;
 };
 
 }  // namespace geocol

@@ -23,41 +23,26 @@ uint32_t EffectiveThreads(uint32_t requested) {
 
 }  // namespace
 
-Result<double> AggregateRows(const Column& column,
+Result<double> AggregateRows(std::span<const Column* const> parts,
+                             std::span<const uint64_t> bases,
                              const std::vector<uint64_t>& rows, AggKind kind,
                              ThreadPool* pool) {
   if (kind == AggKind::kCount) return static_cast<double>(rows.size());
   double out = std::nan("");
   if (rows.empty()) return out;
   Status gather_status;
-  DispatchDataType(column.type(), [&]<typename T>() {
-    if (!column.paged()) {
-      std::span<const T> values = column.Values<T>();
+  DispatchDataType(parts[0]->type(), [&]<typename T>() {
+    if (parts.size() == 1 && !parts[0]->paged()) {
+      std::span<const T> values = parts[0]->Values<T>();
       out = AggregateValues<T>(rows, kind, pool,
                                [&](size_t i) { return values[rows[i]]; });
       return;
     }
-    // Paged tier: gather the selected values once, re-pinning only when
-    // the row walks off the current chunk (selections are ascending, so
-    // this is one fault per touched chunk). The accumulator then runs
-    // over positions exactly as in the resident branch — same chunking,
-    // same merge order, bit-identical result.
+    // Gather once, then accumulate over positions exactly as the typed-span
+    // branch does: same chunking, same merge order, bit-identical result.
     std::vector<T> gathered(rows.size());
-    const size_t chunk_rows = column.chunk_rows();
-    ColumnChunkPin pin;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      const uint64_t r = rows[i];
-      if (pin.keepalive == nullptr || r < pin.first_row ||
-          r >= pin.first_row + pin.row_count) {
-        auto pinned = column.PinChunk(r / chunk_rows);
-        if (!pinned.ok()) {
-          gather_status = pinned.status();
-          return;
-        }
-        pin = std::move(*pinned);
-      }
-      gathered[i] = pin.values<T>()[r - pin.first_row];
-    }
+    gather_status = GatherRows<T>(parts, bases, rows, gathered.data());
+    if (!gather_status.ok()) return;
     out = AggregateValues<T>(rows, kind, pool,
                              [&](size_t i) { return gathered[i]; });
   });
@@ -176,9 +161,10 @@ Result<SelectionResult> SpatialQueryEngine::SelectInBox(const Box& box) {
   return Execute(Geometry(box), 0.0, {});
 }
 
-Result<SelectionResult> SpatialQueryEngine::SelectInBoxUncached(
-    const Box& box) {
-  return Execute(Geometry(box), 0.0, {}, /*use_cache=*/false);
+Result<SelectionResult> SpatialQueryEngine::SelectUncached(
+    const Geometry& geometry, double buffer,
+    const std::vector<AttributeRange>& thematic) {
+  return Execute(geometry, buffer, thematic, /*use_cache=*/false);
 }
 
 bool SpatialQueryEngine::SelectionCached(

@@ -5,7 +5,9 @@
 #ifndef GEOCOL_CORE_SPATIAL_ENGINE_H_
 #define GEOCOL_CORE_SPATIAL_ENGINE_H_
 
+#include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,18 +75,59 @@ struct SelectionResult {
   uint64_t count() const { return row_ids.size(); }
 };
 
-/// Aggregates `column` over `rows`. kCount ignores the column. Resident
-/// values are read as typed spans; paged columns gather the selected
-/// values once (faulting only the chunks the selection touches) and
-/// accumulate over the gathered sequence, so the result is bit-identical
-/// to the resident open of the same file. A non-null `pool` aggregates row
-/// chunks in parallel and merges the partials in chunk order, so the
-/// result is deterministic for a given row list (floating-point sums may
-/// differ from the serial order in the last bits; min/max/count are
-/// exact). The only Status source is a paged-column chunk fault.
-Result<double> AggregateRows(const Column& column,
+/// Gathers, in native type, the values at global `rows` of a column split
+/// into parts: parts[i] holds rows [bases[i], bases[i] + parts[i]->size()).
+/// A flat column is the one-part case with base 0. Each chunk is pinned
+/// once per run of rows inside it, so an ascending row list faults every
+/// touched paged chunk once. Corruption when a row lies past its part.
+template <typename T>
+Status GatherRows(std::span<const Column* const> parts,
+                  std::span<const uint64_t> bases,
+                  const std::vector<uint64_t>& rows, T* out) {
+  ColumnChunkPin pin;
+  uint64_t begin = 0, end = 0;  // the global rows `pin` holds
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const uint64_t r = rows[i];
+    if (r < begin || r >= end) {
+      const size_t s = static_cast<size_t>(
+          std::upper_bound(bases.begin(), bases.end(), r) - bases.begin() - 1);
+      const Column& col = *parts[s];
+      const uint64_t local = r - bases[s];
+      if (local >= col.size()) {
+        return Status::Corruption("column length mismatch: " + col.name());
+      }
+      GEOCOL_ASSIGN_OR_RETURN(pin, col.PinChunk(local / col.chunk_rows()));
+      begin = bases[s] + pin.first_row;
+      end = begin + pin.row_count;
+    }
+    out[i] = pin.values<T>()[r - begin];
+  }
+  return Status::OK();
+}
+
+/// Aggregates a column split into parts (as in GatherRows) over global
+/// `rows`. kCount ignores the column. One resident part is read as a typed
+/// span; paged or split columns gather the selected values once (faulting
+/// only the chunks the selection touches) and accumulate over the gathered
+/// sequence, so every layout of the same values yields a bit-identical
+/// result. A non-null `pool` aggregates row chunks in parallel and merges
+/// the partials in chunk order, so the result is deterministic for a given
+/// row list (floating-point sums may differ from the serial order in the
+/// last bits; min/max/count are exact). The only Status sources are a
+/// paged-column chunk fault and a row past its part.
+Result<double> AggregateRows(std::span<const Column* const> parts,
+                             std::span<const uint64_t> bases,
                              const std::vector<uint64_t>& rows, AggKind kind,
                              ThreadPool* pool = nullptr);
+
+/// The one-part case: `column` over its own row ids.
+inline Result<double> AggregateRows(const Column& column,
+                                    const std::vector<uint64_t>& rows,
+                                    AggKind kind, ThreadPool* pool = nullptr) {
+  const Column* part = &column;
+  const uint64_t base = 0;
+  return AggregateRows({&part, 1}, {&base, 1}, rows, kind, pool);
+}
 
 /// The spatially-enabled engine over one flat point-cloud table.
 ///
@@ -130,10 +173,12 @@ class SpatialQueryEngine {
   /// is exact during the filter step already.
   Result<SelectionResult> SelectInBox(const Box& box);
 
-  /// SelectInBox without the result cache: no lookup, no insert, no
-  /// sighting. For boxes whose key never repeats, such as the server's
+  /// Select without the result cache: no lookup, no insert, no sighting.
+  /// For selections whose key never repeats, such as the server's
   /// shared-scan superset (server/batch.h).
-  Result<SelectionResult> SelectInBoxUncached(const Box& box);
+  Result<SelectionResult> SelectUncached(
+      const Geometry& geometry, double buffer,
+      const std::vector<AttributeRange>& thematic);
 
   /// All points contained in `geometry` (polygon/multipolygon/box).
   Result<SelectionResult> SelectInGeometry(const Geometry& geometry);

@@ -10,8 +10,10 @@ Status Catalog::AddPointCloud(const std::string& name,
     return Status::AlreadyExists("dataset '" + name + "' exists");
   }
   tables_[name] = table;
-  engines_[name] =
-      std::make_unique<SpatialQueryEngine>(std::move(table), options);
+  auto shard = std::make_shared<LocalShard>(std::move(table), options);
+  FlatCloud& flat = flat_[name];
+  flat.view = ShardsView::Single(shard, "x", "y");
+  flat.shard = std::move(shard);
   return Status::OK();
 }
 
@@ -47,12 +49,30 @@ Status Catalog::AddLayer(std::shared_ptr<VectorLayer> layer) {
   return Status::OK();
 }
 
-Result<SpatialQueryEngine*> Catalog::GetEngine(const std::string& name) {
-  auto it = engines_.find(name);
-  if (it == engines_.end()) {
+Result<PinnedPointCloud> Catalog::PinPointCloud(const std::string& name) {
+  PinnedPointCloud pinned;
+  if (auto it = flat_.find(name); it != flat_.end()) {
+    pinned.view = it->second.view;
+    pinned.engine = &it->second.shard->engine();
+  } else if (auto rt = routers_.find(name); rt != routers_.end()) {
+    pinned.view = rt->second->Pin();
+    pinned.router = rt->second.get();
+  } else if (auto lt = live_tables_.find(name); lt != live_tables_.end()) {
+    EpochSnapshot snapshot = lt->second->Pin();
+    pinned.view = std::move(snapshot.view);
+    pinned.engine = snapshot.engine.get();
+  } else {
     return Status::NotFound("no point cloud '" + name + "'");
   }
-  return it->second.get();
+  return pinned;
+}
+
+Result<SpatialQueryEngine*> Catalog::GetEngine(const std::string& name) {
+  auto it = flat_.find(name);
+  if (it == flat_.end()) {
+    return Status::NotFound("no point cloud '" + name + "'");
+  }
+  return &it->second.shard->engine();
 }
 
 Result<std::shared_ptr<FlatTable>> Catalog::GetTable(const std::string& name) {
@@ -100,7 +120,7 @@ Result<std::shared_ptr<LiveTable>> Catalog::GetLiveTable(
 
 std::vector<std::string> Catalog::PointCloudNames() const {
   std::vector<std::string> out;
-  for (const auto& [name, _] : engines_) out.push_back(name);
+  for (const auto& [name, _] : flat_) out.push_back(name);
   return out;
 }
 

@@ -1,5 +1,5 @@
-// The catalog: named point-cloud tables (each wrapped by a spatial query
-// engine) and named vector layers. This is what the SQL front end resolves
+// The catalog: named point-cloud tables (flat, Hilbert-sharded or live)
+// and named vector layers. This is what the SQL front end resolves
 // FROM clauses against, and what the demo scenarios assemble.
 #ifndef GEOCOL_GIS_CATALOG_H_
 #define GEOCOL_GIS_CATALOG_H_
@@ -17,11 +17,21 @@
 
 namespace geocol {
 
+/// What one statement against a point cloud executes with: the pinned
+/// view, plus the engine (flat and live tables) or router (sharded tables)
+/// serving it. The view keeps its shards, their engines and columns
+/// alive; a router lives as long as the catalog.
+struct PinnedPointCloud {
+  std::shared_ptr<const ShardsView> view;
+  SpatialQueryEngine* engine = nullptr;
+  ShardRouter* router = nullptr;
+};
+
 /// Named dataset registry.
 class Catalog {
  public:
-  /// Registers a point cloud table; a SpatialQueryEngine is created over
-  /// it with `options`.
+  /// Registers a point cloud table: a constant one-shard view over it,
+  /// whose shard engine is created with `options`.
   Status AddPointCloud(const std::string& name,
                        std::shared_ptr<FlatTable> table,
                        EngineOptions options = {});
@@ -42,7 +52,7 @@ class Catalog {
                            std::shared_ptr<LiveTable> table);
 
   bool HasPointCloud(const std::string& name) const {
-    return engines_.count(name) != 0;
+    return flat_.count(name) != 0;
   }
   bool HasLayer(const std::string& name) const {
     return layers_.count(name) != 0;
@@ -54,6 +64,12 @@ class Catalog {
     return live_tables_.count(name) != 0;
   }
 
+  /// Pins point cloud `name` (flat, sharded or live) for one statement: the
+  /// flat table's constant view, the router's current view, or the live
+  /// table's current epoch. NotFound for any other name.
+  Result<PinnedPointCloud> PinPointCloud(const std::string& name);
+
+  /// The engine serving flat table `name` (its one shard's engine).
   Result<SpatialQueryEngine*> GetEngine(const std::string& name);
   Result<std::shared_ptr<FlatTable>> GetTable(const std::string& name);
   Result<std::shared_ptr<VectorLayer>> GetLayer(const std::string& name);
@@ -69,11 +85,15 @@ class Catalog {
 
  private:
   bool NameTaken(const std::string& name) const {
-    return engines_.count(name) != 0 || layers_.count(name) != 0 ||
+    return flat_.count(name) != 0 || layers_.count(name) != 0 ||
            routers_.count(name) != 0 || live_tables_.count(name) != 0;
   }
 
-  std::map<std::string, std::unique_ptr<SpatialQueryEngine>> engines_;
+  struct FlatCloud {
+    std::shared_ptr<LocalShard> shard;
+    std::shared_ptr<const ShardsView> view;
+  };
+  std::map<std::string, FlatCloud> flat_;
   std::map<std::string, std::shared_ptr<FlatTable>> tables_;
   std::map<std::string, std::shared_ptr<VectorLayer>> layers_;
   std::map<std::string, std::unique_ptr<ShardRouter>> routers_;

@@ -7,7 +7,7 @@
 
 namespace geocol {
 
-Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
+Result<NearLayerResult> PointsNearLayerClass(const ShardsView& view,
                                              VectorLayer* layer,
                                              uint32_t feature_class,
                                              double distance) {
@@ -27,8 +27,7 @@ Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
     const VectorFeature& f = layer->feature(fi);
     GEOCOL_ASSIGN_OR_RETURN(
         SelectionResult sel,
-        distance > 0 ? engine->SelectWithinDistance(f.geometry, distance)
-                     : engine->SelectInGeometry(f.geometry));
+        view.Select(f.geometry, distance > 0 ? distance : 0.0, {}));
     if (!sel.row_ids.empty()) ++result.features_matched;
     result.row_ids.insert(result.row_ids.end(), sel.row_ids.begin(),
                           sel.row_ids.end());
@@ -48,19 +47,15 @@ Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
   return result;
 }
 
-Result<double> AggregateNearLayerClass(SpatialQueryEngine* engine,
+Result<double> AggregateNearLayerClass(const ShardsView& view,
                                        VectorLayer* layer,
                                        uint32_t feature_class, double distance,
                                        const std::string& column,
                                        AggKind kind) {
   GEOCOL_ASSIGN_OR_RETURN(
       NearLayerResult near,
-      PointsNearLayerClass(engine, layer, feature_class, distance));
-  if (kind == AggKind::kCount) {
-    return static_cast<double>(near.row_ids.size());
-  }
-  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, engine->table().GetColumn(column));
-  return AggregateRows(*col, near.row_ids, kind);
+      PointsNearLayerClass(view, layer, feature_class, distance));
+  return view.Aggregate(near.row_ids, column, kind);
 }
 
 std::vector<uint64_t> LayerIntersectingLayer(VectorLayer* a, VectorLayer* b,

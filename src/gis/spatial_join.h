@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "core/spatial_engine.h"
+#include "core/shard.h"
 #include "gis/layer.h"
 
 namespace geocol {
@@ -19,10 +19,11 @@ struct NearLayerResult {
   QueryProfile profile;
 };
 
-/// Selects points of `engine`'s table within `distance` of any feature of
-/// `layer` carrying `feature_class` (pass 0 to accept every class). Each
-/// feature triggers one two-step engine query; results are unioned.
-Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
+/// Selects points of `view` within `distance` of any feature of `layer`
+/// carrying `feature_class` (pass 0 to accept every class). Each feature
+/// triggers one two-step selection over the view (pruned and scattered
+/// like any other on a sharded view); the global row ids are unioned.
+Result<NearLayerResult> PointsNearLayerClass(const ShardsView& view,
                                              VectorLayer* layer,
                                              uint32_t feature_class,
                                              double distance);
@@ -30,7 +31,7 @@ Result<NearLayerResult> PointsNearLayerClass(SpatialQueryEngine* engine,
 /// Aggregates `column` over the points selected by PointsNearLayerClass —
 /// e.g. "compute the average elevation of the LIDAR points that are near
 /// a fast transit road".
-Result<double> AggregateNearLayerClass(SpatialQueryEngine* engine,
+Result<double> AggregateNearLayerClass(const ShardsView& view,
                                        VectorLayer* layer,
                                        uint32_t feature_class, double distance,
                                        const std::string& column, AggKind kind);

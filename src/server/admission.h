@@ -34,10 +34,11 @@ struct QueryTask {
   std::string sql;
   sql::PlannedQuery plan;
 
-  /// Shared-scan batch group key: the flat engine's address (nonzero only
-  /// for batchable plans). Plans pinned to the same live epoch hold the
-  /// same engine, so equal keys mean "same table snapshot"; both engines
-  /// are kept alive by their plans, so the addresses cannot alias.
+  /// Shared-scan batch group key: the address of the plan's pinned view
+  /// (nonzero only for batchable plans). A flat table's view is constant,
+  /// and plans pinned to the same live epoch or the same sharded layout
+  /// version share one view, so equal keys mean "same table snapshot";
+  /// the views are kept alive by their plans, so addresses cannot alias.
   uintptr_t batch_key = 0;
   /// Effective selection box when batch_key != 0 (the geometry envelope,
   /// or the table extent for predicate-free statements).

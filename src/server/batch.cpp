@@ -10,6 +10,8 @@
 #include "core/native_range.h"
 #include "core/query_window.h"
 #include "simd/kernels.h"
+#include "telemetry/heat.h"
+#include "telemetry/metrics.h"
 #include "util/timer.h"
 
 namespace geocol {
@@ -34,33 +36,19 @@ struct GatheredColumn {
   std::vector<uint8_t> data;  // candidates.size() values of native width
 };
 
-template <typename T>
-Status GatherTyped(const Column& col, const std::vector<uint64_t>& rows,
-                   T* out) {
-  // Ascending walk, pinning each covering chunk once. Resident columns
-  // pin the whole buffer (one iteration); paged columns fault only the
-  // chunks the candidate rows touch.
-  const size_t chunk_rows = col.chunk_rows();
-  size_t i = 0;
-  while (i < rows.size()) {
-    GEOCOL_ASSIGN_OR_RETURN(ColumnChunkPin pin,
-                            col.PinChunk(rows[i] / chunk_rows));
-    const T* values = pin.values<T>();
-    const uint64_t end_row = pin.first_row + pin.row_count;
-    for (; i < rows.size() && rows[i] < end_row; ++i) {
-      out[i] = values[rows[i] - pin.first_row];
-    }
-  }
-  return Status::OK();
-}
-
-Status GatherColumn(const Column& col, const std::vector<uint64_t>& rows,
-                    GatheredColumn* out) {
-  out->type = col.type();
-  out->data.resize(rows.size() * col.width());
+Status GatherColumn(const FlatTable& table, const std::string& name,
+                    const std::vector<uint64_t>& rows, GatheredColumn* out) {
+  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table.GetColumn(name));
+  const Column* part = col.get();
+  const uint64_t base = 0;
+  out->type = col->type();
+  out->data.resize(rows.size() * col->width());
   Status st;
-  DispatchDataType(col.type(), [&]<typename T>() {
-    st = GatherTyped<T>(col, rows, reinterpret_cast<T*>(out->data.data()));
+  // A short column (solo answers Corruption: "... length mismatch") errors
+  // here, and the caller's solo fallback reproduces the exact solo error.
+  DispatchDataType(out->type, [&]<typename T>() {
+    st = GatherRows<T>({&part, 1}, {&base, 1}, rows,
+                       reinterpret_cast<T*>(out->data.data()));
   });
   return st;
 }
@@ -97,7 +85,6 @@ bool AndRangeBits(const GatheredColumn& g, size_t n, double lo, double hi,
 
 bool BatchablePlan(const sql::PlannedQuery& plan) {
   if (plan.target != sql::PlannedQuery::Target::kPointCloud) return false;
-  if (plan.engine == nullptr || plan.router != nullptr) return false;
   if (plan.near) return false;
   if (plan.buffer != 0.0) return false;
   if (plan.stmt.explain || plan.stmt.analyze) return false;
@@ -108,7 +95,7 @@ bool BatchablePlan(const sql::PlannedQuery& plan) {
 bool SelectionResident(const sql::PlannedQuery& plan) {
   Result<Geometry> geometry = plan.QueryGeometry();
   return geometry.ok() &&
-         plan.engine->SelectionCached(*geometry, plan.buffer, plan.thematic);
+         plan.view->SelectionCached(*geometry, plan.buffer, plan.thematic);
 }
 
 Result<Box> PlanViewport(const sql::PlannedQuery& plan) {
@@ -119,88 +106,111 @@ Result<Box> PlanViewport(const sql::PlannedQuery& plan) {
   // while the superset stays proportional to the actual viewports instead
   // of the whole table. A member that can select nothing gets an empty box.
   GEOCOL_ASSIGN_OR_RETURN(Geometry geometry, plan.QueryGeometry());
-  QueryWindow window =
-      MakeQueryWindow(geometry, plan.buffer, plan.thematic, "x", "y");
+  QueryWindow window = MakeQueryWindow(geometry, plan.buffer, plan.thematic,
+                                       plan.view->x_column,
+                                       plan.view->y_column);
   return window.empty ? Box() : window.envelope;
 }
 
-Result<SharedScanResult> SharedScanSelect(SpatialQueryEngine* engine,
+Result<SharedScanResult> SharedScanSelect(const ShardsView& view,
                                           const std::vector<TaskPtr>& group) {
   SharedScanResult out;
   out.member_rows.resize(group.size());
 
-  // Union box over the members that can select anything. A member with an
-  // inverted box (e.g. `x BETWEEN 50 AND 40`) selects nothing solo and
-  // stays an empty row set here.
-  Box superset;  // default-empty; Extend skips empty member boxes
-  for (const TaskPtr& task : group) superset.Extend(task->viewport);
-
-  const FlatTable& table = engine->table();
-  Timer scan_timer;
-  std::vector<uint64_t> candidates;
-  if (!superset.empty()) {
-    // The union of this group's boxes never repeats: no cache lookup, no
-    // insert, no sighting.
-    GEOCOL_ASSIGN_OR_RETURN(SelectionResult sel,
-                            engine->SelectInBoxUncached(superset));
-    candidates = std::move(sel.row_ids);
-  }
-
-  // Per-member conjunctions, plus the distinct columns they touch.
+  // Per-member conjunctions, plus the distinct columns they touch. A
+  // member with an empty viewport (e.g. `x BETWEEN 50 AND 40`) selects
+  // nothing solo and stays an empty row set here.
   std::vector<std::vector<RangePredicate>> predicates(group.size());
-  static const std::string kX = "x", kY = "y";
   std::map<std::string, GatheredColumn> gathered;
   for (size_t m = 0; m < group.size(); ++m) {
     const TaskPtr& task = group[m];
     if (task->viewport.empty()) continue;
-    predicates[m].push_back({&kX, task->viewport.min_x, task->viewport.max_x});
-    predicates[m].push_back({&kY, task->viewport.min_y, task->viewport.max_y});
+    predicates[m].push_back(
+        {&view.x_column, task->viewport.min_x, task->viewport.max_x});
+    predicates[m].push_back(
+        {&view.y_column, task->viewport.min_y, task->viewport.max_y});
     for (const AttributeRange& a : task->plan.thematic) {
       predicates[m].push_back({&a.column, a.lo, a.hi});
     }
     for (const RangePredicate& p : predicates[m]) gathered[*p.column];
   }
-  for (auto& [name, g] : gathered) {
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table.GetColumn(name));
-    // A short column (solo answers Corruption: "... length mismatch")
-    // errors here instead, and the caller's solo fallback reproduces the
-    // exact solo-path message.
-    if (!candidates.empty() && candidates.back() >= col->size()) {
-      return Status::Corruption("column length mismatch: " + name);
-    }
-    GEOCOL_RETURN_NOT_OK(GatherColumn(*col, candidates, &g));
-  }
-  out.profile.Add("server.batch.scan", scan_timer.ElapsedNanos(),
-                  table.num_rows(), candidates.size());
 
-  // Fan out: re-filter the candidates per member with the exact solo
-  // predicate set. Each member's box is contained in the superset, so its
-  // solo selection is a subset of the candidates; the re-filter recovers
-  // it exactly.
-  Timer fanout_timer;
-  const size_t n = candidates.size();
-  const size_t nwords = (n + 63) / 64;
-  uint64_t rows_out = 0;
+  // One superset scan per shard over the union of the viewports of the
+  // members that reach it. A routed view skips every shard whose bbox no
+  // member's viewport meets, as each member's solo selection would prune
+  // it; a one-shard view scans its shard over the union of every viewport.
+  // Shards run in order, so each member's global rows come out ascending,
+  // and only one shard's candidates are held at a time. On a routed view
+  // the shared scans count as shard scans and heat, once per batch.
+  GEOCOL_METRIC_COUNTER(c_pruned, "geocol_shards_pruned_total");
+  GEOCOL_METRIC_COUNTER(c_scanned, "geocol_shards_scanned_total");
+  int64_t scan_nanos = 0, fanout_nanos = 0;
+  uint64_t candidates_total = 0, fanned = 0, rows_out = 0;
+  std::vector<size_t> members;
   std::vector<uint64_t> words;
-  for (size_t m = 0; m < group.size(); ++m) {
-    if (group[m]->viewport.empty() || n == 0) continue;
-    words.assign(nwords, ~uint64_t{0});
-    bool nonempty = true;
-    for (const RangePredicate& p : predicates[m]) {
-      if (!AndRangeBits(gathered[*p.column], n, p.lo, p.hi, &words)) {
-        nonempty = false;
-        break;
+  for (size_t s = 0; s < view.shards.size(); ++s) {
+    Timer scan_timer;
+    Shard& shard = *view.shards[s];
+    Box superset;
+    members.clear();
+    for (size_t m = 0; m < group.size(); ++m) {
+      const Box& viewport = group[m]->viewport;
+      if (viewport.empty()) continue;
+      if (view.routed && !shard.bbox().Intersects(viewport)) continue;
+      superset.Extend(viewport);
+      members.push_back(m);
+    }
+    if (view.routed) (members.empty() ? c_pruned : c_scanned).Increment();
+    if (members.empty()) continue;
+    // The union never repeats: no cache lookup, insert or sighting.
+    GEOCOL_ASSIGN_OR_RETURN(
+        SelectionResult sel,
+        shard.Select(Geometry(superset), 0.0, {}, /*use_cache=*/false));
+    const std::vector<uint64_t>& candidates = sel.row_ids;
+    if (view.routed) {
+      telemetry::TouchShardHeat(view.name, static_cast<uint32_t>(s),
+                                /*covered=*/false, candidates.size());
+    }
+    for (auto& [name, g] : gathered) {
+      GEOCOL_RETURN_NOT_OK(GatherColumn(shard.table(), name, candidates, &g));
+    }
+    scan_nanos += scan_timer.ElapsedNanos();
+    candidates_total += candidates.size();
+
+    // Fan out: re-filter the candidates per member with the exact solo
+    // predicate set. Each member's box is contained in the superset, so
+    // its solo selection is a subset of the candidates; the re-filter
+    // recovers it exactly.
+    Timer fanout_timer;
+    const size_t n = candidates.size();
+    const size_t nwords = (n + 63) / 64;
+    const uint64_t base = view.bases[s];
+    for (size_t m : members) {
+      if (n == 0) break;
+      words.assign(nwords, ~uint64_t{0});
+      bool nonempty = true;
+      for (const RangePredicate& p : predicates[m]) {
+        if (!AndRangeBits(gathered[*p.column], n, p.lo, p.hi, &words)) {
+          nonempty = false;
+          break;
+        }
       }
+      if (!nonempty) continue;
+      std::vector<uint64_t>& rows = out.member_rows[m];
+      const size_t before = rows.size();
+      for (size_t i = 0; i < n; ++i) {
+        if ((words[i / 64] >> (i % 64)) & 1) {
+          rows.push_back(base + candidates[i]);
+        }
+      }
+      rows_out += rows.size() - before;
     }
-    if (!nonempty) continue;
-    std::vector<uint64_t>& rows = out.member_rows[m];
-    for (size_t i = 0; i < n; ++i) {
-      if ((words[i / 64] >> (i % 64)) & 1) rows.push_back(candidates[i]);
-    }
-    rows_out += rows.size();
+    fanned += n * members.size();
+    fanout_nanos += fanout_timer.ElapsedNanos();
   }
-  out.profile.Add("server.batch.fanout", fanout_timer.ElapsedNanos(),
-                  n * group.size(), rows_out);
+  out.profile.Add("server.batch.scan", scan_nanos, view.total_rows(),
+                  candidates_total);
+  out.profile.Add("server.batch.fanout", fanout_nanos, fanned, rows_out);
   return out;
 }
 

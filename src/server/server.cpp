@@ -339,7 +339,8 @@ void Server::ConnectionLoop(int fd, uint64_t conn_index) {
             !SelectionResident(task->plan)) {
           Result<Box> viewport = PlanViewport(task->plan);
           if (viewport.ok()) {
-            task->batch_key = reinterpret_cast<uintptr_t>(task->plan.engine);
+            task->batch_key =
+                reinterpret_cast<uintptr_t>(task->plan.view.get());
             task->viewport = *viewport;
           }
           // On error: leave batch_key 0 — solo execution reproduces it.
@@ -445,9 +446,9 @@ void Server::ExecuteBatchGroup(sql::Session& session,
                                const std::vector<TaskPtr>& group) {
   GEOCOL_METRIC_COUNTER(c_batches, "geocol_server_batches_total");
   GEOCOL_METRIC_COUNTER(c_members, "geocol_server_batch_members_total");
-  SpatialQueryEngine* engine =
-      reinterpret_cast<SpatialQueryEngine*>(group[0]->batch_key);
-  Result<SharedScanResult> scan = SharedScanSelect(engine, group);
+  // Members move their plans out below; this handle keeps the shared view.
+  const std::shared_ptr<const ShardsView> view = group[0]->plan.view;
+  Result<SharedScanResult> scan = SharedScanSelect(*view, group);
   if (!scan.ok()) {
     // Shared path failed (chunk fault, column mismatch, ...): run every
     // member alone so each gets exactly the result/error of unbatched

@@ -65,178 +65,6 @@ std::string ResultSet::ToString(size_t max_rows) const {
 
 namespace {
 
-Result<double> AggKindFromFunc(AggFunc f, const Column& col,
-                               const std::vector<uint64_t>& rows) {
-  switch (f) {
-    case AggFunc::kCount: return static_cast<double>(rows.size());
-    case AggFunc::kSum: return AggregateRows(col, rows, AggKind::kSum);
-    case AggFunc::kAvg: return AggregateRows(col, rows, AggKind::kAvg);
-    case AggFunc::kMin: return AggregateRows(col, rows, AggKind::kMin);
-    case AggFunc::kMax: return AggregateRows(col, rows, AggKind::kMax);
-    case AggFunc::kNone: break;
-  }
-  return std::nan("");
-}
-
-/// Rows per batched value-access block in the post-filter, ORDER BY and
-/// projection paths below. Batching resolves the column's type dispatch
-/// once per block and, on the paged tier, faults each covering chunk once
-/// instead of once per row — and it surfaces chunk-fault errors as Status
-/// where the scalar GetDouble can only return NaN.
-constexpr size_t kExecBlockRows = 1024;
-
-/// The rendering half of flat point-cloud execution: aggregation or
-/// `*`-expansion / ORDER BY / LIMIT / projection over an already-selected
-/// row set. `rs.profile` holds the selection-phase spans on entry. Shared
-/// by ExecutePointCloud and the server's batched fan-out
-/// (ExecutePointCloudWithRows), so both render bit-identically.
-Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
-                                   const FlatTable& table,
-                                   std::vector<uint64_t> rows, ResultSet rs) {
-  if (plan.stmt.IsAggregate()) {
-    std::vector<Value> out_row;
-    for (const SelectItem& it : plan.stmt.items) {
-      rs.columns.push_back(std::string(AggFuncName(it.agg)) + "(" +
-                           (it.star ? "*" : it.column) + ")");
-      if (it.agg == AggFunc::kCount) {
-        out_row.push_back(Value::Num(static_cast<double>(rows.size())));
-      } else {
-        GEOCOL_ASSIGN_OR_RETURN(ColumnPtr col, table.GetColumn(it.column));
-        GEOCOL_ASSIGN_OR_RETURN(double v, AggKindFromFunc(it.agg, *col, rows));
-        out_row.push_back(rows.empty() ? Value::Null() : Value::Num(v));
-      }
-    }
-    rs.rows.push_back(std::move(out_row));
-    return rs;
-  }
-
-  // Expand `*`.
-  std::vector<std::string> proj;
-  const Schema table_schema = table.schema();
-  for (const SelectItem& it : plan.stmt.items) {
-    if (it.star) {
-      for (const Field& f : table_schema.fields()) proj.push_back(f.name);
-    } else {
-      proj.push_back(it.column);
-    }
-  }
-  std::vector<ColumnPtr> cols;
-  for (const std::string& name : proj) {
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr c, table.GetColumn(name));
-    cols.push_back(std::move(c));
-    rs.columns.push_back(name);
-  }
-  if (!plan.stmt.order_by.empty()) {
-    Timer ts;
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr key, table.GetColumn(plan.stmt.order_by));
-    // Pre-materialise the sort keys with one batched pass, then sort a
-    // permutation: the comparator never touches the column, so a paged key
-    // column faults each chunk once instead of O(n log n) times, and the
-    // (stable) order is exactly the old compare-by-GetDouble order.
-    std::vector<double> keys(rows.size());
-    for (size_t base = 0; base < rows.size(); base += kExecBlockRows) {
-      const size_t bn = std::min(kExecBlockRows, rows.size() - base);
-      GEOCOL_RETURN_NOT_OK(
-          key->GetDoubleBatch(rows.data() + base, bn, keys.data() + base));
-    }
-    std::vector<size_t> order(rows.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return plan.stmt.order_desc ? keys[a] > keys[b] : keys[a] < keys[b];
-    });
-    std::vector<uint64_t> sorted(rows.size());
-    for (size_t i = 0; i < order.size(); ++i) sorted[i] = rows[order[i]];
-    rows = std::move(sorted);
-    rs.profile.Add("sort." + plan.stmt.order_by, ts.ElapsedNanos(),
-                   rows.size(), rows.size());
-  }
-  uint64_t limit = plan.stmt.limit >= 0
-                       ? static_cast<uint64_t>(plan.stmt.limit)
-                       : rows.size();
-  const uint64_t shown = std::min<uint64_t>(limit, rows.size());
-  Timer t;
-  std::vector<std::vector<double>> block(cols.size(),
-                                         std::vector<double>(kExecBlockRows));
-  for (uint64_t base = 0; base < shown; base += kExecBlockRows) {
-    const size_t bn =
-        static_cast<size_t>(std::min<uint64_t>(kExecBlockRows, shown - base));
-    for (size_t c = 0; c < cols.size(); ++c) {
-      GEOCOL_RETURN_NOT_OK(
-          cols[c]->GetDoubleBatch(rows.data() + base, bn, block[c].data()));
-    }
-    for (size_t i = 0; i < bn; ++i) {
-      std::vector<Value> out_row;
-      out_row.reserve(cols.size());
-      for (size_t c = 0; c < cols.size(); ++c) {
-        out_row.push_back(Value::Num(block[c][i]));
-      }
-      rs.rows.push_back(std::move(out_row));
-    }
-  }
-  rs.profile.Add("project", t.ElapsedNanos(), rows.size(), rs.rows.size());
-  return rs;
-}
-
-Result<ResultSet> ExecutePointCloud(const PlannedQuery& plan) {
-  ResultSet rs;
-  const FlatTable& table = plan.engine->table();
-
-  // ---- Selection.
-  std::vector<uint64_t> rows;
-  if (plan.near) {
-    GEOCOL_ASSIGN_OR_RETURN(
-        NearLayerResult near,
-        PointsNearLayerClass(plan.engine, plan.near_layer.get(),
-                             plan.near_class, plan.near_distance));
-    rows = std::move(near.row_ids);
-    rs.profile = std::move(near.profile);
-    // NEAR + thematic: post-filter the joined rows (the per-feature engine
-    // calls cannot push the thematic ranges into the union).
-    if (!plan.thematic.empty()) {
-      Timer t;
-      std::vector<ColumnPtr> cols;
-      for (const AttributeRange& a : plan.thematic) {
-        GEOCOL_ASSIGN_OR_RETURN(ColumnPtr c, table.GetColumn(a.column));
-        cols.push_back(std::move(c));
-      }
-      std::vector<uint8_t> keep(rows.size(), 1);
-      std::vector<double> vals(kExecBlockRows);
-      for (size_t ci = 0; ci < cols.size(); ++ci) {
-        for (size_t base = 0; base < rows.size(); base += kExecBlockRows) {
-          const size_t bn = std::min(kExecBlockRows, rows.size() - base);
-          GEOCOL_RETURN_NOT_OK(
-              cols[ci]->GetDoubleBatch(rows.data() + base, bn, vals.data()));
-          for (size_t i = 0; i < bn; ++i) {
-            if (vals[i] < plan.thematic[ci].lo ||
-                vals[i] > plan.thematic[ci].hi) {
-              keep[base + i] = 0;
-            }
-          }
-        }
-      }
-      std::vector<uint64_t> kept;
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (keep[i] != 0) kept.push_back(rows[i]);
-      }
-      rs.profile.Add("thematic.postfilter", t.ElapsedNanos(), rows.size(),
-                     kept.size());
-      rows = std::move(kept);
-    }
-  } else {
-    // No spatial predicate: the whole table extent is the query box, which
-    // any x/y ranges then narrow into the query window.
-    GEOCOL_ASSIGN_OR_RETURN(Geometry query_geom, plan.QueryGeometry());
-    GEOCOL_ASSIGN_OR_RETURN(
-        SelectionResult sel,
-        plan.engine->Select(query_geom, plan.buffer, plan.thematic));
-    rows = std::move(sel.row_ids);
-    rs.profile = std::move(sel.profile);
-  }
-
-  // ---- Projection / aggregation.
-  return RenderPointCloud(plan, table, std::move(rows), std::move(rs));
-}
-
 AggKind AggKindOf(AggFunc f) {
   switch (f) {
     case AggFunc::kSum: return AggKind::kSum;
@@ -249,31 +77,44 @@ AggKind AggKindOf(AggFunc f) {
   return AggKind::kCount;
 }
 
-/// Mirror of ExecutePointCloud over a shard router. Value access goes
-/// through ShardedColumnReader (global row -> owning shard's local
-/// column); aggregates run the shared serial aggregation core, so results
-/// are bit-identical to the flat-table path over the same row set.
-Result<ResultSet> ExecuteShardedPointCloud(const PlannedQuery& plan) {
-  ResultSet rs;
-  ShardRouter* router = plan.router;
+/// Rows per batched value-access block in the post-filter, ORDER BY and
+/// projection paths below. Batching resolves the column's type dispatch
+/// once per block and, on the paged tier, faults each covering chunk once
+/// instead of once per row — and it surfaces chunk-fault errors as Status
+/// where the scalar GetDouble can only return NaN.
+constexpr size_t kExecBlockRows = 1024;
 
-  // One view pins the whole statement: selection, aggregation, ORDER BY
-  // and projection all read the same shard epoch, so global row ids never
-  // shift (and values never move) under a statement while live appends
-  // publish concurrently.
-  ShardsView view = router->View();
+/// out[i] = the value of global row rows[i] in a column of `view` (`parts`
+/// from ShardsView::Columns), for n <= kExecBlockRows. One part (a flat
+/// table or live epoch) reads the rows as they are; a sharded column reads
+/// each run of rows inside one shard as local ids.
+Status ReadValues(const ShardsView& view, const std::vector<ColumnPtr>& parts,
+                  const uint64_t* rows, size_t n, double* out) {
+  if (parts.size() == 1) return parts[0]->GetDoubleBatch(rows, n, out);
+  uint64_t local[kExecBlockRows];
+  for (size_t i = 0; i < n;) {
+    const size_t s = view.ShardOf(rows[i]);
+    const uint64_t begin = view.bases[s];
+    const uint64_t end = begin + parts[s]->size();
+    size_t j = i;
+    for (; j < n && rows[j] >= begin && rows[j] < end; ++j) {
+      local[j - i] = rows[j] - begin;
+    }
+    if (j == i) return Status::Corruption("column length mismatch");
+    GEOCOL_RETURN_NOT_OK(parts[s]->GetDoubleBatch(local, j - i, out + i));
+    i = j;
+  }
+  return Status::OK();
+}
 
-  // ---- Selection (the planner rejects NEAR on sharded tables).
-  // No spatial predicate: the sharded extent is the query box; x/y ranges
-  // narrow it into the window the router prunes and covers against.
-  GEOCOL_ASSIGN_OR_RETURN(Geometry query_geom, plan.QueryGeometry());
-  GEOCOL_ASSIGN_OR_RETURN(
-      SelectionResult sel,
-      router->Select(view, query_geom, plan.buffer, plan.thematic));
-  std::vector<uint64_t> rows = std::move(sel.row_ids);
-  rs.profile = std::move(sel.profile);
-
-  // ---- Projection / aggregation.
+/// The rendering half of point-cloud execution: aggregation or
+/// `*`-expansion / ORDER BY / LIMIT / projection over the global rows of
+/// the plan's view. `rs.profile` holds the selection-phase spans on entry.
+/// Shared by ExecutePointCloud and the server's batched fan-out
+/// (ExecutePointCloudWithRows), so both render bit-identically.
+Result<ResultSet> RenderPointCloud(const PlannedQuery& plan,
+                                   std::vector<uint64_t> rows, ResultSet rs) {
+  const ShardsView& view = *plan.view;
   if (plan.stmt.IsAggregate()) {
     std::vector<Value> out_row;
     for (const SelectItem& it : plan.stmt.items) {
@@ -283,8 +124,7 @@ Result<ResultSet> ExecuteShardedPointCloud(const PlannedQuery& plan) {
         out_row.push_back(Value::Num(static_cast<double>(rows.size())));
       } else {
         GEOCOL_ASSIGN_OR_RETURN(
-            double v, router->AggregateGlobalRows(view, rows, it.column,
-                                                  AggKindOf(it.agg)));
+            double v, view.Aggregate(rows, it.column, AggKindOf(it.agg)));
         out_row.push_back(rows.empty() ? Value::Null() : Value::Num(v));
       }
     }
@@ -294,7 +134,7 @@ Result<ResultSet> ExecuteShardedPointCloud(const PlannedQuery& plan) {
 
   // Expand `*`.
   std::vector<std::string> proj;
-  const Schema table_schema = router->schema();
+  const Schema table_schema = view.shards[0]->table().schema();
   for (const SelectItem& it : plan.stmt.items) {
     if (it.star) {
       for (const Field& f : table_schema.fields()) proj.push_back(f.name);
@@ -302,21 +142,31 @@ Result<ResultSet> ExecuteShardedPointCloud(const PlannedQuery& plan) {
       proj.push_back(it.column);
     }
   }
-  std::vector<ShardedColumnReader> cols;
+  std::vector<std::vector<ColumnPtr>> cols;
   for (const std::string& name : proj) {
-    GEOCOL_ASSIGN_OR_RETURN(ShardedColumnReader c,
-                            ShardedColumnReader::Make(view, name));
-    cols.push_back(std::move(c));
+    GEOCOL_ASSIGN_OR_RETURN(cols.emplace_back(), view.Columns(name));
     rs.columns.push_back(name);
   }
+  // ORDER BY: order[p] is the selection position of output row p.
+  std::vector<size_t> order;
   if (!plan.stmt.order_by.empty()) {
     Timer ts;
-    GEOCOL_ASSIGN_OR_RETURN(
-        ShardedColumnReader key,
-        ShardedColumnReader::Make(view, plan.stmt.order_by));
-    std::stable_sort(rows.begin(), rows.end(), [&](uint64_t a, uint64_t b) {
-      double va = key.GetDouble(a), vb = key.GetDouble(b);
-      return plan.stmt.order_desc ? va > vb : va < vb;
+    GEOCOL_ASSIGN_OR_RETURN(std::vector<ColumnPtr> key,
+                            view.Columns(plan.stmt.order_by));
+    // Pre-materialise the sort keys with one batched pass, then sort a
+    // permutation: the comparator never touches the column, so a paged key
+    // column faults each chunk once instead of O(n log n) times, and the
+    // (stable) order is exactly the compare-by-value order.
+    std::vector<double> keys(rows.size());
+    for (size_t base = 0; base < rows.size(); base += kExecBlockRows) {
+      const size_t bn = std::min(kExecBlockRows, rows.size() - base);
+      GEOCOL_RETURN_NOT_OK(ReadValues(view, key, rows.data() + base, bn,
+                                      keys.data() + base));
+    }
+    order.resize(rows.size());
+    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return plan.stmt.order_desc ? keys[a] > keys[b] : keys[a] < keys[b];
     });
     rs.profile.Add("sort." + plan.stmt.order_by, ts.ElapsedNanos(),
                    rows.size(), rows.size());
@@ -324,17 +174,99 @@ Result<ResultSet> ExecuteShardedPointCloud(const PlannedQuery& plan) {
   uint64_t limit = plan.stmt.limit >= 0
                        ? static_cast<uint64_t>(plan.stmt.limit)
                        : rows.size();
+  const size_t shown =
+      static_cast<size_t>(std::min<uint64_t>(limit, rows.size()));
   Timer t;
-  for (uint64_t i = 0; i < rows.size() && i < limit; ++i) {
-    std::vector<Value> out_row;
-    out_row.reserve(cols.size());
-    for (const ShardedColumnReader& c : cols) {
-      out_row.push_back(Value::Num(c.GetDouble(rows[i])));
+  // Project the shown rows in ascending row order, so a paged column
+  // faults each chunk once even after ORDER BY: `read` lists the rows
+  // ascending and out_pos[k] is the output row of read[k].
+  const uint64_t* read = rows.data();
+  std::vector<uint64_t> ascending;
+  std::vector<size_t> out_pos;
+  if (!order.empty()) {
+    out_pos.resize(shown);
+    for (size_t p = 0; p < shown; ++p) out_pos[p] = p;
+    std::sort(out_pos.begin(), out_pos.end(), [&](size_t a, size_t b) {
+      return rows[order[a]] < rows[order[b]];
+    });
+    ascending.resize(shown);
+    for (size_t k = 0; k < shown; ++k) ascending[k] = rows[order[out_pos[k]]];
+    read = ascending.data();
+  }
+  rs.rows.resize(shown);
+  std::vector<std::vector<double>> block(cols.size(),
+                                         std::vector<double>(kExecBlockRows));
+  for (size_t base = 0; base < shown; base += kExecBlockRows) {
+    const size_t bn = std::min(kExecBlockRows, shown - base);
+    for (size_t c = 0; c < cols.size(); ++c) {
+      GEOCOL_RETURN_NOT_OK(
+          ReadValues(view, cols[c], read + base, bn, block[c].data()));
     }
-    rs.rows.push_back(std::move(out_row));
+    for (size_t i = 0; i < bn; ++i) {
+      std::vector<Value>& out_row =
+          rs.rows[out_pos.empty() ? base + i : out_pos[base + i]];
+      out_row.reserve(cols.size());
+      for (size_t c = 0; c < cols.size(); ++c) {
+        out_row.push_back(Value::Num(block[c][i]));
+      }
+    }
   }
   rs.profile.Add("project", t.ElapsedNanos(), rows.size(), rs.rows.size());
   return rs;
+}
+
+Result<ResultSet> ExecutePointCloud(const PlannedQuery& plan) {
+  ResultSet rs;
+  const ShardsView& view = *plan.view;
+
+  // ---- Selection.
+  std::vector<uint64_t> rows;
+  if (plan.near) {
+    GEOCOL_ASSIGN_OR_RETURN(
+        NearLayerResult near,
+        PointsNearLayerClass(view, plan.near_layer.get(), plan.near_class,
+                             plan.near_distance));
+    rows = std::move(near.row_ids);
+    rs.profile = std::move(near.profile);
+    // NEAR + thematic: post-filter the joined rows (the per-feature
+    // selections cannot push the thematic ranges into the union).
+    if (!plan.thematic.empty()) {
+      Timer t;
+      std::vector<uint8_t> keep(rows.size(), 1);
+      std::vector<double> vals(kExecBlockRows);
+      for (const AttributeRange& a : plan.thematic) {
+        GEOCOL_ASSIGN_OR_RETURN(std::vector<ColumnPtr> parts,
+                                view.Columns(a.column));
+        for (size_t base = 0; base < rows.size(); base += kExecBlockRows) {
+          const size_t bn = std::min(kExecBlockRows, rows.size() - base);
+          GEOCOL_RETURN_NOT_OK(
+              ReadValues(view, parts, rows.data() + base, bn, vals.data()));
+          for (size_t i = 0; i < bn; ++i) {
+            if (vals[i] < a.lo || vals[i] > a.hi) keep[base + i] = 0;
+          }
+        }
+      }
+      std::vector<uint64_t> kept;
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (keep[i] != 0) kept.push_back(rows[i]);
+      }
+      rs.profile.Add("thematic.postfilter", t.ElapsedNanos(), rows.size(),
+                     kept.size());
+      rows = std::move(kept);
+    }
+  } else {
+    // No spatial predicate: the view's extent is the query box, which any
+    // x/y ranges then narrow into the query window.
+    GEOCOL_ASSIGN_OR_RETURN(Geometry query_geom, plan.QueryGeometry());
+    GEOCOL_ASSIGN_OR_RETURN(
+        SelectionResult sel,
+        view.Select(query_geom, plan.buffer, plan.thematic));
+    rows = std::move(sel.row_ids);
+    rs.profile = std::move(sel.profile);
+  }
+
+  // ---- Projection / aggregation.
+  return RenderPointCloud(plan, std::move(rows), std::move(rs));
 }
 
 Result<ResultSet> ExecuteLayer(const PlannedQuery& plan) {
@@ -487,8 +419,7 @@ Result<ResultSet> ExecutePointCloudWithRows(const PlannedQuery& plan,
                                             QueryProfile profile) {
   ResultSet rs;
   rs.profile = std::move(profile);
-  return RenderPointCloud(plan, plan.engine->table(), std::move(rows),
-                          std::move(rs));
+  return RenderPointCloud(plan, std::move(rows), std::move(rs));
 }
 
 Result<ResultSet> ExecuteQuery(const PlannedQuery& plan) {
@@ -500,8 +431,7 @@ Result<ResultSet> ExecuteQuery(const PlannedQuery& plan) {
   }
   Result<ResultSet> executed =
       plan.target == PlannedQuery::Target::kPointCloud
-          ? (plan.router != nullptr ? ExecuteShardedPointCloud(plan)
-                                    : ExecutePointCloud(plan))
+          ? ExecutePointCloud(plan)
           : ExecuteLayer(plan);
   if (!plan.stmt.analyze) return executed;
   GEOCOL_RETURN_NOT_OK(executed.status());

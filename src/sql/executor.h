@@ -53,15 +53,15 @@ struct ResultSet {
 /// Runs a planned query.
 Result<ResultSet> ExecuteQuery(const PlannedQuery& plan);
 
-/// Runs a flat point-cloud plan whose selection was already computed
-/// elsewhere (the server's shared-scan batching fan-out): skips the
-/// engine Select and renders aggregation / ORDER BY / LIMIT / projection
-/// over `rows` exactly like ExecuteQuery would over the same row set, so
-/// the result is bit-identical by construction. `rows` must be ascending
-/// row ids into the plan's engine table; `profile` carries the caller's
-/// selection-phase spans and becomes the base of the result profile.
-/// The caller guarantees a plain query: flat kPointCloud target, no
-/// NEAR, not EXPLAIN [ANALYZE].
+/// Runs a point-cloud plan whose selection was already computed elsewhere
+/// (the server's shared-scan batching fan-out): skips the view Select and
+/// renders aggregation / ORDER BY / LIMIT / projection over `rows` exactly
+/// like ExecuteQuery would over the same row set, so the result is
+/// bit-identical by construction. `rows` must be ascending global row ids
+/// of the plan's view; `profile` carries the caller's selection-phase
+/// spans and becomes the base of the result profile. The caller
+/// guarantees a plain query: kPointCloud target, no NEAR, not EXPLAIN
+/// [ANALYZE].
 Result<ResultSet> ExecutePointCloudWithRows(const PlannedQuery& plan,
                                             std::vector<uint64_t> rows,
                                             QueryProfile profile);

@@ -60,29 +60,19 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
 
   // Resolve FROM.
   Schema schema;
-  if (catalog->HasPointCloud(stmt.table)) {
-    pq.target = PlannedQuery::Target::kPointCloud;
-    GEOCOL_ASSIGN_OR_RETURN(pq.engine, catalog->GetEngine(stmt.table));
-    schema = pq.engine->table().schema();
-  } else if (catalog->HasShardedPointCloud(stmt.table)) {
-    pq.target = PlannedQuery::Target::kPointCloud;
-    GEOCOL_ASSIGN_OR_RETURN(pq.router, catalog->GetRouter(stmt.table));
-    schema = pq.router->schema();
-  } else if (catalog->HasLivePointCloud(stmt.table)) {
-    pq.target = PlannedQuery::Target::kPointCloud;
-    GEOCOL_ASSIGN_OR_RETURN(std::shared_ptr<LiveTable> live,
-                            catalog->GetLiveTable(stmt.table));
-    // Pin the current epoch for the whole statement: the snapshot engine
-    // is bound to exactly this epoch's column versions.
-    EpochSnapshot snapshot = live->Pin();
-    pq.engine_owner = snapshot.engine;
-    pq.engine = snapshot.engine.get();
-    schema = snapshot.table->schema();
-  } else if (catalog->HasLayer(stmt.table)) {
+  if (catalog->HasLayer(stmt.table)) {
     pq.target = PlannedQuery::Target::kLayer;
     GEOCOL_ASSIGN_OR_RETURN(pq.layer, catalog->GetLayer(stmt.table));
   } else {
-    return Status::NotFound("unknown dataset '" + stmt.table + "'");
+    Result<PinnedPointCloud> pinned = catalog->PinPointCloud(stmt.table);
+    if (!pinned.ok()) {
+      return Status::NotFound("unknown dataset '" + stmt.table + "'");
+    }
+    pq.target = PlannedQuery::Target::kPointCloud;
+    pq.view = std::move(pinned->view);
+    pq.engine = pinned->engine;
+    pq.router = pinned->router;
+    schema = pq.view->shards[0]->table().schema();
   }
 
   // Normalise spatial predicates: at most one geometry predicate and at
@@ -94,9 +84,6 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
       }
       if (pq.target == PlannedQuery::Target::kLayer) {
         return Status::Unsupported("SQL: NEAR on a vector layer");
-      }
-      if (pq.router != nullptr) {
-        return Status::Unsupported("SQL: NEAR on a sharded point cloud");
       }
       GEOCOL_ASSIGN_OR_RETURN(pq.near_layer, catalog->GetLayer(sp.layer));
       pq.near = true;
@@ -159,53 +146,62 @@ Result<PlannedQuery> PlanQuery(Catalog* catalog, SelectStmt stmt) {
 
 Result<Geometry> PlannedQuery::QueryGeometry() const {
   if (has_geometry) return geometry;
-  if (router != nullptr) return Geometry(router->table().extent());
-  const FlatTable& table = engine->table();
-  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr xc, table.GetColumn("x"));
-  GEOCOL_ASSIGN_OR_RETURN(ColumnPtr yc, table.GetColumn("y"));
-  return Geometry(Box(xc->Stats().min, yc->Stats().min, xc->Stats().max,
-                      yc->Stats().max));
+  GEOCOL_ASSIGN_OR_RETURN(Box extent, view->Extent());
+  return Geometry(extent);
 }
 
 std::string PlannedQuery::Describe() const {
   std::string s;
   s += "plan for: " + stmt.ToString() + "\n";
-  s += std::string("  target: ") +
-       (target == Target::kPointCloud
-            ? (router != nullptr
-                   ? "sharded point cloud (" +
-                         std::to_string(router->num_shards()) +
-                         " Hilbert shards + imprints)"
-                   : std::string("point cloud (flat table + imprints)"))
-            : std::string("vector layer (envelope R-tree)")) +
-       " '" + stmt.table + "'\n";
-  if (router != nullptr) {
+  s += "  target: ";
+  if (target == Target::kLayer) {
+    s += "vector layer (envelope R-tree)";
+  } else if (view->routed) {
+    s += "sharded point cloud (" + std::to_string(view->shards.size()) +
+         " Hilbert shards + imprints)";
+  } else {
+    s += "point cloud (flat table + imprints)";
+  }
+  s += " '" + stmt.table + "'\n";
+  if (target == Target::kPointCloud && view->routed) {
     s += "  step 0: bbox-prune shards against query window, "
          "scatter-gather the rest\n";
   }
-  // The fold the engine and router apply: ranges on x/y narrow the
-  // geometry envelope (or, without a geometry, the table extent). NEAR
-  // post-filters its ranges row by row instead, so nothing folds there.
+  // The fold every selection applies: ranges on x/y narrow the geometry
+  // envelope (or, without a geometry, the table extent); the other ranges
+  // are residual terms of the same conjunctive scan. NEAR post-filters its
+  // ranges row by row instead, so nothing folds there.
   QueryWindow window;
   window.residual = thematic;
-  if (target == Target::kPointCloud && !near) {
+  const bool folds = target == Target::kPointCloud && !near;
+  if (folds) {
     if (Result<Geometry> g = QueryGeometry(); g.ok()) {
-      window = MakeQueryWindow(*g, buffer, thematic, "x", "y");
+      window = MakeQueryWindow(*g, buffer, thematic, view->x_column,
+                               view->y_column);
     }
   }
-  if (window.residual.size() < thematic.size()) {
+  if (folds && (has_geometry || !thematic.empty())) {
     const Box& w = window.envelope;
-    s += "  step 1: imprint filter on x/y over window [" +
-         std::to_string(w.min_x) + ", " + std::to_string(w.max_x) + "] x [" +
-         std::to_string(w.min_y) + ", " + std::to_string(w.max_y) +
-         "] (x/y ranges folded" + (window.empty ? "; empty, nothing scanned"
-                                                : "") +
-         ")\n";
-  } else if (has_geometry) {
-    s += "  step 1: imprint filter on x/y over envelope of " +
-         ToWkt(geometry) + (buffer > 0 ? " buffered " + std::to_string(buffer)
-                                       : std::string()) +
-         "\n";
+    std::string columns = view->x_column + ", " + view->y_column;
+    for (const AttributeRange& a : window.residual) columns += ", " + a.column;
+    s += "  step 1: conjunctive imprint filter on " + columns;
+    if (window.residual.size() < thematic.size()) {
+      s += " over window [" + std::to_string(w.min_x) + ", " +
+           std::to_string(w.max_x) + "] x [" + std::to_string(w.min_y) +
+           ", " + std::to_string(w.max_y) + "] (x/y ranges folded" +
+           (window.empty ? "; empty, nothing scanned" : "") + ")";
+    } else if (has_geometry) {
+      s += " over envelope of " + ToWkt(geometry) +
+           (buffer > 0 ? " buffered " + std::to_string(buffer)
+                       : std::string());
+    } else {
+      s += " over the table extent";
+    }
+    s += "\n";
+    for (const AttributeRange& a : window.residual) {
+      s += "    " + a.column + " in [" + std::to_string(a.lo) + ", " +
+           std::to_string(a.hi) + "]\n";
+    }
   }
   if (has_geometry) {
     s += "  step 2: regular-grid refinement, exact tests on boundary cells\n";
@@ -215,9 +211,11 @@ std::string PlannedQuery::Describe() const {
          std::to_string(near_class) + " within " +
          std::to_string(near_distance) + " (per-feature two-step + union)\n";
   }
-  for (const AttributeRange& a : window.residual) {
-    s += "  thematic: imprint filter on " + a.column + " in [" +
-         std::to_string(a.lo) + ", " + std::to_string(a.hi) + "]\n";
+  if (!folds) {  // layers and NEAR filter their ranges row by row
+    for (const AttributeRange& a : thematic) {
+      s += "  thematic: filter " + a.column + " in [" + std::to_string(a.lo) +
+           ", " + std::to_string(a.hi) + "]\n";
+    }
   }
   if (!has_geometry && !near && thematic.empty()) {
     s += "  full scan (no predicates)\n";

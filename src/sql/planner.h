@@ -20,17 +20,16 @@ struct PlannedQuery {
   Target target = Target::kPointCloud;
   SelectStmt stmt;
 
-  // Point-cloud target. Exactly one of `engine` (flat table) or `router`
-  // (Hilbert-sharded table, scatter-gather execution) is set.
-  SpatialQueryEngine* engine = nullptr;  ///< owned by the catalog
-  ShardRouter* router = nullptr;         ///< owned by the catalog
-
-  /// Live-table statement pin: when the FROM target is a live point
-  /// cloud, the plan pins its current epoch snapshot here and `engine`
-  /// points into it — the statement reads one epoch end to end even while
-  /// appender commits publish, and the snapshot's columns stay alive
-  /// until the plan is dropped.
-  std::shared_ptr<SpatialQueryEngine> engine_owner;
+  // Point-cloud target: the view the statement executes against, pinned
+  // at plan time (Catalog::PinPointCloud) — a flat table's constant
+  // one-shard view, a sharded table's current view, or a live table's
+  // current epoch. The statement reads that one view end to end while
+  // appends publish, and the view keeps its columns alive until the plan
+  // is dropped. `engine` (flat, live) or `router` (sharded) names what
+  // serves the view; execution reads only the view.
+  std::shared_ptr<const ShardsView> view;
+  SpatialQueryEngine* engine = nullptr;
+  ShardRouter* router = nullptr;
 
   // Layer target.
   std::shared_ptr<VectorLayer> layer;
@@ -50,9 +49,8 @@ struct PlannedQuery {
   std::vector<AttributeRange> thematic;
 
   /// The geometry a point-cloud selection runs over: the spatial
-  /// predicate, or — for statements without one — the table extent as a
-  /// box (x/y column stats of a flat or live table, the layout extent of
-  /// a sharded one). Errors only when a flat table lacks x or y.
+  /// predicate, or — for statements without one — the view's extent as a
+  /// box (ShardsView::Extent). Errors only when a flat table lacks x or y.
   Result<Geometry> QueryGeometry() const;
 
   /// Human-readable plan (EXPLAIN output).

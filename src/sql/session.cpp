@@ -287,23 +287,23 @@ Result<ResultSet> Session::RunPlanned(const std::string& sql_text,
     // EXPLAIN ANALYZE embeds measured timings in its result rows, so its
     // digest can never replay bit-for-bit; everything else can.
     ev->digest_valid = !plan.stmt.analyze;
-    if (plan.router != nullptr) {
+    // A sharded view is identified by its layout generation, a one-shard
+    // view by its columns' epochs.
+    if (plan.view != nullptr && plan.view->routed) {
       ev->sharded = true;
-      ev->generation = plan.router->table().generation();
-      ev->shards_total = plan.router->num_shards();
-    } else if (plan.engine != nullptr) {
-      for (const auto& column : plan.engine->table().columns()) {
+      ev->generation = plan.view->generation;
+      ev->shards_total = plan.view->shards.size();
+    } else if (plan.view != nullptr) {
+      for (const auto& column : plan.view->shards[0]->table().columns()) {
         ev->column_epochs.push_back(column->epoch());
       }
     }
   }
-  if (options_.cache_budget_bytes >= 0 && plan.engine != nullptr) {
-    plan.engine->set_cache_budget(
-        static_cast<uint64_t>(options_.cache_budget_bytes));
-  }
-  if (options_.cache_budget_bytes >= 0 && plan.router != nullptr) {
-    plan.router->set_cache_budget(
-        static_cast<uint64_t>(options_.cache_budget_bytes));
+  if (options_.cache_budget_bytes >= 0 && plan.view != nullptr) {
+    for (const auto& shard : plan.view->shards) {
+      shard->set_cache_budget(
+          static_cast<uint64_t>(options_.cache_budget_bytes));
+    }
   }
   GEOCOL_ASSIGN_OR_RETURN(
       ResultSet rs,

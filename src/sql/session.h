@@ -37,10 +37,10 @@ struct SessionOptions {
   /// default comes from the GEOCOL_SLOW_QUERY_MS env var (unset = off).
   double slow_query_ms = -1.0;
 
-  /// Result-cache budget applied to every point-cloud engine this session
-  /// queries (DESIGN.md §11). <0 leaves each engine's own configuration
-  /// untouched; 0 forces the cache off; >0 binds the engine to the
-  /// process-wide cache with at least this many bytes. The default comes
+  /// Result-cache budget applied to every shard engine of every view this
+  /// session queries (DESIGN.md §11). <0 leaves each engine's own
+  /// configuration untouched; 0 forces the cache off; >0 binds the engine
+  /// to the process-wide cache with at least this many bytes. The default comes
   /// from the GEOCOL_CACHE_MB env var (unset = leave engines alone).
   int64_t cache_budget_bytes = -1;
 
@@ -69,12 +69,11 @@ class Session {
   Result<ResultSet> ExecutePrepared(const std::string& sql_text,
                                     PlannedQuery plan);
 
-  /// Executes a planned flat point-cloud statement whose selection was
-  /// already computed by a shared superset scan (server shared-scan
-  /// batching): renders over `rows` via ExecutePointCloudWithRows.
-  /// `pre_profile` carries the shared-scan spans into this statement's
-  /// profile/flight event. The caller guarantees the plan is batchable
-  /// (flat target, no NEAR, no EXPLAIN [ANALYZE]).
+  /// Executes a planned point-cloud statement whose selection was already
+  /// computed by a shared superset scan (server shared-scan batching):
+  /// renders over `rows` via ExecutePointCloudWithRows. `pre_profile`
+  /// carries the shared-scan spans into this statement's profile/flight
+  /// event. The caller guarantees the plan is batchable (BatchablePlan).
   Result<ResultSet> ExecutePreparedWithRows(const std::string& sql_text,
                                             PlannedQuery plan,
                                             std::vector<uint64_t> rows,

@@ -215,7 +215,9 @@ class SpatialJoinTest : public ::testing::Test {
     auto table = gen.GenerateTable(30000);
     ASSERT_TRUE(table.ok());
     table_ = *table;
-    engine_ = std::make_unique<SpatialQueryEngine>(table_);
+    auto shard = std::make_shared<LocalShard>(table_, EngineOptions{});
+    engine_ = &shard->engine();
+    view_ = ShardsView::Single(std::move(shard), "x", "y");
 
     std::vector<VectorFeature> fs;
     VectorFeature road;
@@ -236,13 +238,14 @@ class SpatialJoinTest : public ::testing::Test {
   }
 
   std::shared_ptr<FlatTable> table_;
-  std::unique_ptr<SpatialQueryEngine> engine_;
+  std::shared_ptr<const ShardsView> view_;  ///< the table's one-shard view
+  SpatialQueryEngine* engine_ = nullptr;    ///< the view's shard engine
   std::shared_ptr<VectorLayer> layer_;
 };
 
 TEST_F(SpatialJoinTest, PointsNearTransitRoadMatchesManualQuery) {
   auto near = PointsNearLayerClass(
-      engine_.get(), layer_.get(),
+      *view_, layer_.get(),
       static_cast<uint32_t>(UrbanAtlasClass::kFastTransitRoads), 20.0);
   ASSERT_TRUE(near.ok());
   EXPECT_EQ(near->features_matched, 1u);
@@ -255,10 +258,10 @@ TEST_F(SpatialJoinTest, PointsNearTransitRoadMatchesManualQuery) {
 }
 
 TEST_F(SpatialJoinTest, ClassZeroMeansAnyFeature) {
-  auto any = PointsNearLayerClass(engine_.get(), layer_.get(), 0, 10.0);
+  auto any = PointsNearLayerClass(*view_, layer_.get(), 0, 10.0);
   ASSERT_TRUE(any.ok());
   auto transit = PointsNearLayerClass(
-      engine_.get(), layer_.get(),
+      *view_, layer_.get(),
       static_cast<uint32_t>(UrbanAtlasClass::kFastTransitRoads), 10.0);
   ASSERT_TRUE(transit.ok());
   EXPECT_GE(any->row_ids.size(), transit->row_ids.size());
@@ -266,7 +269,7 @@ TEST_F(SpatialJoinTest, ClassZeroMeansAnyFeature) {
 }
 
 TEST_F(SpatialJoinTest, ResultsAreSortedAndUnique) {
-  auto near = PointsNearLayerClass(engine_.get(), layer_.get(), 0, 30.0);
+  auto near = PointsNearLayerClass(*view_, layer_.get(), 0, 30.0);
   ASSERT_TRUE(near.ok());
   EXPECT_TRUE(std::is_sorted(near->row_ids.begin(), near->row_ids.end()));
   EXPECT_EQ(std::adjacent_find(near->row_ids.begin(), near->row_ids.end()),
@@ -277,12 +280,12 @@ TEST_F(SpatialJoinTest, AverageElevationNearTransitRoad) {
   // The demo's flagship query: "compute the average elevation of the LIDAR
   // points that are near a fast transit road".
   auto avg = AggregateNearLayerClass(
-      engine_.get(), layer_.get(),
+      *view_, layer_.get(),
       static_cast<uint32_t>(UrbanAtlasClass::kFastTransitRoads), 20.0, "z",
       AggKind::kAvg);
   ASSERT_TRUE(avg.ok());
   auto near = PointsNearLayerClass(
-      engine_.get(), layer_.get(),
+      *view_, layer_.get(),
       static_cast<uint32_t>(UrbanAtlasClass::kFastTransitRoads), 20.0);
   ASSERT_TRUE(near.ok());
   ColumnPtr z = table_->column("z");
@@ -290,7 +293,7 @@ TEST_F(SpatialJoinTest, AverageElevationNearTransitRoad) {
   for (uint64_t r : near->row_ids) sum += z->GetDouble(r);
   EXPECT_NEAR(*avg, sum / near->row_ids.size(), 1e-9);
   auto count = AggregateNearLayerClass(
-      engine_.get(), layer_.get(),
+      *view_, layer_.get(),
       static_cast<uint32_t>(UrbanAtlasClass::kFastTransitRoads), 20.0, "z",
       AggKind::kCount);
   ASSERT_TRUE(count.ok());
@@ -298,7 +301,7 @@ TEST_F(SpatialJoinTest, AverageElevationNearTransitRoad) {
 }
 
 TEST_F(SpatialJoinTest, NoMatchingClassYieldsEmpty) {
-  auto near = PointsNearLayerClass(engine_.get(), layer_.get(), 99999, 50.0);
+  auto near = PointsNearLayerClass(*view_, layer_.get(), 99999, 50.0);
   ASSERT_TRUE(near.ok());
   EXPECT_TRUE(near->row_ids.empty());
   EXPECT_EQ(near->features_matched, 0u);

@@ -418,7 +418,7 @@ TEST(ShardedLiveAppendTest, AppendGrowsShardPastCreationBbox) {
   ASSERT_TRUE(router.Append(batch).ok());
 
   ShardsView view = router.View();
-  EXPECT_EQ(view.total_rows, 4050u);
+  EXPECT_EQ(view.total_rows(), 4050u);
   auto sel = router.SelectInBox(Box(140, 140, 210, 210));
   ASSERT_TRUE(sel.ok()) << sel.status().ToString();
   EXPECT_EQ(sel->count(), 50u);
@@ -467,7 +467,7 @@ TEST(ShardedLiveAppendTest, TwoAppendersRacingDisjointShardsLoseNothing) {
 
   const uint64_t expect_rows = 4000 + 2 * kBatches * kRows;
   ShardsView view = router.View();
-  EXPECT_EQ(view.total_rows, expect_rows);
+  EXPECT_EQ(view.total_rows(), expect_rows);
   auto all = router.SelectInBox(Box(0, 0, 100, 100));
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->count(), expect_rows);
@@ -502,7 +502,7 @@ TEST(ShardedLiveAppendTest, PinnedViewSupersededByAppendsStaysIdentical) {
 
   Box box(10, 10, 90, 90);
   ShardsView view0 = router.View();
-  auto before = router.Select(view0, Geometry(box), 0.0, {});
+  auto before = view0.Select(Geometry(box), 0.0, {});
   ASSERT_TRUE(before.ok());
 
   for (int i = 0; i < 3; ++i) {
@@ -512,15 +512,15 @@ TEST(ShardedLiveAppendTest, PinnedViewSupersededByAppendsStaysIdentical) {
 
   // The superseded view answers bit-identically: same shard handles, same
   // bases, no appended row visible.
-  auto again = router.Select(view0, Geometry(box), 0.0, {});
+  auto again = view0.Select(Geometry(box), 0.0, {});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->row_ids, before->row_ids);
-  EXPECT_EQ(view0.total_rows, 3000u);
+  EXPECT_EQ(view0.total_rows(), 3000u);
 
   ShardsView view1 = router.View();
   EXPECT_GT(view1.version, view0.version);
-  EXPECT_EQ(view1.total_rows, 3000u + 3 * 128);
-  auto now = router.Select(view1, Geometry(box), 0.0, {});
+  EXPECT_EQ(view1.total_rows(), 3000u + 3 * 128);
+  auto now = view1.Select(Geometry(box), 0.0, {});
   ASSERT_TRUE(now.ok());
   EXPECT_EQ(now->count(), before->count() + 3 * 128);
 }
@@ -552,11 +552,12 @@ TEST(ShardedLiveAppendTest, PinnedViewSurvivesReShardAndRouterTeardown) {
 
   // The pinned view owns its shard handles: reads through it remain valid
   // and value-identical after re-shard + router teardown.
-  ASSERT_EQ(pinned.total_rows, 2000u);
-  auto reader = ShardedColumnReader::Make(pinned, "z");
-  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  ASSERT_EQ(pinned.total_rows(), 2000u);
+  auto parts = pinned.Columns("z");
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
   for (uint64_t r : expect_rows) {
-    double z = reader->GetDouble(r);
+    const size_t s = pinned.ShardOf(r);
+    double z = (*parts)[s]->GetDouble(r - pinned.bases[s]);
     EXPECT_GE(z, -5.0);
     EXPECT_LE(z, 40.0);
   }

@@ -16,6 +16,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -23,10 +24,14 @@
 #include "columns/column_file.h"
 #include "columns/paged_column.h"
 #include "columns/sharded_table.h"
+#include "core/shard_router.h"
 #include "core/imprint_scan.h"
 #include "core/spatial_engine.h"
 #include "geom/geometry.h"
+#include "gis/catalog.h"
 #include "simd/dispatch.h"
+#include "sql/session.h"
+#include "telemetry/metrics.h"
 #include "util/fault_injection.h"
 #include "util/fd_cache.h"
 #include "util/rng.h"
@@ -416,6 +421,92 @@ TEST(PagedEquivalenceTest, FaultSweepNeverReturnsWrongAnswers) {
 
 // Paged columns are a read-only tier: every mutating entry point must
 // refuse cleanly rather than assert or scribble.
+// ORDER BY and projection over a paged sharded table read values in
+// ascending row order, batched per shard run: each chunk a column touches
+// is faulted once, not once per comparison or per row. With a cache that
+// admits no 256 KiB chunk every pin is a fault, so the chunk-fault counter
+// counts pins: the statement may fault z once per chunk its selected rows
+// span (the sort keys) and x, y and z once per chunk its shown rows span.
+TEST(PagedEquivalenceTest, ShardedOrderByProjectionFaultsEachChunkOnce) {
+  ChunkCacheGuard cache_guard;
+  TempDir tmp("paged_orderby");
+  auto source = MakeTable(kRows, 91);
+  ShardingOptions so;
+  so.num_shards = 2;
+  auto sharded = ShardedTable::Create(*source, so);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_TRUE(WriteShardedTableDir(**sharded, tmp.File("sharded")).ok());
+  auto paged = ReadShardedTableDir(tmp.File("sharded"),
+                                   /*verify_checksums=*/true, /*paged=*/true);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  cache::ChunkCache::Global().SetBudget(1ull << 20);
+  cache::ChunkCache::Global().Clear();
+
+  EngineOptions eo;
+  eo.num_threads = 1;
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddShardedPointCloud("pc", *paged, eo).ok());
+  sql::SessionOptions sopts;
+  sopts.record_trace = false;
+  sopts.record_flight = false;
+  sql::Session session(&catalog, sopts);
+  const std::string where = " FROM pc WHERE z BETWEEN 10 AND 10.4";
+  constexpr size_t kShown = 50;
+  ASSERT_TRUE(session.Execute("SELECT COUNT(*)" + where).ok());  // imprints
+
+  // The selected rows, their z keys, and the chunks they and the shown
+  // (first kShown by z, stable) rows span.
+  auto router = catalog.GetRouter("pc");
+  ASSERT_TRUE(router.ok());
+  std::shared_ptr<const ShardsView> view = (*router)->Pin();
+  auto extent = view->Extent();
+  ASSERT_TRUE(extent.ok());
+  auto sel = view->Select(Geometry(*extent), 0.0, {{"z", 10, 10.4}});
+  ASSERT_TRUE(sel.ok());
+  ASSERT_GT(sel->row_ids.size(), kShown);
+  ASSERT_LE(sel->row_ids.size(), 1024u);  // one value-access block
+  auto z = view->Columns("z");
+  ASSERT_TRUE(z.ok());
+  auto chunk_of = [&](uint64_t r) {
+    const size_t s = view->ShardOf(r);
+    return std::make_pair(s, (r - view->bases[s]) / (*z)[s]->chunk_rows());
+  };
+  std::vector<std::pair<double, uint64_t>> keyed;
+  std::set<std::pair<size_t, uint64_t>> selected_chunks, shown_chunks;
+  for (uint64_t r : sel->row_ids) {
+    const size_t s = view->ShardOf(r);
+    keyed.push_back({(*z)[s]->GetDouble(r - view->bases[s]), r});
+    selected_chunks.insert(chunk_of(r));
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  for (size_t i = 0; i < kShown; ++i) {
+    shown_chunks.insert(chunk_of(keyed[i].second));
+  }
+  ASSERT_GE(selected_chunks.size(), 4u);  // both shards, several chunks
+
+  auto faults = [] {
+    return telemetry::MetricsRegistry::Global()
+        .GetCounter("geocol_chunk_faults_total")
+        .Value();
+  };
+  uint64_t before = faults();
+  ASSERT_TRUE(session.Execute("SELECT COUNT(*)" + where).ok());
+  const uint64_t filter_faults = faults() - before;
+  before = faults();
+  auto rs = session.Execute("SELECT x, y, z" + where + " ORDER BY z LIMIT " +
+                            std::to_string(kShown));
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  EXPECT_EQ(faults() - before - filter_faults,
+            selected_chunks.size() + 3 * shown_chunks.size());
+  ASSERT_EQ(rs->num_rows(), kShown);
+  for (size_t i = 0; i < kShown; ++i) {
+    EXPECT_EQ(rs->rows[i][2].number, keyed[i].first) << i;
+  }
+}
+
 TEST(PagedEquivalenceTest, MutationPathsRejectPagedColumns) {
   TempDir dir("paged-ro");
   auto source = MakeTable(8192, 3);

@@ -25,6 +25,7 @@
 #include "sql/executor.h"
 #include "sql/session.h"
 #include "util/rng.h"
+#include "util/tempdir.h"
 
 namespace geocol {
 namespace {
@@ -155,32 +156,32 @@ TEST(ServerEquivalenceTest, ConcurrentClientsMatchOracle) {
             static_cast<uint64_t>(kClients * kQueriesPerClient));
 }
 
-TEST(ServerEquivalenceTest, SharedScanBatchedPathBitIdentical) {
-  AhnGeneratorOptions gopts;
-  gopts.extent = Box(kMinX, kMinY, kMaxX, kMaxY);
-  AhnGenerator gen(gopts);
-  auto table = gen.GenerateTable(8000);
-  ASSERT_TRUE(table.ok());
-  Catalog catalog;
-  ASSERT_TRUE(catalog.AddPointCloud("ahn2", *table).ok());
-
-  // One worker, briefly plugged: while it holds the plug query in the
-  // test hook, the viewport queries below pile up in the queue, so its
-  // next pop extracts them all as one shared-scan batch group.
+/// Runs `statements` against `table` on a one-worker server over
+/// `catalog`, with the worker briefly plugged: while it holds a plug query
+/// in the test hook, the statements pile up in the queue, so with batching
+/// on its next pop extracts them as shared-scan batch groups. Every
+/// statement must plan cleanly — refused statements are never admitted, so
+/// they cannot join the queue this fills. `stats` gets the server's
+/// counters.
+std::vector<Observed> RunPluggedBatch(
+    Catalog* catalog, const std::string& table,
+    const std::vector<std::string>& statements, bool batching,
+    server::ServerStats* stats) {
   std::mutex mu;
   std::condition_variable cv;
   bool release = false;
   std::atomic<int> held{0};
   server::ServerOptions sopts;
   sopts.workers = 1;
+  sopts.shared_scan_batching = batching;
   sopts.before_execute_hook = [&](const server::QueryTask&) {
     if (held.fetch_add(1) == 0) {
       std::unique_lock<std::mutex> lock(mu);
       cv.wait(lock, [&] { return release; });
     }
   };
-  server::Server srv(&catalog, sopts);
-  ASSERT_TRUE(srv.Start().ok());
+  server::Server srv(catalog, sopts);
+  EXPECT_TRUE(srv.Start().ok());
   const int port = srv.port();
 
   std::thread plug([&] {
@@ -188,33 +189,12 @@ TEST(ServerEquivalenceTest, SharedScanBatchedPathBitIdentical) {
     copts.port = port;
     auto client = server::Client::Connect(copts);
     ASSERT_TRUE(client.ok());
-    auto rs = client->Query("SELECT COUNT(*) FROM ahn2");
+    auto rs = client->Query("SELECT COUNT(*) FROM " + table);
     ASSERT_TRUE(rs.ok());
     EXPECT_TRUE(rs->ok);
   });
   while (held.load() == 0) std::this_thread::yield();
 
-  // Overlapping viewports around the extent centre, varied shapes so the
-  // fan-out covers aggregates, thematic filters, ORDER BY rendering and
-  // a predicate-free member. All must plan cleanly — refused statements
-  // are never admitted, so they cannot join the queue this test fills.
-  std::vector<std::string> statements = {
-      "SELECT COUNT(*) FROM ahn2 WHERE x BETWEEN 85010 AND 85050"
-      " AND y BETWEEN 444010 AND 444050",
-      "SELECT AVG(z), MIN(z), MAX(z) FROM ahn2 WHERE x BETWEEN 85005 AND"
-      " 85045 AND y BETWEEN 444005 AND 444045",
-      "SELECT x, y, z FROM ahn2 WHERE x BETWEEN 85020 AND 85055"
-      " AND y BETWEEN 444020 AND 444055 ORDER BY z DESC LIMIT 16",
-      "SELECT COUNT(*) FROM ahn2 WHERE x BETWEEN 85000 AND 85030"
-      " AND y BETWEEN 444000 AND 444030 AND z >= 5",
-      "SELECT SUM(intensity) FROM ahn2 WHERE x BETWEEN 85015 AND 85035"
-      " AND y BETWEEN 444015 AND 444060",
-      "SELECT COUNT(*), AVG(z) FROM ahn2 WHERE x BETWEEN 85001 AND 85059"
-      " AND y BETWEEN 444001 AND 444059",
-      "SELECT classification, z FROM ahn2 WHERE x BETWEEN 85025 AND 85045"
-      " AND y BETWEEN 444025 AND 444045 LIMIT 32",
-      "SELECT COUNT(*) FROM ahn2",
-  };
   std::vector<Observed> observed(statements.size());
   std::vector<std::thread> clients;
   for (size_t i = 0; i < statements.size(); ++i) {
@@ -234,7 +214,7 @@ TEST(ServerEquivalenceTest, SharedScanBatchedPathBitIdentical) {
       }
     });
   }
-  // Every viewport query must be admitted before the worker wakes.
+  // Every statement must be admitted before the worker wakes.
   while (srv.stats().queue_depth < statements.size()) {
     std::this_thread::yield();
   }
@@ -246,11 +226,157 @@ TEST(ServerEquivalenceTest, SharedScanBatchedPathBitIdentical) {
   plug.join();
   for (auto& t : clients) t.join();
   srv.Stop();
+  *stats = srv.stats();
+  return observed;
+}
 
-  server::ServerStats s = srv.stats();
+/// Overlapping viewports around the extent centre, varied shapes so the
+/// fan-out covers aggregates, thematic filters, ORDER BY rendering and a
+/// predicate-free member.
+const std::vector<std::string>& BatchStatements() {
+  static const std::vector<std::string> statements = {
+      "SELECT COUNT(*) FROM ahn2 WHERE x BETWEEN 85010 AND 85050"
+      " AND y BETWEEN 444010 AND 444050",
+      "SELECT AVG(z), MIN(z), MAX(z) FROM ahn2 WHERE x BETWEEN 85005 AND"
+      " 85045 AND y BETWEEN 444005 AND 444045",
+      "SELECT x, y, z FROM ahn2 WHERE x BETWEEN 85020 AND 85055"
+      " AND y BETWEEN 444020 AND 444055 ORDER BY z DESC LIMIT 16",
+      "SELECT COUNT(*) FROM ahn2 WHERE x BETWEEN 85000 AND 85030"
+      " AND y BETWEEN 444000 AND 444030 AND z >= 5",
+      "SELECT SUM(intensity) FROM ahn2 WHERE x BETWEEN 85015 AND 85035"
+      " AND y BETWEEN 444015 AND 444060",
+      "SELECT COUNT(*), AVG(z) FROM ahn2 WHERE x BETWEEN 85001 AND 85059"
+      " AND y BETWEEN 444001 AND 444059",
+      "SELECT classification, z FROM ahn2 WHERE x BETWEEN 85025 AND 85045"
+      " AND y BETWEEN 444025 AND 444045 LIMIT 32",
+      "SELECT COUNT(*) FROM ahn2",
+  };
+  return statements;
+}
+
+TEST(ServerEquivalenceTest, SharedScanBatchedPathBitIdentical) {
+  AhnGeneratorOptions gopts;
+  gopts.extent = Box(kMinX, kMinY, kMaxX, kMaxY);
+  AhnGenerator gen(gopts);
+  auto table = gen.GenerateTable(8000);
+  ASSERT_TRUE(table.ok());
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddPointCloud("ahn2", *table).ok());
+
+  server::ServerStats s;
+  std::vector<Observed> observed =
+      RunPluggedBatch(&catalog, "ahn2", BatchStatements(), true, &s);
   EXPECT_GE(s.batches, 1u);
   EXPECT_GE(s.batch_members, 2u);
   EXPECT_EQ(s.batch_fallbacks, 0u);
+  DiffAgainstOracle(observed, &catalog);
+}
+
+// Batching runs on the pinned view, so a sharded table — resident or
+// paged — batches too, with digests identical to unbatched execution.
+TEST(ServerEquivalenceTest, SharedScanOverShardedTableMatchesUnbatched) {
+  AhnGeneratorOptions gopts;
+  gopts.extent = Box(kMinX, kMinY, kMaxX, kMaxY);
+  AhnGenerator gen(gopts);
+  auto table = gen.GenerateTable(8000);
+  ASSERT_TRUE(table.ok());
+  ShardingOptions so;
+  so.num_shards = 6;
+  auto sharded = ShardedTable::Create(**table, so);
+  ASSERT_TRUE(sharded.ok());
+  TempDir tmp("server_equiv");
+  ASSERT_TRUE(WriteShardedTableDir(**sharded, tmp.File("sharded")).ok());
+
+  for (const bool paged : {false, true}) {
+    SCOPED_TRACE(paged ? "paged" : "resident");
+    std::shared_ptr<ShardedTable> layout = *sharded;
+    if (paged) {
+      auto loaded = ReadShardedTableDir(tmp.File("sharded"),
+                                        /*verify_checksums=*/true,
+                                        /*paged=*/true);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      layout = *loaded;
+    }
+    Catalog catalog;
+    ASSERT_TRUE(catalog.AddShardedPointCloud("ahn2", layout).ok());
+    server::ServerStats on, off;
+    std::vector<Observed> batched =
+        RunPluggedBatch(&catalog, "ahn2", BatchStatements(), true, &on);
+    std::vector<Observed> solo =
+        RunPluggedBatch(&catalog, "ahn2", BatchStatements(), false, &off);
+    EXPECT_GE(on.batches, 1u);
+    EXPECT_EQ(on.batch_fallbacks, 0u);
+    EXPECT_EQ(off.batches, 0u);
+    ASSERT_EQ(batched.size(), solo.size());
+    for (size_t i = 0; i < batched.size(); ++i) {
+      EXPECT_TRUE(batched[i].ok) << batched[i].sql << ": " << batched[i].error;
+      EXPECT_EQ(batched[i].digest, solo[i].digest) << batched[i].sql;
+    }
+    DiffAgainstOracle(batched, &catalog);
+  }
+}
+
+// A sharded table indexed on columns other than x/y: the planner folds its
+// own coordinate ranges into the query window, and batching keys its
+// viewport and re-filter on those columns too.
+TEST(ServerEquivalenceTest, ShardedLonLatColumnsFoldAndBatch) {
+  Rng rng(77);
+  const size_t n = 6000;
+  std::vector<double> lon(n), lat(n), z(n);
+  std::vector<uint8_t> cls(n);
+  for (size_t i = 0; i < n; ++i) {
+    lon[i] = rng.UniformDouble(4.0, 5.0);
+    lat[i] = rng.UniformDouble(52.0, 53.0);
+    z[i] = rng.UniformDouble(-5, 40);
+    cls[i] = static_cast<uint8_t>(rng.Uniform(10));
+  }
+  FlatTable source("pts");
+  ASSERT_TRUE(source.AddColumn(Column::FromVector("lon", lon)).ok());
+  ASSERT_TRUE(source.AddColumn(Column::FromVector("lat", lat)).ok());
+  ASSERT_TRUE(source.AddColumn(Column::FromVector("z", z)).ok());
+  ASSERT_TRUE(
+      source.AddColumn(Column::FromVector("classification", cls)).ok());
+  ShardingOptions so;
+  so.num_shards = 4;
+  so.x_column = "lon";
+  so.y_column = "lat";
+  auto sharded = ShardedTable::Create(source, so);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddShardedPointCloud("pts", *sharded).ok());
+
+  sql::Session session(&catalog);
+  auto ex = session.Execute(
+      "EXPLAIN SELECT COUNT(*) FROM pts WHERE lon BETWEEN 4.25 AND 4.5 AND "
+      "lat BETWEEN 52.25 AND 52.5");
+  ASSERT_TRUE(ex.ok()) << ex.status().ToString();
+  std::string plan;
+  for (const auto& row : ex->rows) plan += row[0].text + "\n";
+  EXPECT_NE(plan.find("  step 1: conjunctive imprint filter on lon, lat over "
+                      "window [4.250000, 4.500000] x [52.250000, 52.500000] "
+                      "(x/y ranges folded)\n"),
+            std::string::npos)
+      << plan;
+  EXPECT_EQ(plan.find("thematic"), std::string::npos) << plan;
+
+  const std::vector<std::string> statements = {
+      "SELECT COUNT(*) FROM pts WHERE lon BETWEEN 4.2 AND 4.6 AND lat "
+      "BETWEEN 52.2 AND 52.6",
+      "SELECT AVG(z), MAX(z) FROM pts WHERE lon BETWEEN 4.3 AND 4.7 AND lat "
+      "BETWEEN 52.3 AND 52.8",
+      "SELECT lon, lat, z FROM pts WHERE lon BETWEEN 4.25 AND 4.55 AND lat "
+      "BETWEEN 52.1 AND 52.5 AND classification BETWEEN 2 AND 5 ORDER BY z "
+      "LIMIT 20",
+      "SELECT COUNT(*) FROM pts WHERE ST_Within(pt, 'BOX(4.1 52.4, 4.5 "
+      "52.9)') AND z >= 10",
+  };
+  server::ServerStats s;
+  std::vector<Observed> observed =
+      RunPluggedBatch(&catalog, "pts", statements, true, &s);
+  EXPECT_GE(s.batches, 1u);
+  EXPECT_GE(s.batch_members, statements.size());
+  EXPECT_EQ(s.batch_fallbacks, 0u);
+  for (const Observed& o : observed) EXPECT_TRUE(o.ok) << o.sql << o.error;
   DiffAgainstOracle(observed, &catalog);
 }
 

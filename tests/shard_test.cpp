@@ -274,9 +274,22 @@ TEST(ShardedTableTest, CrashSweepLeavesOldOrNewLayout) {
   }
 }
 
-// The router's cache key embeds the shard layout (layout id, generation,
-// per-shard column epochs): an exact repeat hits, while re-sharding or
-// mutating any single shard invalidates by construction.
+/// Ids of the shards a routed selection scanned (its shard.scan spans).
+std::vector<uint64_t> ScannedShards(const SelectionResult& sel) {
+  std::vector<uint64_t> out;
+  for (const OperatorProfile& op : sel.profile.operators()) {
+    if (op.name != "shard.scan") continue;
+    for (const auto& [k, v] : op.attrs) {
+      if (k == "shard") out.push_back(std::stoull(v));
+    }
+  }
+  return out;
+}
+
+// The result cache lives in the shard engines, keyed by the engine's
+// selection key (shard table id, column epochs, query, knobs): an exact
+// repeat hits once per scanned shard, re-sharding misses everywhere, and
+// mutating one shard invalidates that shard's entry only.
 TEST(ShardRouterTest, CacheKeyTracksShardLayoutAndEpochs) {
   auto source = MakeTable(3000, 21, Box(0, 0, 200, 200));
   auto cache = std::make_shared<cache::QueryResultCache>();
@@ -295,15 +308,20 @@ TEST(ShardRouterTest, CacheKeyTracksShardLayoutAndEpochs) {
   const Box q(20, 20, 150, 140);
   auto cold = router.SelectInBox(q);
   ASSERT_TRUE(cold.ok());
+  const std::vector<uint64_t> scanned = ScannedShards(*cold);
+  ASSERT_GE(scanned.size(), 2u);
   ASSERT_TRUE(router.SelectInBox(q).ok());  // second sighting: admitted
   const uint64_t h0 = cache->Stats().tier[0].hits;
   auto warm = router.SelectInBox(q);
   ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(cache->Stats().tier[0].hits, h0 + 1);
+  EXPECT_EQ(cache->Stats().tier[0].hits, h0 + scanned.size());
   EXPECT_EQ(warm->row_ids, cold->row_ids);
-  // The replay is visible in the profile as a cache.hit span.
-  ASSERT_FALSE(warm->profile.operators().empty());
-  EXPECT_EQ(warm->profile.operators()[0].name, "cache.hit");
+  // Each shard's replay is visible in the profile as a cache.hit span.
+  size_t hit_spans = 0;
+  for (const OperatorProfile& op : warm->profile.operators()) {
+    hit_spans += op.name == "cache.hit" ? 1 : 0;
+  }
+  EXPECT_EQ(hit_spans, scanned.size());
 
   // Re-shard: a different layout (even over identical data) must miss.
   ShardingOptions so2;
@@ -317,32 +335,37 @@ TEST(ShardRouterTest, CacheKeyTracksShardLayoutAndEpochs) {
   EXPECT_EQ(cache->Stats().tier[0].hits, h1);
   EXPECT_EQ(miss->row_ids, cold->row_ids);
 
-  // Mutating one shard's x column (epoch bump, identical bytes) must
-  // invalidate every cached selection of the first router.
-  (void)(*sharded)->shard(2).table->GetColumn("x").value()->BeginRawUpdate();
+  // Mutating one scanned shard's x column (epoch bump, identical bytes)
+  // invalidates that shard's cached selection; the others still replay.
+  const uint64_t mutated = scanned[1];
+  (void)(*sharded)
+      ->shard(mutated)
+      .table->GetColumn("x")
+      .value()
+      ->BeginRawUpdate();
   const uint64_t h2 = cache->Stats().tier[0].hits;
   auto after = router.SelectInBox(q);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(cache->Stats().tier[0].hits, h2);
+  EXPECT_EQ(cache->Stats().tier[0].hits, h2 + scanned.size() - 1);
   EXPECT_EQ(after->row_ids, cold->row_ids);
 
   // Aggregates re-aggregate over the cached selection: the third run of
-  // the selection hits, and an epoch bump of the aggregated column in any
-  // one shard leaves the selection cached while the value is recomputed
-  // from the shard's current column.
+  // the selection hits in every scanned shard, and an epoch bump of the
+  // aggregated column in any one shard leaves the selection cached while
+  // the value is recomputed from the shard's current column.
   auto v1 = router.Aggregate(Geometry(q), 0, {}, "z", AggKind::kSum);
   ASSERT_TRUE(v1.ok());
   ASSERT_TRUE(router.Aggregate(Geometry(q), 0, {}, "z", AggKind::kSum).ok());
   const uint64_t a0 = cache->Stats().tier[0].hits;
   auto v2 = router.Aggregate(Geometry(q), 0, {}, "z", AggKind::kSum);
   ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(cache->Stats().tier[0].hits, a0 + 1);
+  EXPECT_EQ(cache->Stats().tier[0].hits, a0 + scanned.size());
   EXPECT_EQ(*v1, *v2);
   (void)(*sharded)->shard(0).table->GetColumn("z").value()->BeginRawUpdate();
   const uint64_t a1 = cache->Stats().tier[0].hits;
   auto v3 = router.Aggregate(Geometry(q), 0, {}, "z", AggKind::kSum);
   ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(cache->Stats().tier[0].hits, a1 + 1);
+  EXPECT_EQ(cache->Stats().tier[0].hits, a1 + scanned.size());
   EXPECT_EQ(*v1, *v3);
   EXPECT_EQ(cache->Stats().tier[2].hits + cache->Stats().tier[2].misses, 0u);
 }
@@ -403,6 +426,40 @@ TEST(ShardRouterTest, AppendToLastShardInvalidatesAndIsVisible) {
       last.base + last.table->num_rows() - 1;
   EXPECT_TRUE(std::find(after->row_ids.begin(), after->row_ids.end(),
                         appended_global) != after->row_ids.end());
+}
+
+// A statement without a spatial predicate selects over the union of the
+// shard bboxes, which appends keep tight: a point appended outside the
+// layout's routing extent (routed by clamping) is still counted.
+TEST(ShardRouterTest, PredicateFreeStatementSeesPointsAppendedOutsideExtent) {
+  auto source = MakeTable(1000, 35, Box(0, 0, 100, 100));
+  ShardingOptions so;
+  so.num_shards = 4;
+  auto sharded = ShardedTable::Create(*source, so);
+  ASSERT_TRUE(sharded.ok());
+  Catalog catalog;
+  ASSERT_TRUE(catalog.AddShardedPointCloud("pc", *sharded).ok());
+  auto router = catalog.GetRouter("pc");
+  ASSERT_TRUE(router.ok());
+  FlatTable batch("pc");
+  for (const char* name : {"x", "y", "z"}) {
+    const double v = name[0] == 'x' ? 500.0 : (name[0] == 'y' ? -50.0 : 1.0);
+    ASSERT_TRUE(batch.AddColumn(Column::FromVector(name, std::vector{v})).ok());
+  }
+  ASSERT_TRUE(batch
+                  .AddColumn(Column::FromVector("classification",
+                                                std::vector<uint8_t>{3}))
+                  .ok());
+  ASSERT_TRUE((*router)->Append(batch).ok());
+
+  sql::Session session(&catalog);
+  auto count = session.Execute("SELECT COUNT(*) FROM pc");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->rows[0][0].number, 1001.0);
+  auto far = session.Execute("SELECT x, y FROM pc WHERE x >= 400");
+  ASSERT_TRUE(far.ok()) << far.status().ToString();
+  ASSERT_EQ(far->num_rows(), 1u);
+  EXPECT_EQ(far->rows[0][1].number, -50.0);
 }
 
 TEST(ShardRouterTest, PruningCountersAndSpans) {
@@ -502,20 +559,72 @@ TEST(ShardRouterTest, ExplainAnalyzeShowsShardFooter) {
             std::string::npos)
       << plan;
 
-  // NEAR on a sharded table is rejected as unsupported, not misexecuted.
-  Catalog with_layer;
-  ASSERT_TRUE(with_layer.AddShardedPointCloud("pc", *sharded).ok());
+}
+
+// NEAR runs over the pinned view like every other selection: on a sharded
+// table it must return exactly the rows, values and digests of the flat
+// engine over the Hilbert-sorted table, at every shard count.
+TEST(ShardRouterTest, NearJoinMatchesFlatSortedTable) {
+  auto source = MakeTable(6000, 29, Box(0, 0, 300, 300));
+  ShardingOptions one;
+  one.num_shards = 1;
+  auto sorted = ShardedTable::Create(*source, one);
+  ASSERT_TRUE(sorted.ok());
+
   auto layer = std::make_shared<VectorLayer>("roads");
-  VectorFeature f;
-  f.id = 1;
-  f.feature_class = 12210;
-  f.geometry = Geometry(Box(0, 0, 10, 10));
-  layer->Add(std::move(f));
-  ASSERT_TRUE(with_layer.AddLayer(layer).ok());
-  sql::Session s2(&with_layer);
-  auto near = s2.Execute("SELECT COUNT(*) FROM pc WHERE NEAR(roads, 12210, 5)");
-  EXPECT_FALSE(near.ok());
-  EXPECT_EQ(near.status().code(), StatusCode::kUnsupported);
+  VectorFeature road;
+  road.id = 1;
+  road.feature_class = 12210;
+  LineString line;
+  line.points = {{10, 20}, {150, 160}, {290, 140}};
+  road.geometry = Geometry(line);
+  layer->Add(road);
+  VectorFeature park;
+  park.id = 2;
+  park.feature_class = 14100;
+  park.geometry = Geometry(Polygon::FromBox(Box(200, 20, 260, 90)));
+  layer->Add(park);
+
+  const std::vector<std::string> queries = {
+      "SELECT x, y, z FROM pc WHERE NEAR(roads, 12210, 6)",
+      "SELECT x, y, classification FROM pc WHERE NEAR(roads, 12210, 9) AND "
+      "classification BETWEEN 2 AND 6 AND z BETWEEN 0 AND 30",
+      "SELECT AVG(z), COUNT(*), MIN(z), MAX(z) FROM pc WHERE "
+      "NEAR(roads, 0, 7)",
+      "SELECT AVG(z) FROM pc WHERE NEAR(roads, 14100, 3) AND x BETWEEN 210 "
+      "AND 250",
+      "SELECT x, z FROM pc WHERE NEAR(roads, 0, 5) ORDER BY z DESC LIMIT 25",
+  };
+  Catalog flat;
+  ASSERT_TRUE(flat.AddPointCloud("pc", (*sorted)->shard(0).table).ok());
+  ASSERT_TRUE(flat.AddLayer(layer).ok());
+  sql::Session oracle(&flat);
+  std::vector<sql::ResultSet> expected;
+  for (const std::string& q : queries) {
+    auto rs = oracle.Execute(q);
+    ASSERT_TRUE(rs.ok()) << q << ": " << rs.status().ToString();
+    ASSERT_GT(rs->num_rows(), 0u) << q;
+    expected.push_back(std::move(*rs));
+  }
+
+  for (uint32_t k : {1u, 3u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "K=" << k);
+    ShardingOptions so;
+    so.num_shards = k;
+    auto sharded = ShardedTable::Create(*source, so);
+    ASSERT_TRUE(sharded.ok());
+    Catalog catalog;
+    ASSERT_TRUE(catalog.AddShardedPointCloud("pc", *sharded).ok());
+    ASSERT_TRUE(catalog.AddLayer(layer).ok());
+    sql::Session session(&catalog);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto rs = session.Execute(queries[i]);
+      ASSERT_TRUE(rs.ok()) << queries[i] << ": " << rs.status().ToString();
+      EXPECT_EQ(rs->rows, expected[i].rows) << queries[i];
+      EXPECT_EQ(sql::ResultSetDigest(*rs), sql::ResultSetDigest(expected[i]))
+          << queries[i];
+    }
+  }
 }
 
 TEST(ShardRouterTest, SqlProjectionAndOrderByOverShards) {

@@ -383,7 +383,7 @@ int CmdIngest(const Args& args) {
     auto sharded = ReadShardedTableDir(dir);
     if (!sharded.ok()) return Fail(sharded.status());
     ShardRouter router(*sharded, EngineOptions{});
-    const uint64_t before = router.View().total_rows;
+    const uint64_t before = router.Pin()->total_rows();
     for (size_t i = 1; i < args.positional.size(); ++i) {
       auto batch = ReadBatchFile(args.positional[i], router.schema());
       if (!batch.ok()) return Fail(batch.status());
@@ -396,9 +396,9 @@ int CmdIngest(const Args& args) {
     std::printf(
         "appended %llu rows across %zu Hilbert shards (now %llu rows, "
         "generation %llu) in %.2f s\n",
-        static_cast<unsigned long long>(router.View().total_rows - before),
+        static_cast<unsigned long long>(router.Pin()->total_rows() - before),
         router.num_shards(),
-        static_cast<unsigned long long>(router.View().total_rows),
+        static_cast<unsigned long long>(router.Pin()->total_rows()),
         static_cast<unsigned long long>(m->generation), t.ElapsedSeconds());
     return 0;
   }
@@ -1087,12 +1087,19 @@ int CmdServe(const Args& args) {
   // Bind the shared result cache once, before any query runs — worker
   // sessions never rebind (cache_budget_bytes is forced to -1), so this
   // is the only budget the serving process uses. All tenants share it:
-  // a viewport one client computed is a hit for every other client.
+  // a viewport one client computed is a hit for every other client. The
+  // cache lives in the shard engines, so a sharded table binds each shard.
   const uint64_t cache_mb = args.U64("--cache-mb", 64);
   if (cache_mb > 0) {
-    for (const std::string& name : catalog.PointCloudNames()) {
-      if (auto engine = catalog.GetEngine(name); engine.ok()) {
-        (*engine)->set_cache_budget(cache_mb * 1024 * 1024);
+    std::vector<std::string> names = catalog.PointCloudNames();
+    for (const std::string& name : catalog.ShardedPointCloudNames()) {
+      names.push_back(name);
+    }
+    for (const std::string& name : names) {
+      if (auto pinned = catalog.PinPointCloud(name); pinned.ok()) {
+        for (const auto& shard : pinned->view->shards) {
+          shard->set_cache_budget(cache_mb * 1024 * 1024);
+        }
       }
     }
   }
