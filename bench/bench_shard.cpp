@@ -13,7 +13,9 @@
 // The unsharded baseline runs over the generator's native scan-line row
 // order — exactly the layout a plain `geocol load` produces. The sharded
 // layouts are built by ShardedTable::Create, whose Hilbert sort is part
-// of the technique being measured.
+// of the technique being measured. Per K the bench also reports what the
+// layout costs to build: ShardedTable::Create and WriteShardedTableDir
+// (into a fresh directory per rep), min over the reps.
 #include <cstdio>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "core/shard_router.h"
 #include "core/spatial_engine.h"
 #include "util/rng.h"
+#include "util/tempdir.h"
 
 using namespace geocol;
 using namespace geocol::bench;
@@ -72,8 +75,8 @@ int main(int argc, char** argv) {
     return reg.GetCounter("geocol_shards_scanned_total").Value();
   };
 
-  TablePrinter out({"layout", "viewport ms", "speedup", "full ms",
-                    "full ratio", "scanned/query"},
+  TablePrinter out({"layout", "create ms", "write ms", "viewport ms",
+                    "speedup", "full ms", "full ratio", "scanned/query"},
                    13);
 
   // Unsharded baseline.
@@ -91,19 +94,35 @@ int main(int argc, char** argv) {
     auto r = flat.SelectInBox(full);
     full_rows = r.ok() ? r->count() : 0;
   });
-  out.Row({"unsharded", TablePrinter::Num(flat_viewport, 2), "1.00",
+  out.Row({"unsharded", "-", "-", TablePrinter::Num(flat_viewport, 2), "1.00",
            TablePrinter::Num(flat_full, 2), "1.00", "-"});
 
   for (uint32_t k : {1u, 4u, 16u, 64u}) {
     ShardingOptions so;
     so.num_shards = k;
-    auto sharded = ShardedTable::Create(*table, so);
-    if (!sharded.ok()) {
+    std::shared_ptr<ShardedTable> sharded;
+    Status built = Status::OK();
+    const double create_ms = TimeMs([&] {
+      auto r = ShardedTable::Create(*table, so);
+      if (r.ok()) {
+        sharded = std::move(r).value();
+      } else {
+        built = r.status();
+      }
+    });
+    TempDir tmp("bench-shard");
+    int rep = 0;
+    const double write_ms = TimeMs([&] {
+      if (!built.ok()) return;
+      built = WriteShardedTableDir(*sharded,
+                                   tmp.File("rep" + std::to_string(rep++)));
+    });
+    if (!built.ok()) {
       std::fprintf(stderr, "shard build failed: %s\n",
-                   sharded.status().ToString().c_str());
+                   built.ToString().c_str());
       return 1;
     }
-    ShardRouter router(*sharded);
+    ShardRouter router(sharded);
 
     uint64_t rows = 0;
     double viewport_ms = TimeMs([&] {
@@ -141,7 +160,8 @@ int main(int argc, char** argv) {
     char scanned_cell[32];
     std::snprintf(scanned_cell, sizeof(scanned_cell), "%.1f/%u",
                   scanned_per_query, k);
-    out.Row({layout, TablePrinter::Num(viewport_ms, 2),
+    out.Row({layout, TablePrinter::Num(create_ms, 1),
+             TablePrinter::Num(write_ms, 1), TablePrinter::Num(viewport_ms, 2),
              TablePrinter::Num(flat_viewport / viewport_ms, 2),
              TablePrinter::Num(full_ms, 2),
              TablePrinter::Num(full_ms / flat_full, 2), scanned_cell});

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <numeric>
+#include <thread>
 
 #include "columns/column_file.h"
 #include "columns/paged_column.h"
@@ -11,6 +11,7 @@
 #include "util/binary_io.h"
 #include "util/crc32c.h"
 #include "util/tempdir.h"
+#include "util/thread_pool.h"
 
 namespace geocol {
 
@@ -19,18 +20,75 @@ namespace {
 constexpr char kShardManifestMagic[4] = {'G', 'S', 'M', '1'};
 constexpr uint32_t kMaxManifestShards = 1u << 16;
 
-/// Gathers `rows` source rows starting at perm[begin] into a fresh column
-/// of the same name/type. Type-erased byte copies — no dispatch needed.
-ColumnPtr GatherColumn(const Column& src, const std::vector<uint64_t>& perm,
-                       size_t begin, size_t rows) {
-  auto out = std::make_shared<Column>(src.name(), src.type());
-  const uint8_t* data = src.raw_data();
-  const size_t w = src.width();
-  uint8_t* dst = out->AppendUninitialized(rows);
-  for (size_t i = 0; i < rows; ++i) {
-    std::memcpy(dst + i * w, data + perm[begin + i] * w, w);
+/// Rows per Hilbert-key task, and per stack block of coordinates.
+constexpr uint64_t kKeyMorselRows = uint64_t{1} << 16;
+constexpr size_t kBlockRows = 1024;
+
+/// A row's sort key beside its source row. Rows are unique, so sorting
+/// (key, row) pairs in any order yields exactly the permutation a stable
+/// sort by key alone would: equal keys keep source order.
+struct KeyRow {
+  uint64_t key;
+  uint64_t row;
+  bool operator<(const KeyRow& o) const {
+    return key != o.key ? key < o.key : row < o.row;
   }
-  return out;
+};
+
+/// A pool whose workers plus the caller (which joins every ParallelFor)
+/// make one thread per core.
+ThreadPool MakeCorePool() {
+  return ThreadPool(std::max(2u, std::thread::hardware_concurrency()) - 1);
+}
+
+/// out[i] = double(value of row begin + i): the conversion GetDouble
+/// applies, with the type dispatch resolved once per call.
+void ReadDoubles(const Column& col, uint64_t begin, size_t n, double* out) {
+  DispatchDataType(col.type(), [&]<typename T>() {
+    const T* v = col.Values<T>().data() + begin;
+    for (size_t i = 0; i < n; ++i) out[i] = static_cast<double>(v[i]);
+  });
+}
+
+/// Calls fn(xs, ys, first_row, count) over rows [begin, end) of the
+/// resident x/y columns in blocks of at most kBlockRows, read as doubles.
+template <typename Fn>
+void ForEachXYBlock(const Column& x, const Column& y, uint64_t begin,
+                    uint64_t end, Fn&& fn) {
+  double xs[kBlockRows], ys[kBlockRows];
+  for (uint64_t row = begin; row < end; row += kBlockRows) {
+    const size_t m =
+        static_cast<size_t>(std::min<uint64_t>(kBlockRows, end - row));
+    ReadDoubles(x, row, m, xs);
+    ReadDoubles(y, row, m, ys);
+    fn(xs, ys, row, m);
+  }
+}
+
+/// Sorts pairs[0, n): one part per thread, then parts merge pairwise
+/// between `pairs` and `scratch`, the merges of each round in parallel.
+/// Returns the buffer that holds the sorted pairs.
+KeyRow* SortKeyRows(KeyRow* pairs, KeyRow* scratch, uint64_t n,
+                    ThreadPool* pool) {
+  const size_t parts = pool->num_threads() + 1;
+  std::vector<uint64_t> bound(parts + 1);
+  for (size_t p = 0; p <= parts; ++p) bound[p] = n * p / parts;
+  pool->ParallelFor(parts, [&](size_t p) {
+    std::sort(pairs + bound[p], pairs + bound[p + 1]);
+  });
+  KeyRow* src = pairs;
+  KeyRow* dst = scratch;
+  for (size_t width = 1; width < parts; width *= 2) {
+    pool->ParallelFor((parts + 2 * width - 1) / (2 * width), [&](size_t m) {
+      const size_t lo = 2 * m * width;
+      const size_t mid = std::min(lo + width, parts);
+      const size_t hi = std::min(lo + 2 * width, parts);
+      std::merge(src + bound[lo], src + bound[mid], src + bound[mid],
+                 src + bound[hi], dst + bound[lo]);
+    });
+    std::swap(src, dst);
+  }
+  return src;
 }
 
 }  // namespace
@@ -78,7 +136,7 @@ Result<std::shared_ptr<ShardedTable>> ShardedTable::Create(
 
   // Extent the Hilbert keys scale to. HilbertEncodeScaled clamps
   // zero-extent boxes internally, so an all-equal point cloud still sorts
-  // (all keys equal -> original order preserved by the stable sort).
+  // (all keys equal -> the (key, row) sort keeps the original order).
   Box extent;
   if (n > 0) {
     extent = Box(xcol->Stats().min, ycol->Stats().min, xcol->Stats().max,
@@ -86,19 +144,38 @@ Result<std::shared_ptr<ShardedTable>> ShardedTable::Create(
   }
   out->extent_ = extent;
 
+  // Every large buffer is allocated here, on the calling thread, and the
+  // pool's workers only fill it: a buffer a worker allocates lands in that
+  // thread's malloc arena, which glibc keeps after the free (DESIGN.md §12).
+  ThreadPool pool = MakeCorePool();
+
   // Sort key per row. Ties (identical curve cells) keep source order, so
   // the layout — and everything downstream: row ids, per-shard imprints,
   // merged results — is deterministic for a given source table.
-  std::vector<uint64_t> perm(n);
-  std::iota(perm.begin(), perm.end(), uint64_t{0});
-  if (n > 0) {
-    std::vector<uint64_t> keys(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      keys[i] = HilbertEncodeScaled(xcol->GetDouble(i), ycol->GetDouble(i),
-                                    extent, options.hilbert_order);
-    }
-    std::stable_sort(perm.begin(), perm.end(),
-                     [&](uint64_t a, uint64_t b) { return keys[a] < keys[b]; });
+  auto perm = std::make_unique_for_overwrite<uint64_t[]>(n);
+  {
+    auto pairs = std::make_unique_for_overwrite<KeyRow[]>(n);
+    auto scratch = std::make_unique_for_overwrite<KeyRow[]>(n);
+    const size_t morsels = (n + kKeyMorselRows - 1) / kKeyMorselRows;
+    pool.ParallelFor(morsels, [&](size_t m) {
+      const uint64_t begin = m * kKeyMorselRows;
+      ForEachXYBlock(*xcol, *ycol, begin, std::min(n, begin + kKeyMorselRows),
+                     [&](const double* xs, const double* ys, uint64_t row,
+                         size_t count) {
+                       for (size_t i = 0; i < count; ++i) {
+                         pairs[row + i] = {
+                             HilbertEncodeScaled(xs[i], ys[i], extent,
+                                                 options.hilbert_order),
+                             row + i};
+                       }
+                     });
+    });
+    const KeyRow* sorted = SortKeyRows(pairs.get(), scratch.get(), n, &pool);
+    pool.ParallelFor(morsels, [&](size_t m) {
+      const uint64_t begin = m * kKeyMorselRows;
+      const uint64_t end = std::min(n, begin + kKeyMorselRows);
+      for (uint64_t i = begin; i < end; ++i) perm[i] = sorted[i].row;
+    });
   }
 
   // Near-equal contiguous splits: the first n % K shards get one extra
@@ -109,27 +186,51 @@ Result<std::shared_ptr<ShardedTable>> ShardedTable::Create(
   out->options_.num_shards = static_cast<uint32_t>(k);
   const uint64_t per_shard = n / k;
   const uint64_t extra = n % k;
+  const size_t cols = source.num_columns();
+  // dst[s * cols + c] receives shard s's rows of source column c.
+  std::vector<uint8_t*> dst(k * cols);
   uint64_t base = 0;
-  out->shards_.reserve(k);
+  out->shards_.resize(k);
   for (uint64_t s = 0; s < k; ++s) {
     const uint64_t rows = per_shard + (s < extra ? 1 : 0);
-    ShardSlice slice;
+    ShardSlice& slice = out->shards_[s];
     slice.base = base;
-    auto table = std::make_shared<FlatTable>(source.name() + ".shard" +
-                                             std::to_string(s));
-    for (const ColumnPtr& col : source.columns()) {
-      GEOCOL_RETURN_NOT_OK(
-          table->AddColumn(GatherColumn(*col, perm, base, rows)));
+    slice.table = std::make_shared<FlatTable>(source.name() + ".shard" +
+                                              std::to_string(s));
+    for (size_t c = 0; c < cols; ++c) {
+      const Column& src = *source.column(c);
+      auto col = std::make_shared<Column>(src.name(), src.type());
+      dst[s * cols + c] = col->AppendUninitialized(rows);
+      GEOCOL_RETURN_NOT_OK(slice.table->AddColumn(std::move(col)));
     }
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr sx, table->GetColumn(options.x_column));
-    GEOCOL_ASSIGN_OR_RETURN(ColumnPtr sy, table->GetColumn(options.y_column));
-    for (uint64_t i = 0; i < rows; ++i) {
-      slice.bbox.Extend(sx->GetDouble(i), sy->GetDouble(i));
-    }
-    slice.table = std::move(table);
-    out->shards_.push_back(std::move(slice));
     base += rows;
   }
+
+  // Gather: one task per (shard, column), type-erased byte copies.
+  pool.ParallelFor(k * cols, [&](size_t t) {
+    const ShardSlice& slice = out->shards_[t / cols];
+    const Column& src = *source.column(t % cols);
+    const uint8_t* data = src.raw_data();
+    const size_t w = src.width();
+    uint8_t* to = dst[t];
+    const uint64_t* rows = perm.get() + slice.base;
+    const uint64_t count = slice.table->num_rows();
+    for (uint64_t i = 0; i < count; ++i) {
+      std::memcpy(to + i * w, data + rows[i] * w, w);
+    }
+  });
+  pool.ParallelFor(k, [&](size_t s) {
+    ShardSlice& slice = out->shards_[s];
+    ForEachXYBlock(*slice.table->column(options.x_column),
+                   *slice.table->column(options.y_column), 0,
+                   slice.table->num_rows(),
+                   [&](const double* xs, const double* ys, uint64_t,
+                       size_t count) {
+                     for (size_t i = 0; i < count; ++i) {
+                       slice.bbox.Extend(xs[i], ys[i]);
+                     }
+                   });
+  });
   out->num_rows_ = n;
   return out;
 }
@@ -250,16 +351,25 @@ Status WriteShardedTableDir(const ShardedTable& table,
     if (old.ok()) gen = old->generation + 1;
   }
   m.generation = gen;
+  m.shards.resize(table.num_shards());
   for (size_t i = 0; i < table.num_shards(); ++i) {
     const ShardSlice& slice = table.shard(i);
-    ShardedTableManifest::ManifestShard s;
-    s.dirname = ShardDirName(i, gen);
-    s.rows = slice.table->num_rows();
-    s.bbox = slice.bbox;
-    GEOCOL_RETURN_NOT_OK(WriteTableDir(*slice.table, dir + "/" + s.dirname));
-    m.shards.push_back(std::move(s));
+    m.shards[i].dirname = ShardDirName(i, gen);
+    m.shards[i].rows = slice.table->num_rows();
+    m.shards[i].bbox = slice.bbox;
   }
-  // The commit point.
+  // The shards are independent directories, so they are written in
+  // parallel; each one goes through the serial WriteTableDir.
+  std::vector<Status> written(table.num_shards());
+  {
+    ThreadPool pool = MakeCorePool();
+    pool.ParallelFor(table.num_shards(), [&](size_t i) {
+      written[i] = WriteTableDir(*table.shard(i).table,
+                                 dir + "/" + m.shards[i].dirname);
+    });
+  }
+  for (const Status& st : written) GEOCOL_RETURN_NOT_OK(st);
+  // The commit point, reached only when every shard is durable.
   return WriteShardedTableManifest(dir, m);
 }
 

@@ -57,7 +57,9 @@ class ShardedTable {
   /// near-equal size (the first rows % K shards hold one extra row).
   /// Degenerate inputs are clamped: a zero-extent table (all points
   /// equal) keeps its original order, K > rows builds one shard per row,
-  /// and an empty table builds a single empty shard.
+  /// and an empty table builds a single empty shard. Keys, sort, gather
+  /// and bboxes run on one thread per core; the layout does not depend on
+  /// the thread count or scheduling.
   static Result<std::shared_ptr<ShardedTable>> Create(
       const FlatTable& source, const ShardingOptions& options = {});
 
@@ -118,9 +120,10 @@ std::string ShardDirName(size_t i, uint64_t gen);
 /// Persists the layout crash-safely: each shard goes to
 /// `<dir>/shard_NNNN.g<gen>` (generation-suffixed, so a re-shard — even
 /// with a different K — never touches the directories the live manifest
-/// references) through the generation-stamped WriteTableDir protocol, and
-/// the `<dir>/shards.gsm` manifest ("GSM1" magic, CRC32C footer) is
-/// swapped in atomically LAST as the commit point — a crash at any
+/// references) through the generation-stamped WriteTableDir protocol (the
+/// shards in parallel, one thread per core), and the `<dir>/shards.gsm`
+/// manifest ("GSM1" magic, CRC32C footer) is swapped in atomically LAST,
+/// once every shard is written, as the commit point — a crash at any
 /// injected failure point leaves the previous manifest (or none) and its
 /// generation fully readable, never mixed shards.
 Status WriteShardedTableDir(const ShardedTable& table, const std::string& dir);

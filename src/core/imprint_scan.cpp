@@ -410,13 +410,7 @@ Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
     }
     // Incremental path: a fresh cached index of the COW lineage base lets
     // us extend over the appended tail instead of rebuilding.
-    if (auto base_col = column->base()) {
-      auto it = cache_.find(base_col.get());
-      if (it != cache_.end() && IndexFresh(it->second.index.get(), *base_col) &&
-          column->base_rows() == base_col->size()) {
-        base_index = it->second.index;
-      }
-    }
+    base_index = FreshBaseIndexLocked(*column);
     if (cache_.size() >= prune_watermark_) PruneLocked();
   }
 
@@ -437,6 +431,27 @@ Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
   auto index = std::make_shared<const ImprintsIndex>(std::move(*built));
   e.index = index;
   return index;
+}
+
+std::shared_ptr<const ImprintsIndex> ImprintManager::FreshBaseIndexLocked(
+    const Column& column) const {
+  std::shared_ptr<const Column> base_col = column.base();
+  if (base_col == nullptr) return nullptr;
+  auto it = cache_.find(base_col.get());
+  if (it == cache_.end() || !IndexFresh(it->second.index.get(), *base_col) ||
+      column.base_rows() != base_col->size()) {
+    return nullptr;
+  }
+  return it->second.index;
+}
+
+Status ImprintManager::StitchFromBase(const ColumnPtr& column) {
+  if (column == nullptr) return Status::InvalidArgument("null column");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (FreshBaseIndexLocked(*column) == nullptr) return Status::OK();
+  }
+  return GetOrBuild(column).status();
 }
 
 Result<ImprintsIndex> ImprintManager::BuildIndex(

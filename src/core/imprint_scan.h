@@ -135,6 +135,12 @@ class ImprintManager {
   Result<std::shared_ptr<const ImprintsIndex>> GetOrBuild(
       const ColumnPtr& column);
 
+  /// Builds `column`'s index incrementally when its CloneAppend lineage
+  /// base has a fresh cached index (GetOrBuild's stitch path); does nothing
+  /// otherwise. Live publishes call it while the base is still alive, so
+  /// the stitch does not depend on a reader pinning the old epoch.
+  Status StitchFromBase(const ColumnPtr& column);
+
   /// Testing hook: the next incremental stitch fails probe verification,
   /// exercising the quarantine + rebuild fallback (consumed once).
   void InjectStitchFault() { stitch_fault_.store(true); }
@@ -175,6 +181,11 @@ class ImprintManager {
   Result<ImprintsIndex> BuildIndex(
       const ColumnPtr& column,
       const std::shared_ptr<const ImprintsIndex>& base_index);
+
+  /// The cached index of `column`'s lineage base when it is fresh and
+  /// covers exactly the rows `column` inherits, else null; caller holds mu_.
+  std::shared_ptr<const ImprintsIndex> FreshBaseIndexLocked(
+      const Column& column) const;
 
   /// Drops entries whose column died (COW retirement); caller holds mu_.
   void PruneLocked();

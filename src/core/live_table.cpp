@@ -123,6 +123,13 @@ void LiveTable::Publish(std::shared_ptr<FlatTable> next) {
     std::lock_guard<std::mutex> lock(mu_);
     next_epoch = current_->epoch + 1;
   }
+  // Stitch the new versions' imprints while current_ still holds their
+  // lineage bases: once the swap retires the old epoch, an unpinned base
+  // dies and the first reader would rebuild from scratch. A failed stitch
+  // is not fatal; the first query that needs the index builds it.
+  for (const ColumnPtr& col : next->columns()) {
+    (void)imprints_->StitchFromBase(col);
+  }
   auto snapshot = std::make_shared<const EpochSnapshot>(
       MakeSnapshot(next_epoch, std::move(next)));
   std::lock_guard<std::mutex> lock(mu_);

@@ -99,8 +99,9 @@ class LiveTable {
 
   explicit LiveTable(LiveTableOptions options);
 
-  /// Builds the snapshot wrapper (view, engine, bbox) for `next` and swaps
-  /// it in as the next epoch. Caller must hold commit_mu_ (or be construction).
+  /// Stitches the imprints of `next`'s appended columns from their lineage
+  /// bases, builds the snapshot wrapper (view, engine, bbox) and swaps it
+  /// in as the next epoch. Caller must hold commit_mu_ (or be construction).
   void Publish(std::shared_ptr<FlatTable> next);
 
   EpochSnapshot MakeSnapshot(uint64_t epoch,

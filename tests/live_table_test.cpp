@@ -5,7 +5,8 @@
 // shard growing past its creation bbox, two appenders racing disjoint
 // shards, and a reader whose pinned view is superseded by appends or a
 // re-shard. Also proves the incremental imprint stitch is byte-identical
-// to a from-scratch build and that a failed stitch quarantines + rebuilds.
+// to a from-scratch build, that a failed stitch quarantines + rebuilds,
+// and that a commit stitches even when no reader pins the old epoch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -361,6 +362,9 @@ TEST(LiveTableTest, IncrementalStitchByteIdenticalAndQuarantineFallback) {
   // First query builds (and persists) the x/y imprints of epoch 0.
   Box box(20, 20, 70, 70);
   ASSERT_TRUE((*live)->Pin().engine->SelectInBox(box).ok());
+  auto base_ix =
+      (*live)->imprint_manager()->GetOrBuild((*live)->Pin().table->column("x"));
+  ASSERT_TRUE(base_ix.ok());
 
   TableAppender app(*live);
   ASSERT_TRUE(app.StageBatch(MakeBatch(600, 10, extent)).ok());
@@ -371,10 +375,13 @@ TEST(LiveTableTest, IncrementalStitchByteIdenticalAndQuarantineFallback) {
   EXPECT_EQ(sel->row_ids, BruteForceInBox(*s1.table, box));
 
   // The incrementally extended index is byte-identical (on disk) to a
-  // from-scratch build over the full appended column.
+  // from-scratch build over the full appended column with epoch 0's bins
+  // (ExtendAppend's contract; a build that samples its own bins from the
+  // appended column may draw other bounds).
   auto inc = (*live)->imprint_manager()->GetOrBuild(s1.table->column("x"));
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-  auto scratch = ImprintsIndex::Build(*s1.table->column("x"));
+  auto scratch = ImprintsIndex::BuildWithBins(*s1.table->column("x"),
+                                              (*base_ix)->bins());
   ASSERT_TRUE(scratch.ok());
   std::string p_inc = tmp.File("inc.gim"), p_scratch = tmp.File("scratch.gim");
   ASSERT_TRUE(WriteImprintsFile(**inc, p_inc).ok());
@@ -395,6 +402,41 @@ TEST(LiveTableTest, IncrementalStitchByteIdenticalAndQuarantineFallback) {
   EXPECT_EQ(sel2->row_ids, BruteForceInBox(*s2.table, box));
   EXPECT_TRUE(PathExists(idx_dir + "/x.gim.quarantined") ||
               PathExists(idx_dir + "/y.gim.quarantined"));
+}
+
+uint64_t CounterValue(const char* name) {
+  return telemetry::MetricsRegistry::Global().GetCounter(name).Value();
+}
+
+// The commit stitches the new epoch's imprints while the old epoch's
+// columns are still alive, so a reader that arrives after every pin of the
+// old epoch is gone finds them instead of rebuilding from scratch.
+TEST(LiveTableTest, CommitStitchesImprintsWithNoReaderPinned) {
+  const Box extent(0, 0, 100, 100);
+  LiveTableOptions opts;
+  opts.engine.num_threads = 1;
+  auto live = LiveTable::Create(MakePoints(200000, 31, extent), opts);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  const Box box(20, 20, 70, 70);
+  // Index epoch 0's x and y; the temporary pin is gone before the commit.
+  ASSERT_TRUE((*live)->Pin().engine->SelectInBox(box).ok());
+
+  const uint64_t builds0 = CounterValue("geocol_imprint_builds_total");
+  const uint64_t incr0 =
+      CounterValue("geocol_imprint_incremental_builds_total");
+  TableAppender app(*live);
+  ASSERT_TRUE(app.StageBatch(MakeBatch(5000, 32, extent)).ok());
+  ASSERT_TRUE(app.Commit().ok());
+  EpochSnapshot s1 = (*live)->Pin();
+  auto sel = s1.engine->SelectInBox(box);
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  EXPECT_EQ(sel->row_ids, BruteForceInBox(*s1.table, box));
+  const uint64_t builds =
+      CounterValue("geocol_imprint_builds_total") - builds0;
+  const uint64_t incr =
+      CounterValue("geocol_imprint_incremental_builds_total") - incr0;
+  EXPECT_EQ(incr, 2u);  // x and y, each extended over the batch
+  EXPECT_EQ(builds, incr);
 }
 
 // ---------------------------------------------------------------------------

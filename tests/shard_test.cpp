@@ -1,12 +1,14 @@
 // ShardedTable / ShardRouter unit suite: builder properties (Hilbert
-// ordering, contiguity, bbox tightness), degenerate inputs, crash-safe
-// persistence (fault-injection sweep over WriteShardedTableDir), the
+// ordering, contiguity, bbox tightness), degenerate inputs, the parallel
+// builder against a serial reference layout, crash-safe persistence
+// (fault-injection sweep over WriteShardedTableDir), the
 // shard-layout ingredient of the query result cache key (re-shard and
 // single-shard mutation invalidate by construction), the pruning
 // telemetry counters, and the EXPLAIN ANALYZE shard footer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "sfc/hilbert.h"
 #include "sql/session.h"
 #include "telemetry/metrics.h"
+#include "util/binary_io.h"
 #include "util/fault_injection.h"
 #include "util/rng.h"
 #include "util/tempdir.h"
@@ -272,6 +275,202 @@ TEST(ShardedTableTest, CrashSweepLeavesOldOrNewLayout) {
     auto sel = router.SelectInBox(Box(10, 10, 60, 60));
     ASSERT_TRUE(sel.ok()) << "op " << k;
   }
+}
+
+/// One shard of the serial reference layout.
+struct ReferenceShard {
+  uint64_t base = 0;
+  Box bbox;
+  std::vector<std::vector<uint8_t>> columns;  ///< bytes, in schema order
+};
+
+/// The layout ShardedTable::Create must reproduce, built serially: one
+/// HilbertEncodeScaled key per row, std::stable_sort by key, then a gather
+/// of each shard's contiguous run of the permutation.
+std::vector<ReferenceShard> ReferenceLayout(const FlatTable& t,
+                                            const ShardingOptions& so) {
+  const uint64_t n = t.num_rows();
+  ColumnPtr x = t.column(so.x_column);
+  ColumnPtr y = t.column(so.y_column);
+  Box extent;
+  if (n > 0) {
+    extent = Box(x->Stats().min, y->Stats().min, x->Stats().max,
+                 y->Stats().max);
+  }
+  std::vector<uint64_t> keys(n), perm(n);
+  for (uint64_t i = 0; i < n; ++i) {
+    keys[i] = HilbertEncodeScaled(x->GetDouble(i), y->GetDouble(i), extent,
+                                  so.hilbert_order);
+    perm[i] = i;
+  }
+  std::stable_sort(perm.begin(), perm.end(),
+                   [&](uint64_t a, uint64_t b) { return keys[a] < keys[b]; });
+  const uint64_t k = std::min<uint64_t>(std::max<uint32_t>(so.num_shards, 1),
+                                        std::max<uint64_t>(n, 1));
+  std::vector<ReferenceShard> out(k);
+  uint64_t base = 0;
+  for (uint64_t s = 0; s < k; ++s) {
+    const uint64_t rows = n / k + (s < n % k ? 1 : 0);
+    out[s].base = base;
+    for (const ColumnPtr& col : t.columns()) {
+      const size_t w = col->width();
+      std::vector<uint8_t> bytes(rows * w);
+      for (uint64_t r = 0; r < rows; ++r) {
+        std::memcpy(bytes.data() + r * w,
+                    col->raw_data() + perm[base + r] * w, w);
+      }
+      out[s].columns.push_back(std::move(bytes));
+    }
+    for (uint64_t r = 0; r < rows; ++r) {
+      out[s].bbox.Extend(x->GetDouble(perm[base + r]),
+                         y->GetDouble(perm[base + r]));
+    }
+    base += rows;
+  }
+  return out;
+}
+
+/// Create's layout of `t` must equal the serial reference byte for byte.
+void ExpectMatchesReference(const FlatTable& t, const ShardingOptions& so) {
+  SCOPED_TRACE("rows=" + std::to_string(t.num_rows()) +
+               " K=" + std::to_string(so.num_shards) +
+               " order=" + std::to_string(so.hilbert_order) + " " +
+               so.x_column + "/" + so.y_column);
+  auto built = ShardedTable::Create(t, so);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const std::vector<ReferenceShard> ref = ReferenceLayout(t, so);
+  ASSERT_EQ((*built)->num_shards(), ref.size());
+  EXPECT_EQ((*built)->num_rows(), t.num_rows());
+  for (size_t s = 0; s < ref.size(); ++s) {
+    const ShardSlice& slice = (*built)->shard(s);
+    EXPECT_EQ(slice.base, ref[s].base) << "shard " << s;
+    EXPECT_EQ(slice.bbox.min_x, ref[s].bbox.min_x) << "shard " << s;
+    EXPECT_EQ(slice.bbox.min_y, ref[s].bbox.min_y) << "shard " << s;
+    EXPECT_EQ(slice.bbox.max_x, ref[s].bbox.max_x) << "shard " << s;
+    EXPECT_EQ(slice.bbox.max_y, ref[s].bbox.max_y) << "shard " << s;
+    ASSERT_EQ(slice.table->num_columns(), t.num_columns());
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const Column& col = *slice.table->column(c);
+      EXPECT_EQ(col.name(), t.column(c)->name());
+      const uint8_t* data = col.raw_data();
+      std::vector<uint8_t> got(data, data + col.raw_size_bytes());
+      EXPECT_EQ(got, ref[s].columns[c]) << "shard " << s << " " << col.name();
+    }
+  }
+}
+
+/// Coordinates plus a column of source row numbers, so a tie broken out
+/// of source order shows in the gathered bytes.
+std::shared_ptr<FlatTable> MakeCoordTable(const std::vector<double>& xs,
+                                          const std::vector<double>& ys) {
+  std::vector<uint32_t> src(xs.size());
+  std::vector<int16_t> z(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    src[i] = static_cast<uint32_t>(i);
+    z[i] = static_cast<int16_t>(i * 7919 % 2001 - 1000);
+  }
+  auto t = std::make_shared<FlatTable>("pc");
+  EXPECT_TRUE(t->AddColumn(Column::FromVector("x", xs)).ok());
+  EXPECT_TRUE(t->AddColumn(Column::FromVector("y", ys)).ok());
+  EXPECT_TRUE(t->AddColumn(Column::FromVector("src", src)).ok());
+  EXPECT_TRUE(t->AddColumn(Column::FromVector("z", z)).ok());
+  return t;
+}
+
+TEST(ShardedTableTest, ParallelLayoutMatchesSerialReference) {
+  ShardingOptions so;
+
+  // Every key ties: source order must survive the sort.
+  so.num_shards = 7;
+  ExpectMatchesReference(
+      *MakeCoordTable(std::vector<double>(1000, 42.0),
+                      std::vector<double>(1000, 17.0)),
+      so);
+
+  // Heavy duplicates: 200,000 points on a 4 x 4 lattice, more rows than
+  // one key task covers.
+  {
+    Rng rng(21);
+    std::vector<double> xs(200000), ys(200000);
+    for (size_t i = 0; i < xs.size(); ++i) {
+      xs[i] = static_cast<double>(rng.Uniform(4));
+      ys[i] = static_cast<double>(rng.Uniform(4));
+    }
+    so.num_shards = 16;
+    ExpectMatchesReference(*MakeCoordTable(xs, ys), so);
+  }
+
+  // n = 0, n < K and n % K != 0.
+  so.num_shards = 16;
+  ExpectMatchesReference(*MakeCoordTable({}, {}), so);
+  so.num_shards = 64;
+  ExpectMatchesReference(*MakeTable(5, 22, Box(0, 0, 10, 10)), so);
+  so.num_shards = 16;
+  ExpectMatchesReference(*MakeTable(1003, 23, Box(0, 0, 10, 10)), so);
+
+  // K = 1 and K = 64 over several key tasks.
+  auto big = MakeTable(150001, 24, Box(-50, 10, 950, 400));
+  so.num_shards = 1;
+  ExpectMatchesReference(*big, so);
+  so.num_shards = 64;
+  ExpectMatchesReference(*big, so);
+
+  // The extreme curve orders.
+  so.num_shards = 16;
+  so.hilbert_order = 1;
+  ExpectMatchesReference(*big, so);
+  so.hilbert_order = 31;
+  ExpectMatchesReference(*big, so);
+
+  // lon/lat coordinate columns of non-double types (typed key reads).
+  {
+    Rng rng(25);
+    const size_t n = 70000;
+    std::vector<float> lon(n);
+    std::vector<int32_t> lat(n);
+    std::vector<double> h(n);
+    for (size_t i = 0; i < n; ++i) {
+      lon[i] = static_cast<float>(rng.UniformDouble(4.0, 6.5));
+      lat[i] = static_cast<int32_t>(rng.Uniform(200000)) + 51000000;
+      h[i] = rng.UniformDouble(-5, 40);
+    }
+    FlatTable geo("geo");
+    ASSERT_TRUE(geo.AddColumn(Column::FromVector("lon", lon)).ok());
+    ASSERT_TRUE(geo.AddColumn(Column::FromVector("lat", lat)).ok());
+    ASSERT_TRUE(geo.AddColumn(Column::FromVector("h", h)).ok());
+    ShardingOptions lonlat;
+    lonlat.num_shards = 9;
+    lonlat.x_column = "lon";
+    lonlat.y_column = "lat";
+    ExpectMatchesReference(geo, lonlat);
+  }
+}
+
+// Shards are written in parallel, but the manifest is written only after
+// every shard's write succeeded: a crash in the middle of a fresh write
+// leaves no manifest at all.
+TEST(ShardedTableTest, CrashMidFreshWriteLeavesNoManifest) {
+  auto source = MakeTable(3000, 26, Box(0, 0, 100, 100));
+  ShardingOptions so;
+  so.num_shards = 8;
+  auto built = ShardedTable::Create(*source, so);
+  ASSERT_TRUE(built.ok());
+
+  auto& fi = FaultInjector::Global();
+  TempDir clean("sharded-count");
+  fi.StartCounting();
+  ASSERT_TRUE(WriteShardedTableDir(**built, clean.path() + "/t").ok());
+  const uint64_t ops = fi.StopCounting();
+  ASSERT_GT(ops, 2u);
+
+  TempDir tmp("sharded-mid");
+  const std::string dir = tmp.path() + "/t";
+  fi.ArmCrashAtOp(ops / 2);
+  Status st = WriteShardedTableDir(**built, dir);
+  fi.Disarm();
+  EXPECT_FALSE(st.ok());
+  EXPECT_FALSE(PathExists(dir + "/shards.gsm"));
+  EXPECT_FALSE(IsShardedTableDir(dir));
 }
 
 /// Ids of the shards a routed selection scanned (its shard.scan spans).
