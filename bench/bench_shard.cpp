@@ -16,6 +16,7 @@
 // of the technique being measured. Per K the bench also reports what the
 // layout costs to build: ShardedTable::Create and WriteShardedTableDir
 // (into a fresh directory per rep), min over the reps.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -97,6 +98,9 @@ int main(int argc, char** argv) {
   out.Row({"unsharded", "-", "-", TablePrinter::Num(flat_viewport, 2), "1.00",
            TablePrinter::Num(flat_full, 2), "1.00", "-"});
 
+  double best_speedup = 0.0;
+  double worst_full_ratio = 0.0;
+
   for (uint32_t k : {1u, 4u, 16u, 64u}) {
     ShardingOptions so;
     so.num_shards = k;
@@ -155,6 +159,8 @@ int main(int argc, char** argv) {
         static_cast<double>(scanned_total() - s0) /
         static_cast<double>(viewports.size());
 
+    best_speedup = std::max(best_speedup, flat_viewport / viewport_ms);
+    worst_full_ratio = std::max(worst_full_ratio, full_ms / flat_full);
     char layout[32];
     std::snprintf(layout, sizeof(layout), "K=%u", k);
     char scanned_cell[32];
@@ -168,7 +174,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "\nacceptance: best-K viewport speedup >= 3x, full-extent ratio "
-      "<= 1.05\n");
+      "\nacceptance: best-K viewport speedup %.2fx >= 3x: %s; worst "
+      "full-extent ratio %.2f <= 1.05: %s\n",
+      best_speedup, best_speedup >= 3.0 ? "met" : "NOT MET", worst_full_ratio,
+      worst_full_ratio <= 1.05 ? "met" : "NOT MET");
   return 0;
 }

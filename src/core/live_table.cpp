@@ -1,55 +1,51 @@
 #include "core/live_table.h"
 
-#include <thread>
-
 #include "columns/column_file.h"
 
 namespace geocol {
 
 namespace {
 
-uint32_t EffectiveThreads(uint32_t requested) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
+Status CheckCoordinates(const FlatTable& table,
+                        const LiveTableOptions& options) {
+  if (table.column(options.x_column) == nullptr ||
+      table.column(options.y_column) == nullptr) {
+    return Status::InvalidArgument("live table needs '" + options.x_column +
+                                   "'/'" + options.y_column + "' columns");
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
-LiveTable::LiveTable(LiveTableOptions options) : options_(std::move(options)) {
+LiveTable::LiveTable(LiveTableOptions options,
+                     std::shared_ptr<FlatTable> initial)
+    : options_(std::move(options)) {
   uint32_t threads = EffectiveThreads(options_.engine.num_threads);
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads - 1);
   }
-  // The manager is configured exactly once, here — snapshot engines are
-  // handed the pre-configured instance and never touch its settings, so
+  // Epoch 0's engine creates and configures the imprint manager (pool,
+  // sidecar dir) before any reader can see it; every later epoch's shard
+  // is a successor that shares it without touching its settings, so
   // publishes cannot race a reader over manager state.
-  imprints_ = std::make_shared<ImprintManager>(options_.engine.imprints);
-  if (!options_.engine.imprints_dir.empty()) {
-    imprints_->set_sidecar_dir(options_.engine.imprints_dir);
-  }
-  if (pool_ != nullptr) imprints_->set_thread_pool(pool_.get());
+  ShardSlice slice = Slice(std::move(initial));
+  Install(0, slice,
+          std::make_shared<LocalShard>(slice, options_.engine,
+                                       options_.x_column, options_.y_column,
+                                       pool_.get()));
 }
 
 Result<std::shared_ptr<LiveTable>> LiveTable::Create(
     std::shared_ptr<FlatTable> initial, LiveTableOptions options) {
   if (initial == nullptr) return Status::InvalidArgument("null initial table");
   GEOCOL_RETURN_NOT_OK(initial->Validate());
-  if (initial->column(options.x_column) == nullptr ||
-      initial->column(options.y_column) == nullptr) {
-    return Status::InvalidArgument("live table needs '" + options.x_column +
-                                   "'/'" + options.y_column + "' columns");
+  GEOCOL_RETURN_NOT_OK(CheckCoordinates(*initial, options));
+  if (!options.dir.empty()) {
+    GEOCOL_RETURN_NOT_OK(WriteTableDir(*initial, options.dir));
   }
-  auto table = std::shared_ptr<LiveTable>(new LiveTable(std::move(options)));
-  if (!table->options_.dir.empty()) {
-    GEOCOL_RETURN_NOT_OK(WriteTableDir(*initial, table->options_.dir));
-  }
-  {
-    std::lock_guard<std::mutex> lock(table->mu_);
-    table->current_ = std::make_shared<const EpochSnapshot>(
-        table->MakeSnapshot(0, std::move(initial)));
-  }
-  return table;
+  return std::shared_ptr<LiveTable>(
+      new LiveTable(std::move(options), std::move(initial)));
 }
 
 Result<std::shared_ptr<LiveTable>> LiveTable::Open(const std::string& dir,
@@ -57,18 +53,9 @@ Result<std::shared_ptr<LiveTable>> LiveTable::Open(const std::string& dir,
   options.dir = dir;
   GEOCOL_ASSIGN_OR_RETURN(FlatTable loaded, ReadTableDir(dir));
   auto initial = std::make_shared<FlatTable>(std::move(loaded));
-  if (initial->column(options.x_column) == nullptr ||
-      initial->column(options.y_column) == nullptr) {
-    return Status::InvalidArgument("live table needs '" + options.x_column +
-                                   "'/'" + options.y_column + "' columns");
-  }
-  auto table = std::shared_ptr<LiveTable>(new LiveTable(std::move(options)));
-  {
-    std::lock_guard<std::mutex> lock(table->mu_);
-    table->current_ = std::make_shared<const EpochSnapshot>(
-        table->MakeSnapshot(0, std::move(initial)));
-  }
-  return table;
+  GEOCOL_RETURN_NOT_OK(CheckCoordinates(*initial, options));
+  return std::shared_ptr<LiveTable>(
+      new LiveTable(std::move(options), std::move(initial)));
 }
 
 EpochSnapshot LiveTable::Pin() const {
@@ -90,50 +77,45 @@ std::string LiveTable::name() const {
   return current_->table->name();
 }
 
-EpochSnapshot LiveTable::MakeSnapshot(uint64_t epoch,
-                                      std::shared_ptr<FlatTable> table) const {
-  EpochSnapshot s;
-  s.epoch = epoch;
-  s.table = table;
+std::shared_ptr<ImprintManager> LiveTable::imprint_manager() const {
+  return Pin().engine->imprint_manager_ptr();
+}
+
+ShardSlice LiveTable::Slice(std::shared_ptr<FlatTable> table) const {
+  ShardSlice slice;
   ColumnPtr x = table->column(options_.x_column);
   ColumnPtr y = table->column(options_.y_column);
   if (x != nullptr && y != nullptr && !x->empty()) {
     const ColumnStats& xs = x->Stats();
     const ColumnStats& ys = y->Stats();
-    s.bbox = Box(xs.min, ys.min, xs.max, ys.max);
+    slice.bbox = Box(xs.min, ys.min, xs.max, ys.max);
   }
-  ShardSlice slice;
-  slice.table = table;
-  slice.bbox = s.bbox;
-  auto shard = std::make_shared<LocalShard>(slice, options_.engine,
-                                            options_.x_column,
-                                            options_.y_column, pool_.get(),
-                                            imprints_);
-  s.engine = std::shared_ptr<SpatialQueryEngine>(shard, &shard->engine());
-  s.view = ShardsView::Single(std::move(shard), options_.x_column,
-                              options_.y_column, epoch);
-  return s;
+  slice.table = std::move(table);
+  slice.dir = options_.engine.imprints_dir;
+  return slice;
+}
+
+void LiveTable::Install(uint64_t epoch, const ShardSlice& slice,
+                        std::shared_ptr<LocalShard> shard) {
+  auto s = std::make_shared<EpochSnapshot>();
+  s->epoch = epoch;
+  s->table = slice.table;
+  s->bbox = slice.bbox;
+  s->engine = std::shared_ptr<SpatialQueryEngine>(shard, &shard->engine());
+  s->view = ShardsView::Single(shard, options_.x_column, options_.y_column,
+                               epoch);
+  shard_ = std::move(shard);
+  std::lock_guard<std::mutex> lock(mu_);
+  current_ = std::move(s);
 }
 
 void LiveTable::Publish(std::shared_ptr<FlatTable> next) {
-  // Shard construction and bbox read run outside mu_, so in-flight Pin()
-  // calls are never stalled behind them.
-  uint64_t next_epoch;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    next_epoch = current_->epoch + 1;
-  }
-  // Stitch the new versions' imprints while current_ still holds their
-  // lineage bases: once the swap retires the old epoch, an unpinned base
-  // dies and the first reader would rebuild from scratch. A failed stitch
-  // is not fatal; the first query that needs the index builds it.
-  for (const ColumnPtr& col : next->columns()) {
-    (void)imprints_->StitchFromBase(col);
-  }
-  auto snapshot = std::make_shared<const EpochSnapshot>(
-      MakeSnapshot(next_epoch, std::move(next)));
-  std::lock_guard<std::mutex> lock(mu_);
-  current_ = std::move(snapshot);
+  // The successor stitches while current_ still holds the old epoch's
+  // columns; only then does the swap retire them. Everything before the
+  // swap runs outside mu_, so Pin() calls are never stalled behind it.
+  ShardSlice slice = Slice(std::move(next));
+  std::shared_ptr<LocalShard> successor = shard_->Successor(slice);
+  Install(epoch() + 1, slice, std::move(successor));
 }
 
 }  // namespace geocol

@@ -6,23 +6,27 @@
 //     engine is bound to that exact version (core/shard.h). Everything a
 //     query touches is owned by the snapshot, so a concurrent publish can
 //     never mutate, free, or re-index under it.
-//   - Writers stage batches through a TableAppender and publish them with
-//     a single atomic swap of the current-snapshot pointer. Columns are
-//     append-only versions (Column::CloneAppend): the new version is a
-//     NEW column that usually shares the old version's buffer and writes
-//     only the tail past the old end, which no reader of the old version
-//     reads; the old version keeps its own row count and bytes until its
-//     last snapshot retires. The swap under mu_ orders the tail writes
-//     before every reader of the new epoch.
-//   - All snapshots share one ImprintManager, so imprints of untouched
-//     columns carry over for free and appended columns extend their
-//     lineage base's index incrementally instead of rebuilding.
+//   - Writers stage batches through a TableAppender, whose commit is the
+//     per-shard commit step a sharded append runs too (core/shard.h):
+//     extend (ExtendTable), persist, stitch and publish (the current
+//     shard's LocalShard::Successor, then a single atomic swap of the
+//     current-snapshot pointer). Columns are append-only versions
+//     (Column::CloneAppend): the new version is a NEW column that usually
+//     shares the old version's buffer and writes only the tail past the
+//     old end, which no reader of the old version reads; the old version
+//     keeps its own row count and bytes until its last snapshot retires.
+//     The swap under mu_ orders the tail writes before every reader of the
+//     new epoch.
+//   - Epoch 0's shard owns the ImprintManager and every successor shares
+//     it, so imprints of untouched columns carry over for free and the
+//     successor step extends appended columns' indexes from their lineage
+//     bases before the swap retires them.
 //   - The cache invalidates by construction: every published FlatTable has
 //     a fresh process-unique table_id, which every selection key embeds.
 //   - When backed by a directory, a publish is made durable by
 //     WriteTableDir *before* the in-memory swap: the manifest rename is
 //     the commit point, so a crash at any instant reopens as a complete
-//     old-or-new epoch, never mixed data (the PR 2 crash-sweep guarantee).
+//     old-or-new epoch, never mixed data.
 #ifndef GEOCOL_CORE_LIVE_TABLE_H_
 #define GEOCOL_CORE_LIVE_TABLE_H_
 
@@ -55,7 +59,7 @@ struct EpochSnapshot {
 struct LiveTableOptions {
   /// Engine knobs for snapshot engines. `num_threads` sizes the one pool
   /// all snapshot engines share; `imprints_dir` is applied to the shared
-  /// imprint manager once, at LiveTable construction.
+  /// imprint manager once, by epoch 0's engine.
   EngineOptions engine;
   /// Durable home of the table ("" = in-memory only: publishes are atomic
   /// but not crash-persistent).
@@ -89,30 +93,36 @@ class LiveTable {
 
   std::string name() const;
   const LiveTableOptions& options() const { return options_; }
-  const std::shared_ptr<ImprintManager>& imprint_manager() const {
-    return imprints_;
-  }
-  ThreadPool* pool() const { return pool_.get(); }
+  /// The imprint manager every epoch's shard shares (epoch 0's owns it).
+  std::shared_ptr<ImprintManager> imprint_manager() const;
 
  private:
   friend class TableAppender;
 
-  explicit LiveTable(LiveTableOptions options);
+  /// Wraps `initial` as epoch 0; its shard owns the imprint manager, with
+  /// sidecars in `options.engine.imprints_dir`.
+  LiveTable(LiveTableOptions options, std::shared_ptr<FlatTable> initial);
 
-  /// Stitches the imprints of `next`'s appended columns from their lineage
-  /// bases, builds the snapshot wrapper (view, engine, bbox) and swaps it
-  /// in as the next epoch. Caller must hold commit_mu_ (or be construction).
+  /// Publishes `next` (the current table extended by ExtendTable, already
+  /// durable when backed by a directory) as the next epoch: the current
+  /// shard's successor, then the swap. Caller holds commit_mu_.
   void Publish(std::shared_ptr<FlatTable> next);
 
-  EpochSnapshot MakeSnapshot(uint64_t epoch,
-                             std::shared_ptr<FlatTable> table) const;
+  /// `table` with its x/y bounds and the imprint sidecar dir, as the slice
+  /// an epoch's shard is built over.
+  ShardSlice Slice(std::shared_ptr<FlatTable> table) const;
+
+  /// Makes `shard` (over `slice`) the current epoch.
+  void Install(uint64_t epoch, const ShardSlice& slice,
+               std::shared_ptr<LocalShard> shard);
 
   LiveTableOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  ///< shared by all snapshot engines
-  std::shared_ptr<ImprintManager> imprints_;
+  std::unique_ptr<ThreadPool> pool_;  ///< shared by all epochs' engines
   mutable std::mutex mu_;  ///< guards current_
   std::shared_ptr<const EpochSnapshot> current_;
-  std::mutex commit_mu_;  ///< serialises appender commits
+  std::mutex commit_mu_;  ///< serialises appender commits; guards shard_
+  /// The current epoch's shard, typed for the successor step.
+  std::shared_ptr<LocalShard> shard_;
 };
 
 }  // namespace geocol

@@ -76,6 +76,44 @@ LocalShard::LocalShard(std::shared_ptr<FlatTable> table,
                        const EngineOptions& options)
     : table_(table), engine_(std::move(table), options) {}
 
+std::shared_ptr<LocalShard> LocalShard::Successor(
+    const ShardSlice& next) const {
+  const std::shared_ptr<ImprintManager>& imprints =
+      engine_.imprint_manager_ptr();
+  for (const ColumnPtr& col : next.table->columns()) {
+    (void)imprints->StitchFromBase(col);
+  }
+  return std::make_shared<LocalShard>(next, engine_.options(),
+                                      engine_.x_column(), engine_.y_column(),
+                                      engine_.pool(), imprints);
+}
+
+Result<std::shared_ptr<FlatTable>> ExtendTable(const FlatTable& base,
+                                               const FlatTable& tail) {
+  auto next = std::make_shared<FlatTable>(base.name());
+  for (const ColumnPtr& col : base.columns()) {
+    ColumnPtr add = tail.column(col->name());
+    if (add == nullptr || add->type() != col->type()) {
+      return Status::InvalidArgument("appended rows lack column '" +
+                                     col->name() + "' of its type");
+    }
+    GEOCOL_ASSIGN_OR_RETURN(
+        ColumnPtr appended,
+        Column::CloneAppend(col, add->raw_data(), add->size()));
+    const ColumnStats& as = add->Stats();
+    if (col->empty()) {
+      appended->SetCachedStats(as.min, as.max);
+    } else {
+      const ColumnStats& bs = col->Stats();
+      appended->SetCachedStats(std::min(bs.min, as.min),
+                               std::max(bs.max, as.max));
+    }
+    GEOCOL_RETURN_NOT_OK(next->AddColumn(std::move(appended)));
+  }
+  GEOCOL_RETURN_NOT_OK(next->Validate());
+  return next;
+}
+
 Result<SelectionResult> LocalShard::Select(
     const Geometry& geometry, double buffer,
     const std::vector<AttributeRange>& thematic, bool use_cache) {

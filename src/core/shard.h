@@ -11,6 +11,11 @@
 // view over that epoch's columns. Selection, aggregation, ORDER BY,
 // projection, the NEAR join and shared-scan batching all run over the
 // view, so the three kinds of table share one execution path.
+//
+// Appends share one commit step too (DESIGN.md §13): ExtendTable builds a
+// shard's next table and, once it is committed, LocalShard::Successor its
+// next shard. A live table's appender runs it on its one shard, a sharded
+// append on every shard the batch routes to.
 #ifndef GEOCOL_CORE_SHARD_H_
 #define GEOCOL_CORE_SHARD_H_
 
@@ -103,16 +108,31 @@ class LocalShard final : public Shard {
 
   SpatialQueryEngine& engine() { return engine_; }
 
-  /// The shard's imprint manager, for hand-off to a replacement shard.
-  const std::shared_ptr<ImprintManager>& imprint_manager_ptr() const {
-    return engine_.imprint_manager_ptr();
-  }
+  /// The second half of the commit step, once `next` is committed (durable
+  /// when persisted): `next.table` is this shard's table extended by
+  /// ExtendTable. Stitches the imprints of next's appended columns from
+  /// this shard's while they are still alive, so the first query of the
+  /// new version needs no pinned reader to extend instead of rebuilding,
+  /// then returns the replacement shard: same engine options, coordinate
+  /// columns, pool and imprint manager. A failed stitch is not fatal; the
+  /// first query that needs the index builds it.
+  std::shared_ptr<LocalShard> Successor(const ShardSlice& next) const;
 
  private:
   std::shared_ptr<FlatTable> table_;
   Box bbox_;
   SpatialQueryEngine engine_;
 };
+
+/// The first half of the commit step that live and sharded appends share
+/// (DESIGN.md §13): a new version of `base` holding `tail`'s rows after
+/// its own, every column extended copy-on-write (Column::CloneAppend) and
+/// its stats seeded from base stats plus the tail's extremes, so the new
+/// version never rescans its rows for a bbox. `base` and the readers
+/// pinning it are untouched. `tail` must hold every column of `base`, of
+/// the same type.
+Result<std::shared_ptr<FlatTable>> ExtendTable(const FlatTable& base,
+                                               const FlatTable& tail);
 
 /// An immutable set of shards, pinned for the lifetime of one query (or
 /// one SQL statement). Copyable; copies share the shard handles.

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <limits>
-#include <thread>
 
 #include "columns/column_file.h"
 #include "columns/types.h"
@@ -15,16 +13,6 @@
 #include "util/timer.h"
 
 namespace geocol {
-
-namespace {
-
-uint32_t EffectiveThreads(uint32_t requested) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
-}
-
-}  // namespace
 
 ShardRouter::ShardRouter(std::shared_ptr<ShardedTable> table,
                          EngineOptions options)
@@ -37,8 +25,7 @@ ShardRouter::ShardRouter(std::shared_ptr<ShardedTable> table,
     // safe and keeps all workers busy.
     pool_ = std::make_unique<ThreadPool>(threads - 1);
   }
-  std::vector<std::shared_ptr<Shard>> shards;
-  shards.reserve(table_->num_shards());
+  shards_.reserve(table_->num_shards());
   start_keys_.reserve(table_->num_shards());
   // Routing keys for live appends: shard i owns Hilbert keys in
   // [start_keys_[i], start_keys_[i+1]). The first row of a shard is the
@@ -49,7 +36,7 @@ ShardRouter::ShardRouter(std::shared_ptr<ShardedTable> table,
   uint64_t prev_key = 0;
   for (size_t i = 0; i < table_->num_shards(); ++i) {
     const ShardSlice& slice = table_->shard(i);
-    shards.push_back(std::make_shared<LocalShard>(
+    shards_.push_back(std::make_shared<LocalShard>(
         slice, options_, table_->x_column(), table_->y_column(),
         pool_.get()));
     uint64_t key = prev_key;
@@ -66,7 +53,7 @@ ShardRouter::ShardRouter(std::shared_ptr<ShardedTable> table,
     start_keys_.push_back(i == 0 ? 0 : key);
     prev_key = start_keys_.back();
   }
-  view_ = MakeView(std::move(shards), 0);
+  view_ = MakeView(0);
 }
 
 Schema ShardRouter::schema() const {
@@ -75,9 +62,9 @@ Schema ShardRouter::schema() const {
 }
 
 std::shared_ptr<const ShardsView> ShardRouter::MakeView(
-    std::vector<std::shared_ptr<Shard>> shards, uint64_t version) const {
+    uint64_t version) const {
   auto view = std::make_shared<ShardsView>();
-  view->shards = std::move(shards);
+  view->shards.assign(shards_.begin(), shards_.end());
   for (const ShardSlice& slice : table_->shards()) {
     view->bases.push_back(slice.base);
   }
@@ -165,55 +152,35 @@ Status ShardRouter::Append(const FlatTable& batch) {
     rows_for[s].push_back(r);
   }
 
-  // ---- Build: extend every affected shard's columns copy-on-write.
-  // Untouched shards are not looked at, let alone copied.
+  // ---- Extend: gather each affected shard's routed rows into a tail and
+  // extend the shard's table by it (ExtendTable, the commit step a live
+  // table's appender runs too). Untouched shards are not looked at, let
+  // alone copied.
   struct Replacement {
     size_t shard = 0;
-    std::shared_ptr<FlatTable> table;
-    Box bbox;
-    std::string dir;  ///< new shard directory; "" while memory-only
+    ShardSlice slice;  ///< the shard's next table, bbox and directory
   };
   std::vector<Replacement> reps;
-  std::vector<uint8_t> gather;
   for (size_t s = 0; s < rows_for.size(); ++s) {
     const std::vector<uint64_t>& rows = rows_for[s];
     if (rows.empty()) continue;
-    const ShardSlice& slice = table_->shard(s);
+    FlatTable tail(batch.name(), batch.schema());
+    for (size_t c = 0; c < batch.num_columns(); ++c) {
+      const Column& src = *batch.column(c);
+      const size_t w = src.width();
+      uint8_t* out = tail.column(c)->AppendUninitialized(rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        std::memcpy(out + i * w, src.raw_data() + rows[i] * w, w);
+      }
+    }
     Replacement rep;
     rep.shard = s;
-    rep.bbox = slice.bbox;
+    rep.slice = table_->shard(s);
+    GEOCOL_ASSIGN_OR_RETURN(rep.slice.table,
+                            ExtendTable(*rep.slice.table, tail));
     for (uint64_t r : rows) {
-      rep.bbox.Extend(bx->GetDouble(r), by->GetDouble(r));
+      rep.slice.bbox.Extend(bx->GetDouble(r), by->GetDouble(r));
     }
-    auto next = std::make_shared<FlatTable>(slice.table->name());
-    for (const ColumnPtr& base : slice.table->columns()) {
-      GEOCOL_ASSIGN_OR_RETURN(ColumnPtr add, batch.GetColumn(base->name()));
-      const size_t w = base->width();
-      gather.resize(rows.size() * w);
-      double add_min = std::numeric_limits<double>::infinity();
-      double add_max = -std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < rows.size(); ++i) {
-        std::memcpy(gather.data() + i * w, add->raw_data() + rows[i] * w, w);
-        const double v = add->GetDouble(rows[i]);
-        add_min = std::min(add_min, v);
-        add_max = std::max(add_max, v);
-      }
-      GEOCOL_ASSIGN_OR_RETURN(
-          ColumnPtr appended,
-          Column::CloneAppend(base, gather.data(), rows.size()));
-      // Seed the stats cache (base stats ∪ batch extremes) so neither the
-      // bbox maintenance here nor a first query rescans the whole shard.
-      if (base->empty()) {
-        appended->SetCachedStats(add_min, add_max);
-      } else {
-        const ColumnStats& bs = base->Stats();
-        appended->SetCachedStats(std::min(bs.min, add_min),
-                                 std::max(bs.max, add_max));
-      }
-      GEOCOL_RETURN_NOT_OK(next->AddColumn(std::move(appended)));
-    }
-    GEOCOL_RETURN_NOT_OK(next->Validate());
-    rep.table = std::move(next);
     reps.push_back(std::move(rep));
   }
 
@@ -243,44 +210,29 @@ Status ShardRouter::Append(const FlatTable& batch) {
     for (Replacement& rep : reps) {
       ShardedTableManifest::ManifestShard& ms = m.shards[rep.shard];
       ms.dirname = ShardDirName(rep.shard, new_gen);
-      ms.rows = rep.table->num_rows();
-      ms.bbox = rep.bbox;
-      rep.dir = root + "/" + ms.dirname;
-      GEOCOL_RETURN_NOT_OK(WriteTableDir(*rep.table, rep.dir));
+      ms.rows = rep.slice.table->num_rows();
+      ms.bbox = rep.slice.bbox;
+      rep.slice.dir = root + "/" + ms.dirname;
+      GEOCOL_RETURN_NOT_OK(WriteTableDir(*rep.slice.table, rep.slice.dir));
     }
     // The commit point.
     GEOCOL_RETURN_NOT_OK(WriteShardedTableManifest(root, m));
   }
 
-  // ---- Publish: build the replacement shard handles (sharing each
-  // retired shard's imprint manager, so appended columns extend their
-  // lineage base's imprints incrementally), then swap them in under the
-  // view lock. Readers pinned to older views keep their shard set alive
-  // through the shared_ptrs; new views see the whole batch.
-  std::vector<std::shared_ptr<Shard>> replacements;
-  replacements.reserve(reps.size());
+  // ---- Publish: each affected shard's successor (stitched from the shard
+  // it replaces, sharing its imprint manager), swapped in under the view
+  // lock. Readers pinned to older views keep their shard set alive through
+  // the shared_ptrs; new views see the whole batch.
+  std::vector<std::shared_ptr<LocalShard>> successors;
+  successors.reserve(reps.size());
   for (const Replacement& rep : reps) {
-    // The router only ever builds LocalShards (the remote evolution would
-    // route appends very differently), so the downcast is structural.
-    auto old = std::static_pointer_cast<LocalShard>(view_->shards[rep.shard]);
-    ShardSlice next;
-    next.table = rep.table;
-    next.bbox = rep.bbox;
-    next.dir = rep.dir.empty() ? table_->shard(rep.shard).dir : rep.dir;
-    replacements.push_back(std::make_shared<LocalShard>(
-        next, options_, table_->x_column(), table_->y_column(), pool_.get(),
-        old->imprint_manager_ptr()));
+    successors.push_back(shards_[rep.shard]->Successor(rep.slice));
   }
   {
     std::unique_lock<std::shared_mutex> lock(shards_mu_);
-    std::vector<std::shared_ptr<Shard>> shards = view_->shards;
     for (size_t i = 0; i < reps.size(); ++i) {
-      const Replacement& rep = reps[i];
-      ShardSlice& slice = table_->shards()[rep.shard];
-      slice.table = rep.table;
-      slice.bbox = rep.bbox;
-      if (!rep.dir.empty()) slice.dir = rep.dir;
-      shards[rep.shard] = replacements[i];
+      table_->shards()[reps[i].shard] = reps[i].slice;
+      shards_[reps[i].shard] = std::move(successors[i]);
     }
     // Appending to shard i shifts the global base of every shard after
     // it; rebase the whole run. Pinned views keep their own bases.
@@ -291,7 +243,7 @@ Status ShardRouter::Append(const FlatTable& batch) {
     }
     table_->set_num_rows(base);
     if (persisted) table_->set_generation(new_gen);
-    view_ = MakeView(std::move(shards), view_->version + 1);
+    view_ = MakeView(view_->version + 1);
   }
 
   c_commits.Increment();

@@ -24,8 +24,11 @@
 // but do not cover the single shard.
 //
 // Live appends (DESIGN.md §13): Append routes a batch to its shards by
-// Hilbert start keys, extends each affected shard's columns copy-on-write
-// and swaps a NEW shard handle in under the view lock. Readers pin a
+// Hilbert start keys and runs, per affected shard, the commit step a live
+// table's appender runs too (core/shard.h): ExtendTable over the routed
+// rows, then — after the commit point — the shard's Successor, which
+// stitches the appended columns' imprints before the old shard can
+// retire. The successors swap in under the view lock. Readers pin a
 // ShardsView — an immutable (shards, bases) snapshot — per query or per
 // SQL statement, so a concurrent append can never shift global row ids
 // or replace a table version under them. For a persisted layout the
@@ -101,23 +104,24 @@ class ShardRouter {
 
   /// Appends a batch (schema must equal the table's) as ONE atomic
   /// publish: rows are routed to shards by the Hilbert key of (x, y)
-  /// scaled to the layout's fixed extent, each affected shard's columns
-  /// are extended copy-on-write, and — for a layout loaded from disk —
-  /// the new shard tables land in next-generation directories with the
-  /// shards.gsm manifest swap as the crash-commit point. Readers holding
-  /// a ShardsView are untouched; new View() calls see all rows or none.
-  /// Concurrent Append calls serialise. Only the affected shards get new
-  /// tables (fresh table ids), so shard cache keys invalidate precisely.
+  /// scaled to the layout's fixed extent, each affected shard's table is
+  /// extended copy-on-write (ExtendTable), and — for a layout loaded from
+  /// disk — the new shard tables land in next-generation directories with
+  /// the shards.gsm manifest swap as the crash-commit point. Then each
+  /// affected shard's successor (stitched imprints, shared manager) is
+  /// published. Readers holding a ShardsView are untouched; new View()
+  /// calls see all rows or none. Concurrent Append calls serialise. Only
+  /// the affected shards get new tables (fresh table ids), so shard cache
+  /// keys invalidate precisely.
   Status Append(const FlatTable& batch);
 
   /// Sum of imprint storage across all shards.
   uint64_t IndexStorageBytes() const;
 
  private:
-  /// A routed view over `shards` at the slices' current bases; caller
+  /// A routed view over shards_ at the slices' current bases; caller
   /// holds shards_mu_ (or is the constructor).
-  std::shared_ptr<const ShardsView> MakeView(
-      std::vector<std::shared_ptr<Shard>> shards, uint64_t version) const;
+  std::shared_ptr<const ShardsView> MakeView(uint64_t version) const;
 
   std::shared_ptr<ShardedTable> table_;
   EngineOptions options_;
@@ -129,6 +133,9 @@ class ShardRouter {
   /// take it shared for the handle copy only.
   mutable std::shared_mutex shards_mu_;
   std::shared_ptr<const ShardsView> view_;
+  /// The shards of view_, typed for Append's successor step; replaced
+  /// under shards_mu_ and append_mu_.
+  std::vector<std::shared_ptr<LocalShard>> shards_;
   /// Serialises Append calls (routing + COW build happen outside
   /// shards_mu_, so readers are never stalled behind an append).
   std::mutex append_mu_;

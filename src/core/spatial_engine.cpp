@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <span>
-#include <thread>
 
 #include "cache/chunk_cache.h"
 #include "columns/types.h"
@@ -12,16 +11,6 @@
 #include "util/timer.h"
 
 namespace geocol {
-
-namespace {
-
-uint32_t EffectiveThreads(uint32_t requested) {
-  if (requested != 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
-}
-
-}  // namespace
 
 Result<double> AggregateRows(std::span<const Column* const> parts,
                              std::span<const uint64_t> bases,

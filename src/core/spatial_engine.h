@@ -148,13 +148,13 @@ class SpatialQueryEngine {
   /// serially) instead of creating a private pool from
   /// `options.num_threads`. The shard router uses this so all shard
   /// engines share one morsel pool. A non-null `shared_imprints` is used
-  /// instead of a private imprint manager: the live-table path hands every
-  /// published snapshot engine the same manager, so an epoch's imprints
-  /// are built once, survive across epochs for untouched columns, and
-  /// appended columns extend their lineage base's index incrementally.
-  /// That manager must already be configured (pool, sidecar dir) — the
-  /// engine never mutates it, so hand-off races cannot occur with queries
-  /// running on older snapshots.
+  /// instead of a private imprint manager: a shard's successor after an
+  /// append (LocalShard::Successor) shares its predecessor's, so imprints
+  /// are built once, survive appends for untouched columns, and appended
+  /// columns extend their lineage base's index incrementally. That manager
+  /// must already be configured (pool, sidecar dir) — the engine never
+  /// mutates it, so hand-off races cannot occur with queries running on
+  /// older versions.
   SpatialQueryEngine(std::shared_ptr<FlatTable> table, EngineOptions options,
                      std::string x_column, std::string y_column,
                      ThreadPool* borrowed_pool,
@@ -162,6 +162,10 @@ class SpatialQueryEngine {
 
   const FlatTable& table() const { return *table_; }
   const EngineOptions& options() const { return options_; }
+  const std::string& x_column() const { return x_name_; }
+  const std::string& y_column() const { return y_name_; }
+  /// The pool queries run on; null when serial.
+  ThreadPool* pool() const { return pool_; }
 
   /// Threads executing one query: pool workers + the calling thread.
   uint32_t num_effective_threads() const {
@@ -207,8 +211,8 @@ class SpatialQueryEngine {
 
   ImprintManager& imprint_manager() { return *imprints_; }
 
-  /// The (possibly shared) manager itself; snapshot publication passes it
-  /// on to the next epoch's engine.
+  /// The (possibly shared) manager itself; a shard's successor
+  /// (LocalShard::Successor) shares it.
   const std::shared_ptr<ImprintManager>& imprint_manager_ptr() const {
     return imprints_;
   }
@@ -250,7 +254,7 @@ class SpatialQueryEngine {
   EngineOptions options_;
   std::string x_name_, y_name_;
   std::shared_ptr<ImprintManager> imprints_;
-  /// False when imprints_ was injected pre-configured (live-table path);
+  /// False when imprints_ was injected pre-configured (a successor shard);
   /// Init() then leaves its pool/sidecar settings alone.
   bool owns_imprints_ = true;
   /// Pool this engine created for itself (the plain constructor); null

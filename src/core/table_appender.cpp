@@ -1,7 +1,5 @@
 #include "core/table_appender.h"
 
-#include <algorithm>
-
 #include "columns/column_file.h"
 #include "columns/csv.h"
 #include "las/las_format.h"
@@ -52,30 +50,8 @@ Status TableAppender::Commit() {
   EpochSnapshot cur = table_->Pin();
 
   const uint64_t added = staging_.num_rows();
-  auto next = std::make_shared<FlatTable>(cur.table->name());
-  for (size_t i = 0; i < cur.table->num_columns(); ++i) {
-    const ColumnPtr& base = cur.table->column(i);
-    ColumnPtr add = staging_.column(base->name());
-    if (add == nullptr || add->type() != base->type()) {
-      return Status::Internal("staging schema drifted from live table");
-    }
-    GEOCOL_ASSIGN_OR_RETURN(
-        ColumnPtr appended,
-        Column::CloneAppend(base, add->raw_data(), add->size()));
-    // Seed the stats cache from base stats ∪ batch extremes so the new
-    // version never pays an O(total rows) rescan on its first query (the
-    // publish-time bbox read depends on this being cheap).
-    const ColumnStats& as = add->Stats();
-    if (base->empty()) {
-      appended->SetCachedStats(as.min, as.max);
-    } else {
-      const ColumnStats& bs = base->Stats();
-      appended->SetCachedStats(std::min(bs.min, as.min),
-                               std::max(bs.max, as.max));
-    }
-    GEOCOL_RETURN_NOT_OK(next->AddColumn(std::move(appended)));
-  }
-  GEOCOL_RETURN_NOT_OK(next->Validate());
+  GEOCOL_ASSIGN_OR_RETURN(std::shared_ptr<FlatTable> next,
+                          ExtendTable(*cur.table, staging_));
 
   // Durability first, visibility second: the manifest rename inside
   // WriteTableDir is the crash-commit point. If we die before it, reopen

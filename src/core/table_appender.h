@@ -1,15 +1,20 @@
 // Staged, atomically published appends to a LiveTable (DESIGN.md §13).
 //
 // An appender accumulates rows (raw batches, LAS tiles, CSV files) in a
-// private staging table and publishes everything staged as ONE new epoch:
-//   1. every column of the current version is extended by an append-only
-//      version (Column::CloneAppend), in place in the shared buffer when
-//      it has room — readers of pinned epochs see nothing;
-//   2. for a durable table, the new version is written with WriteTableDir
-//      first — the manifest rename inside it is the commit point, so a
-//      crash at any failpoint reopens as a complete old-or-new epoch;
-//   3. the LiveTable's current-snapshot pointer swaps — the single atomic
-//      epoch bump that makes the rows visible to new Pin() calls.
+// private staging table and publishes everything staged as ONE new epoch,
+// by the per-shard commit step ShardRouter::Append runs too (core/shard.h):
+//   1. extend: ExtendTable(current, staging) extends every column by an
+//      append-only version (Column::CloneAppend), in place in the shared
+//      buffer when it has room — readers of pinned epochs see nothing;
+//   2. persist: for a durable table, the new version is written with
+//      WriteTableDir first — the manifest rename inside it is the commit
+//      point, so a crash at any failpoint reopens as a complete old-or-new
+//      epoch;
+//   3. stitch and publish (LiveTable::Publish): the current shard's
+//      successor extends the appended columns' imprints while the old
+//      epoch is still alive, then the current-snapshot pointer swaps — the
+//      single atomic epoch bump that makes the rows visible to new Pin()
+//      calls.
 // Commits of concurrent appenders on one table serialise; staging is not
 // thread-safe (one appender per thread).
 #ifndef GEOCOL_CORE_TABLE_APPENDER_H_

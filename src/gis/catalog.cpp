@@ -9,7 +9,6 @@ Status Catalog::AddPointCloud(const std::string& name,
   if (NameTaken(name)) {
     return Status::AlreadyExists("dataset '" + name + "' exists");
   }
-  tables_[name] = table;
   auto shard = std::make_shared<LocalShard>(std::move(table), options);
   FlatCloud& flat = flat_[name];
   flat.view = ShardsView::Single(shard, "x", "y");
@@ -24,7 +23,6 @@ Status Catalog::AddShardedPointCloud(const std::string& name,
   if (NameTaken(name)) {
     return Status::AlreadyExists("dataset '" + name + "' exists");
   }
-  sharded_tables_[name] = table;
   routers_[name] = std::make_unique<ShardRouter>(std::move(table), options);
   return Status::OK();
 }
@@ -75,12 +73,12 @@ Result<SpatialQueryEngine*> Catalog::GetEngine(const std::string& name) {
   return &it->second.shard->engine();
 }
 
-Result<std::shared_ptr<FlatTable>> Catalog::GetTable(const std::string& name) {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) {
+Result<const FlatTable*> Catalog::GetTable(const std::string& name) {
+  auto it = flat_.find(name);
+  if (it == flat_.end()) {
     return Status::NotFound("no point cloud '" + name + "'");
   }
-  return it->second;
+  return &it->second.shard->table();
 }
 
 Result<std::shared_ptr<VectorLayer>> Catalog::GetLayer(
@@ -100,24 +98,6 @@ Result<ShardRouter*> Catalog::GetRouter(const std::string& name) {
   return it->second.get();
 }
 
-Result<std::shared_ptr<ShardedTable>> Catalog::GetShardedTable(
-    const std::string& name) {
-  auto it = sharded_tables_.find(name);
-  if (it == sharded_tables_.end()) {
-    return Status::NotFound("no sharded point cloud '" + name + "'");
-  }
-  return it->second;
-}
-
-Result<std::shared_ptr<LiveTable>> Catalog::GetLiveTable(
-    const std::string& name) {
-  auto it = live_tables_.find(name);
-  if (it == live_tables_.end()) {
-    return Status::NotFound("no live point cloud '" + name + "'");
-  }
-  return it->second;
-}
-
 std::vector<std::string> Catalog::PointCloudNames() const {
   std::vector<std::string> out;
   for (const auto& [name, _] : flat_) out.push_back(name);
@@ -133,12 +113,6 @@ std::vector<std::string> Catalog::LayerNames() const {
 std::vector<std::string> Catalog::ShardedPointCloudNames() const {
   std::vector<std::string> out;
   for (const auto& [name, _] : routers_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> Catalog::LivePointCloudNames() const {
-  std::vector<std::string> out;
-  for (const auto& [name, _] : live_tables_) out.push_back(name);
   return out;
 }
 

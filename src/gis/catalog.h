@@ -57,12 +57,6 @@ class Catalog {
   bool HasLayer(const std::string& name) const {
     return layers_.count(name) != 0;
   }
-  bool HasShardedPointCloud(const std::string& name) const {
-    return routers_.count(name) != 0;
-  }
-  bool HasLivePointCloud(const std::string& name) const {
-    return live_tables_.count(name) != 0;
-  }
 
   /// Pins point cloud `name` (flat, sharded or live) for one statement: the
   /// flat table's constant view, the router's current view, or the live
@@ -71,17 +65,14 @@ class Catalog {
 
   /// The engine serving flat table `name` (its one shard's engine).
   Result<SpatialQueryEngine*> GetEngine(const std::string& name);
-  Result<std::shared_ptr<FlatTable>> GetTable(const std::string& name);
+  /// Flat table `name` (its one shard's table).
+  Result<const FlatTable*> GetTable(const std::string& name);
   Result<std::shared_ptr<VectorLayer>> GetLayer(const std::string& name);
   Result<ShardRouter*> GetRouter(const std::string& name);
-  Result<std::shared_ptr<ShardedTable>> GetShardedTable(
-      const std::string& name);
-  Result<std::shared_ptr<LiveTable>> GetLiveTable(const std::string& name);
 
   std::vector<std::string> PointCloudNames() const;
   std::vector<std::string> LayerNames() const;
   std::vector<std::string> ShardedPointCloudNames() const;
-  std::vector<std::string> LivePointCloudNames() const;
 
  private:
   bool NameTaken(const std::string& name) const {
@@ -94,10 +85,8 @@ class Catalog {
     std::shared_ptr<const ShardsView> view;
   };
   std::map<std::string, FlatCloud> flat_;
-  std::map<std::string, std::shared_ptr<FlatTable>> tables_;
   std::map<std::string, std::shared_ptr<VectorLayer>> layers_;
   std::map<std::string, std::unique_ptr<ShardRouter>> routers_;
-  std::map<std::string, std::shared_ptr<ShardedTable>> sharded_tables_;
   std::map<std::string, std::shared_ptr<LiveTable>> live_tables_;
 };
 

@@ -8,7 +8,6 @@
 #include "telemetry/heat.h"
 #include "telemetry/metrics.h"
 #include "telemetry/recorder.h"
-#include "telemetry/trace.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -195,10 +194,8 @@ Result<ResultSet> Session::ExecutePrepared(const std::string& sql_text,
                                            PlannedQuery plan) {
   return ExecuteRecorded(sql_text, [&](telemetry::QueryEvent* ev) {
     Timer timer;
-    const int64_t start_unix_nanos = NowUnixNanos();
-    if (ev != nullptr) ev->start_unix_nanos = start_unix_nanos;
-    return RunPlanned(sql_text, plan, ev, nullptr, nullptr, timer,
-                      start_unix_nanos);
+    if (ev != nullptr) ev->start_unix_nanos = NowUnixNanos();
+    return RunPlanned(sql_text, plan, ev, nullptr, nullptr, timer);
   });
 }
 
@@ -208,10 +205,8 @@ Result<ResultSet> Session::ExecutePreparedWithRows(const std::string& sql_text,
                                                    QueryProfile pre_profile) {
   return ExecuteRecorded(sql_text, [&](telemetry::QueryEvent* ev) {
     Timer timer;
-    const int64_t start_unix_nanos = NowUnixNanos();
-    if (ev != nullptr) ev->start_unix_nanos = start_unix_nanos;
-    return RunPlanned(sql_text, plan, ev, &rows, &pre_profile, timer,
-                      start_unix_nanos);
+    if (ev != nullptr) ev->start_unix_nanos = NowUnixNanos();
+    return RunPlanned(sql_text, plan, ev, &rows, &pre_profile, timer);
   });
 }
 
@@ -266,12 +261,10 @@ Result<ResultSet> Session::ExecuteRecorded(
 Result<ResultSet> Session::ExecuteInternal(const std::string& sql_text,
                                            telemetry::QueryEvent* ev) {
   Timer timer;
-  const int64_t start_unix_nanos = NowUnixNanos();
-  if (ev != nullptr) ev->start_unix_nanos = start_unix_nanos;
+  if (ev != nullptr) ev->start_unix_nanos = NowUnixNanos();
   GEOCOL_ASSIGN_OR_RETURN(SelectStmt stmt, Parse(sql_text));
   GEOCOL_ASSIGN_OR_RETURN(PlannedQuery plan, PlanQuery(catalog_, std::move(stmt)));
-  return RunPlanned(sql_text, plan, ev, nullptr, nullptr, timer,
-                    start_unix_nanos);
+  return RunPlanned(sql_text, plan, ev, nullptr, nullptr, timer);
 }
 
 Result<ResultSet> Session::RunPlanned(const std::string& sql_text,
@@ -279,8 +272,7 @@ Result<ResultSet> Session::RunPlanned(const std::string& sql_text,
                                       telemetry::QueryEvent* ev,
                                       std::vector<uint64_t>* batched_rows,
                                       QueryProfile* batched_profile,
-                                      const Timer& timer,
-                                      int64_t start_unix_nanos) {
+                                      const Timer& timer) {
   last_plan_ = plan.Describe();
   if (ev != nullptr) {
     ev->table = plan.stmt.table;
@@ -322,15 +314,6 @@ Result<ResultSet> Session::RunPlanned(const std::string& sql_text,
                           "geocol_flight_overhead_nanos_total");
     flight_overhead_nanos.Increment(
         static_cast<uint64_t>(fill_timer.ElapsedNanos()));
-  }
-
-  if (options_.record_trace && !last_profile_.empty()) {
-    telemetry::TraceRecord record;
-    record.query = sql_text;
-    record.profile = last_profile_;
-    record.wall_nanos = wall_nanos;
-    record.start_unix_nanos = start_unix_nanos;
-    telemetry::TraceRing::Global().Record(std::move(record));
   }
 
   if (options_.slow_query_ms >= 0 &&

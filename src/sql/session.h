@@ -22,10 +22,6 @@ namespace sql {
 
 /// Telemetry knobs for a Session.
 struct SessionOptions {
-  /// Record every executed query (text + span tree + wall time) into
-  /// telemetry::TraceRing::Global() for later export via `geocol trace`.
-  bool record_trace = true;
-
   /// Append a structured event per statement to the process-wide flight
   /// recorder when it is open (telemetry/recorder.h). Off only for
   /// sessions that must not observe themselves — `geocol replay` replays
@@ -63,8 +59,8 @@ class Session {
 
   /// Executes an already-planned statement (the server plans at admission
   /// time so a live-table epoch is pinned per statement, then hands the
-  /// plan to a worker session). Telemetry (flight event, trace, slow-query
-  /// log) matches Execute except that wall time excludes the parse/plan
+  /// plan to a worker session). Telemetry (flight event, slow-query log)
+  /// matches Execute except that wall time excludes the parse/plan
   /// already paid by the caller.
   Result<ResultSet> ExecutePrepared(const std::string& sql_text,
                                     PlannedQuery plan);
@@ -110,14 +106,14 @@ class Session {
 
   /// Everything after planning: event identity fill, cache budget,
   /// execution (ExecuteQuery, or the batched fan-out when `batched_rows`
-  /// is non-null), wall histogram, profile mining, trace ring, slow-query
-  /// log. `timer`/`start_unix_nanos` were started by the caller so wall
-  /// time covers whatever work preceded planning.
+  /// is non-null), wall histogram, profile mining, slow-query log.
+  /// `timer` was started by the caller so wall time covers whatever work
+  /// preceded planning.
   Result<ResultSet> RunPlanned(const std::string& sql_text, PlannedQuery& plan,
                                telemetry::QueryEvent* ev,
                                std::vector<uint64_t>* batched_rows,
                                QueryProfile* batched_profile,
-                               const Timer& timer, int64_t start_unix_nanos);
+                               const Timer& timer);
 
   Catalog* catalog_;
   SessionOptions options_;

@@ -112,33 +112,5 @@ std::string ProfileToJsonl(const QueryProfile& profile,
   return out;
 }
 
-TraceRing& TraceRing::Global() {
-  static TraceRing* ring = new TraceRing();  // never destroyed
-  return *ring;
-}
-
-void TraceRing::Record(TraceRecord record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.push_back(std::move(record));
-  while (records_.size() > capacity_) records_.pop_front();
-}
-
-std::vector<TraceRecord> TraceRing::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<TraceRecord>(records_.begin(), records_.end());
-}
-
-bool TraceRing::Latest(TraceRecord* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (records_.empty()) return false;
-  *out = records_.back();
-  return true;
-}
-
-void TraceRing::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.clear();
-}
-
 }  // namespace telemetry
 }  // namespace geocol

@@ -1,15 +1,12 @@
 // Query tracing: export a QueryProfile span tree as Chrome trace_event
-// JSON (load in chrome://tracing or Perfetto) or JSONL, and keep the last
-// N traced queries in a process-global ring buffer so `geocol_tool trace`
-// and the SQL session's slow-query log can inspect recent executions.
+// JSON (load in chrome://tracing or Perfetto) or JSONL. `geocol trace`
+// exports the profile of the statement it runs
+// (sql::Session::last_profile()).
 #ifndef GEOCOL_TELEMETRY_TRACE_H_
 #define GEOCOL_TELEMETRY_TRACE_H_
 
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "core/profile.h"
 
@@ -30,41 +27,6 @@ std::string ProfileToChromeTrace(const QueryProfile& profile,
 /// One JSON object per line, one line per span (log-pipeline friendly).
 std::string ProfileToJsonl(const QueryProfile& profile,
                            const std::string& label);
-
-/// One recorded query execution.
-struct TraceRecord {
-  std::string query;      ///< SQL text or tool-level description
-  QueryProfile profile;   ///< span tree
-  int64_t wall_nanos = 0; ///< end-to-end wall time incl. parse/plan
-  int64_t start_unix_nanos = 0;  ///< wall clock at statement start (unix ns)
-};
-
-/// Fixed-capacity ring of recent query traces. Thread-safe.
-class TraceRing {
- public:
-  static constexpr size_t kDefaultCapacity = 64;
-
-  static TraceRing& Global();
-
-  explicit TraceRing(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
-
-  void Record(TraceRecord record);
-
-  /// All retained records, oldest first.
-  std::vector<TraceRecord> Snapshot() const;
-
-  /// Most recent record, or false when empty.
-  bool Latest(TraceRecord* out) const;
-
-  void Clear();
-  size_t capacity() const { return capacity_; }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::deque<TraceRecord> records_;
-};
 
 }  // namespace telemetry
 }  // namespace geocol

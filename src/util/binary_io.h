@@ -195,6 +195,8 @@ class BufferReader {
                                 " bytes, " + std::to_string(remaining()) +
                                 " remain");
     }
+    // An empty vector's data() may be null, and memcpy must not get one.
+    if (n == 0) return Status::OK();
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();

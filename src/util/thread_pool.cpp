@@ -7,11 +7,14 @@
 
 namespace geocol {
 
+uint32_t EffectiveThreads(uint32_t requested) {
+  if (requested != 0) return requested;
+  unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<uint32_t>(hw);
+}
+
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
+  if (num_threads == 0) num_threads = EffectiveThreads(0);
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

@@ -6,6 +6,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -13,6 +14,11 @@
 #include <vector>
 
 namespace geocol {
+
+/// Threads a query runs on for an engine's `num_threads` knob: the knob
+/// itself, or one per hardware core when it is 0. The calling thread is
+/// one of them, so a query pool holds EffectiveThreads() - 1 workers.
+uint32_t EffectiveThreads(uint32_t requested);
 
 /// A minimal fixed-size worker pool.
 ///

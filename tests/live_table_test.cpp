@@ -6,7 +6,8 @@
 // shards, and a reader whose pinned view is superseded by appends or a
 // re-shard. Also proves the incremental imprint stitch is byte-identical
 // to a from-scratch build, that a failed stitch quarantines + rebuilds,
-// and that a commit stitches even when no reader pins the old epoch.
+// and that a commit (live or sharded) stitches even when no reader pins
+// the old version.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -480,6 +481,78 @@ TEST(ShardedLiveAppendTest, AppendGrowsShardPastCreationBbox) {
     expect += straddle.Contains(Point{bx->GetDouble(r), by->GetDouble(r)});
   }
   EXPECT_EQ(got->count(), expect);
+}
+
+// The sharded twin of CommitStitchesImprintsWithNoReaderPinned: Append
+// stitches every affected shard's new columns while the shards it
+// replaces are still alive, so no pinned view is needed for the next
+// query to extend instead of rebuilding, and each stitched index is
+// byte-identical to a build with its base's bins.
+TEST(ShardedLiveAppendTest, AppendStitchesImprintsWithNoViewPinned) {
+  const Box extent(0, 0, 100, 100);
+  auto source = MakePoints(200000, 33, extent);
+  ShardingOptions so;
+  so.num_shards = 4;
+  auto sharded = ShardedTable::Create(*source, so);
+  ASSERT_TRUE(sharded.ok());
+  EngineOptions eo;
+  eo.num_threads = 1;
+  ShardRouter router(*sharded, eo);
+
+  // A box inside the extent scans every shard and covers none, so x and y
+  // get indexed in all four; keep only the indexes (and so the bins), not
+  // the view that would pin the base columns.
+  const Box box(0.5, 0.5, 99.5, 99.5);
+  ASSERT_TRUE(router.SelectInBox(box).ok());
+  std::vector<BinBounds> base_bins;
+  for (const auto& shard : router.View().shards) {
+    auto local = std::dynamic_pointer_cast<LocalShard>(shard);
+    ASSERT_NE(local, nullptr);
+    for (const char* name : {"x", "y"}) {
+      auto ix = local->engine().imprint_manager().GetOrBuild(
+          local->table().column(name));
+      ASSERT_TRUE(ix.ok()) << ix.status().ToString();
+      base_bins.push_back((*ix)->bins());
+    }
+  }
+
+  const uint64_t builds0 = CounterValue("geocol_imprint_builds_total");
+  const uint64_t incr0 =
+      CounterValue("geocol_imprint_incremental_builds_total");
+  FlatTable batch = MakeBatch(2000, 34, extent);
+  ASSERT_TRUE(router.Append(batch).ok());
+  auto sel = router.SelectInBox(box);
+  ASSERT_TRUE(sel.ok()) << sel.status().ToString();
+  uint64_t expect = BruteForceInBox(*source, box).size() +
+                    BruteForceInBox(batch, box).size();
+  EXPECT_EQ(sel->count(), expect);
+  const uint64_t builds =
+      CounterValue("geocol_imprint_builds_total") - builds0;
+  const uint64_t incr =
+      CounterValue("geocol_imprint_incremental_builds_total") - incr0;
+  EXPECT_EQ(incr, 8u);  // x and y of every shard, each extended
+  EXPECT_EQ(builds, incr);
+
+  TempDir tmp;
+  ShardsView view = router.View();
+  for (size_t s = 0; s < view.shards.size(); ++s) {
+    auto local = std::dynamic_pointer_cast<LocalShard>(view.shards[s]);
+    ASSERT_NE(local, nullptr);
+    for (size_t c = 0; c < 2; ++c) {
+      ColumnPtr col = local->table().column(c == 0 ? "x" : "y");
+      auto stitched = local->engine().imprint_manager().GetOrBuild(col);
+      ASSERT_TRUE(stitched.ok()) << stitched.status().ToString();
+      auto scratch = ImprintsIndex::BuildWithBins(*col, base_bins[2 * s + c]);
+      ASSERT_TRUE(scratch.ok());
+      const std::string p_st = tmp.File("st.gim"), p_sc = tmp.File("sc.gim");
+      ASSERT_TRUE(WriteImprintsFile(**stitched, p_st).ok());
+      ASSERT_TRUE(WriteImprintsFile(*scratch, p_sc).ok());
+      std::vector<uint8_t> b_st, b_sc;
+      ASSERT_TRUE(ReadFileBytes(p_st, &b_st).ok());
+      ASSERT_TRUE(ReadFileBytes(p_sc, &b_sc).ok());
+      EXPECT_EQ(b_st, b_sc) << "shard " << s << " column " << col->name();
+    }
+  }
 }
 
 TEST(ShardedLiveAppendTest, TwoAppendersRacingDisjointShardsLoseNothing) {

@@ -447,7 +447,6 @@ TEST(PagedEquivalenceTest, ShardedOrderByProjectionFaultsEachChunkOnce) {
   Catalog catalog;
   ASSERT_TRUE(catalog.AddShardedPointCloud("pc", *paged, eo).ok());
   sql::SessionOptions sopts;
-  sopts.record_trace = false;
   sopts.record_flight = false;
   sql::Session session(&catalog, sopts);
   const std::string where = " FROM pc WHERE z BETWEEN 10 AND 10.4";

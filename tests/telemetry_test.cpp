@@ -477,25 +477,5 @@ TEST(TraceTest, JsonlOneObjectPerSpan) {
   EXPECT_EQ(jsonl.front(), '{');
 }
 
-TEST(TraceTest, RingKeepsLastCapacity) {
-  telemetry::TraceRing ring(4);
-  for (int i = 0; i < 10; ++i) {
-    telemetry::TraceRecord r;
-    r.query = "q" + std::to_string(i);
-    r.wall_nanos = i;
-    ring.Record(std::move(r));
-  }
-  auto snap = ring.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().query, "q6");
-  EXPECT_EQ(snap.back().query, "q9");
-  telemetry::TraceRecord latest;
-  ASSERT_TRUE(ring.Latest(&latest));
-  EXPECT_EQ(latest.query, "q9");
-  ring.Clear();
-  EXPECT_FALSE(ring.Latest(&latest));
-  EXPECT_TRUE(ring.Snapshot().empty());
-}
-
 }  // namespace
 }  // namespace geocol
