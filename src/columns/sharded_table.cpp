@@ -250,6 +250,22 @@ std::string ShardDirName(size_t i, uint64_t gen) {
   return buf;
 }
 
+void CleanStaleShardDirs(const std::string& dir,
+                         const ShardedTableManifest& keep) {
+  std::vector<std::string> entries;
+  if (!ListFiles(dir, "", &entries).ok()) return;
+  for (const std::string& full : entries) {
+    const std::string name = full.substr(full.find_last_of('/') + 1);
+    // Only names of ShardDirName's shape: shard_NNNN.g<gen>.
+    if (name.rfind("shard_", 0) != 0 || name.find(".g") == std::string::npos) {
+      continue;
+    }
+    bool referenced = false;
+    for (const auto& s : keep.shards) referenced |= s.dirname == name;
+    if (!referenced) RemoveDirRecursive(full);
+  }
+}
+
 Status WriteShardedTableManifest(const std::string& dir,
                                  const ShardedTableManifest& m) {
   BufferWriter b;
@@ -370,7 +386,9 @@ Status WriteShardedTableDir(const ShardedTable& table,
   }
   for (const Status& st : written) GEOCOL_RETURN_NOT_OK(st);
   // The commit point, reached only when every shard is durable.
-  return WriteShardedTableManifest(dir, m);
+  GEOCOL_RETURN_NOT_OK(WriteShardedTableManifest(dir, m));
+  CleanStaleShardDirs(dir, m);
+  return Status::OK();
 }
 
 Result<std::shared_ptr<ShardedTable>> ReadShardedTableDir(

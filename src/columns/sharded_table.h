@@ -155,6 +155,14 @@ Status WriteShardedTableManifest(const std::string& dir,
                                  const ShardedTableManifest& m);
 Result<ShardedTableManifest> ReadShardedTableManifest(const std::string& dir);
 
+/// Removes every `shard_NNNN.g<gen>` directory in `dir` that `keep` does
+/// not name: the generations an append or a re-shard superseded, and what
+/// a crash between a manifest swap and this sweep left behind. Call it only
+/// after `keep` is committed. Best effort — failures are ignored. The
+/// sharded twin of CleanStaleTableFiles.
+void CleanStaleShardDirs(const std::string& dir,
+                         const ShardedTableManifest& keep);
+
 }  // namespace geocol
 
 #endif  // GEOCOL_COLUMNS_SHARDED_TABLE_H_

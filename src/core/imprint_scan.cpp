@@ -5,6 +5,7 @@
 #include <chrono>
 #include <functional>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "core/imprints_io.h"
@@ -19,9 +20,6 @@ namespace geocol {
 
 namespace {
 
-// Columns below this size are scanned serially even when a pool is given —
-// the fork/join overhead would dominate.
-constexpr uint64_t kMinParallelScanRows = 1 << 17;
 // Morsel granularity (rows); rounded up to a multiple of lcm(64, values
 // per line) so every morsel covers whole cache lines of every column and
 // whole 64-bit words.
@@ -44,19 +42,51 @@ struct ScanTerm {
   CheckFn check;
 };
 
+/// Rows [begin, end) that survived block pruning: a run of blocks, or its
+/// piece inside one morsel, whose selection bits start at bit `bit` of the
+/// scan's bitmap. Both ends are multiples of 64 and of every
+/// values-per-line, except an end at the column length.
+struct ScanRun {
+  uint64_t begin = 0, end = 0, bit = 0;
+};
+
 /// Bit of term `t` in a segment's mask of terms whose values need checks.
 /// Terms past the 63rd share the last bit and are checked together.
 inline uint64_t TermBit(size_t t) {
   return uint64_t{1} << std::min<size_t>(t, 63);
 }
 
-/// Scans rows [row_begin, row_end) — whole cache lines of every term and
-/// whole words of `bits` — setting the bits of the selected rows.
-/// Segments are maximal row ranges over which every term's imprint status
-/// (miss, full, partial) is constant; adjacent segments with the same
-/// partial terms coalesce before their values are checked.
+/// Intersects the ascending, disjoint row ranges `runs` with the blocks of
+/// `t` whose summary hits its query mask: rows of a block that misses hold
+/// no line that term admits, so no row there can be selected. Adjacent
+/// surviving blocks merge into one range.
+std::vector<ScanRun> PruneBlocks(const std::vector<ScanRun>& runs,
+                                 const ScanTerm& t) {
+  const std::vector<uint64_t>& summaries = t.index->block_summaries();
+  const uint64_t block_rows = ImprintsIndex::kCheckpointLines * t.vpl;
+  std::vector<ScanRun> out;
+  for (const ScanRun& r : runs) {
+    for (uint64_t b = r.begin / block_rows; b * block_rows < r.end; ++b) {
+      if ((summaries[b] & t.mask.query) == 0) continue;
+      const uint64_t a = std::max(r.begin, b * block_rows);
+      const uint64_t e = std::min(r.end, (b + 1) * block_rows);
+      if (!out.empty() && out.back().end == a) {
+        out.back().end = e;
+      } else {
+        out.push_back({a, e, 0});
+      }
+    }
+  }
+  return out;
+}
+
+/// Scans the rows of `runs` — ascending, each covering whole cache lines of
+/// every term and whole words of `bits` — setting the bits of the selected
+/// rows. Segments are maximal row ranges over which every term's imprint
+/// status (miss, full, partial) is constant; adjacent segments with the
+/// same partial terms coalesce before their values are checked.
 Status ScanMorsel(const std::vector<ScanTerm>& terms, size_t lead,
-                  uint64_t row_begin, uint64_t row_end, BitVector* bits,
+                  std::span<const ScanRun> runs, BitVector* bits,
                   ImprintScanStats& st) {
   const size_t nt = terms.size();
   std::vector<ImprintsIndex::Cursor> cursors;
@@ -71,6 +101,10 @@ Status ScanMorsel(const std::vector<ScanTerm>& terms, size_t lead,
     *next = lb;
     return lb > la ? lb - la : 0;
   };
+  // The run being scanned: rows [row_begin, row_end) land at bits
+  // [row_begin + to_bit, ...) (unsigned wrap-around when the bit lies below
+  // the row).
+  uint64_t row_end = 0, to_bit = 0;
 
   uint64_t acc[kCheckRows / 64], tmp[kCheckRows / 64];
   // Checks the values of one coalesced segment, piece by piece. Each
@@ -99,7 +133,7 @@ Status ScanMorsel(const std::vector<ScanTerm>& terms, size_t lead,
         }
       }
       if (selected != 0) {
-        bits->OrWordsAt(p, acc, q - p);
+        bits->OrWordsAt(p + to_bit, acc, q - p);
         st.rows_selected += selected;
       }
       p = q;
@@ -116,10 +150,12 @@ Status ScanMorsel(const std::vector<ScanTerm>& terms, size_t lead,
         lines_checked += new_lines(pend_a, pend_b, &checked_next);
       }
     }
-    if (pend_mask != 0) return check_segment(pend_a, pend_b, pend_mask);
-    bits->SetRange(pend_a, pend_b);
-    st.rows_selected += pend_b - pend_a;
-    st.rows_full += pend_b - pend_a;
+    const uint64_t a = pend_a;
+    pend_a = pend_b;
+    if (pend_mask != 0) return check_segment(a, pend_b, pend_mask);
+    bits->SetRange(a + to_bit, pend_b + to_bit);
+    st.rows_selected += pend_b - a;
+    st.rows_full += pend_b - a;
     return Status::OK();
   };
   auto emit = [&](uint64_t a, uint64_t b, uint64_t mask) -> Status {
@@ -182,15 +218,25 @@ Status ScanMorsel(const std::vector<ScanTerm>& terms, size_t lead,
     return Status::OK();
   };
 
-  if (d.index == nullptr) {
-    GEOCOL_RETURN_NOT_OK(probe(row_begin, row_end, TermBit(lead)));
-  } else {
+  for (const ScanRun& run : runs) {
+    // Runs never touch, so the pending segment ends with its run; the
+    // stretches restart, as a stretch clipped at the last run's end
+    // carries no line past it.
+    GEOCOL_RETURN_NOT_OK(flush());
+    row_end = run.end;
+    to_bit = run.bit - run.begin;
+    std::fill(stretches.begin(), stretches.end(), Stretch{});
+    if (d.index == nullptr) {
+      GEOCOL_RETURN_NOT_OK(probe(run.begin, run.end, TermBit(lead)));
+      continue;
+    }
     Status status;
     d.index->CandidateRuns(
-        d.mask, row_begin / vd, (row_end + vd - 1) / vd,
+        d.mask, run.begin / vd, (run.end + vd - 1) / vd,
         [&](uint64_t first, uint64_t count, bool full) {
           if (!status.ok()) return;
-          status = probe(first * vd, std::min((first + count) * vd, row_end),
+          st.lines_visited += count;
+          status = probe(first * vd, std::min((first + count) * vd, run.end),
                          full ? 0 : TermBit(lead));
         });
     GEOCOL_RETURN_NOT_OK(status);
@@ -200,16 +246,16 @@ Status ScanMorsel(const std::vector<ScanTerm>& terms, size_t lead,
   return Status::OK();
 }
 
-/// Plans the scan of `terms` and runs it morsel by morsel into `bits`
-/// (resized to the column length); when `rows` is non-null, also appends
-/// the selected row ids to it.
+/// Plans the scan of `terms` and runs it morsel by morsel. When `rows` is
+/// null, `bits` is resized to the column length and bit r is set for each
+/// selected row r. Otherwise `bits` holds only the rows that survive block
+/// pruning, end to end, and the selected row ids are appended to `rows`.
 Status RunScan(const std::vector<RangeTerm>& terms, ThreadPool* pool,
                BitVector* bits, std::vector<uint64_t>* rows,
                ImprintScanStats* stats) {
   if (terms.empty()) return Status::InvalidArgument("scan without terms");
   const auto scan_start = std::chrono::steady_clock::now();
   const uint64_t n = terms[0].column->size();
-  bits->Resize(n);
   std::vector<ScanTerm> plan(terms.size());
   bool empty = false;
   uint64_t unit = 64;
@@ -258,52 +304,97 @@ Status RunScan(const std::vector<RangeTerm>& terms, ThreadPool* pool,
 
   ImprintScanStats merged;
   if (plan[lead].index) merged.lines_total = plan[lead].index->num_lines();
-  if (!empty) {
-    const uint64_t morsel_rows =
-        ((kTargetMorselRows + unit - 1) / unit) * unit;
-    const uint64_t num_morsels = (n + morsel_rows - 1) / morsel_rows;
-    const bool parallel = pool != nullptr && pool->num_threads() > 0 &&
-                          n >= kMinParallelScanRows && num_morsels > 1;
-    auto for_each_morsel = [&](const std::function<void(size_t)>& fn) {
-      if (parallel) {
-        pool->ParallelFor(num_morsels, fn);
-      } else {
-        for (size_t m = 0; m < num_morsels; ++m) fn(m);
+  // Block pruning, driving term first: only rows inside a block that every
+  // imprint's summary admits can hold a selected row.
+  std::vector<ScanRun> survivors;
+  if (!empty && n > 0) {
+    survivors.push_back({0, n, 0});
+    for (size_t k = 0; k < plan.size() && !survivors.empty(); ++k) {
+      const size_t t = k == 0 ? lead : k <= lead ? k - 1 : k;
+      if (plan[t].index != nullptr) survivors = PruneBlocks(survivors, plan[t]);
+    }
+  }
+  // Morsels on the global grid: the survivors are cut at its boundaries and
+  // a morsel holds the pieces inside one grid cell.
+  const uint64_t morsel_rows = ((kTargetMorselRows + unit - 1) / unit) * unit;
+  const uint64_t lead_block_rows =
+      ImprintsIndex::kCheckpointLines * plan[lead].vpl;
+  std::vector<ScanRun> pieces;
+  std::vector<size_t> morsel_first;  // first piece of each morsel
+  uint64_t surviving_rows = 0, last_block = UINT64_MAX;
+  // Row mode keeps bits for the surviving rows only, end to end; the
+  // pieces' 64-aligned starts keep concurrent writers on disjoint words.
+  for (const ScanRun& r : survivors) {
+    if (plan[lead].index != nullptr) {
+      // Driving blocks the walk enters; a block split by another term's
+      // pruning counts once.
+      const uint64_t first = r.begin / lead_block_rows;
+      const uint64_t last = (r.end - 1) / lead_block_rows;
+      merged.blocks_visited += last - first + (first != last_block);
+      last_block = last;
+    }
+    for (uint64_t a = r.begin; a < r.end;) {
+      const uint64_t cell = a / morsel_rows;
+      const uint64_t e = std::min(r.end, (cell + 1) * morsel_rows);
+      if (pieces.empty() || pieces.back().begin / morsel_rows != cell) {
+        morsel_first.push_back(pieces.size());
       }
-    };
-    std::vector<ImprintScanStats> morsel_stats(num_morsels);
-    std::vector<Status> morsel_status(num_morsels);
-    for_each_morsel([&](size_t m) {
-      const uint64_t row_begin = m * morsel_rows;
-      morsel_status[m] = ScanMorsel(plan, lead, row_begin,
-                                    std::min(n, row_begin + morsel_rows),
-                                    bits, morsel_stats[m]);
-    });
+      pieces.push_back({a, e, rows != nullptr ? surviving_rows : a});
+      surviving_rows += e - a;
+      a = e;
+    }
+  }
+  bits->Resize(rows != nullptr ? surviving_rows : n);
+  const size_t num_morsels = morsel_first.size();
+  morsel_first.push_back(pieces.size());
+  auto morsel_pieces = [&](size_t m) {
+    return std::span<const ScanRun>(pieces.data() + morsel_first[m],
+                                    morsel_first[m + 1] - morsel_first[m]);
+  };
+  const bool parallel = pool != nullptr && pool->num_threads() > 0 &&
+                        surviving_rows >= kMinParallelScanRows &&
+                        num_morsels > 1;
+  auto for_each_morsel = [&](const std::function<void(size_t)>& fn) {
     if (parallel) {
-      merged.workers = static_cast<uint32_t>(
-          std::min<uint64_t>(num_morsels, pool->num_threads() + 1));
+      pool->ParallelFor(num_morsels, fn);
+    } else {
+      for (size_t m = 0; m < num_morsels; ++m) fn(m);
     }
-    for (Status& st : morsel_status) GEOCOL_RETURN_NOT_OK(std::move(st));
-    std::vector<uint64_t> offset(num_morsels + 1, rows ? rows->size() : 0);
-    for (size_t m = 0; m < num_morsels; ++m) {
-      const ImprintScanStats& st = morsel_stats[m];
-      merged.lines_candidate += st.lines_candidate;
-      merged.lines_full += st.lines_full;
-      merged.values_checked += st.values_checked;
-      merged.rows_selected += st.rows_selected;
-      merged.rows_full += st.rows_full;
-      offset[m + 1] = offset[m] + st.rows_selected;
-    }
-    // Row ids: the list is sized once, and each morsel writes its rows in
-    // ascending order at its own offset, so the morsels concatenate in
-    // order without copying.
-    if (rows != nullptr) {
-      rows->resize(offset[num_morsels]);
-      for_each_morsel([&](size_t m) {
-        bits->CollectSetBitsInRange(m * morsel_rows, (m + 1) * morsel_rows,
-                                    rows->data() + offset[m]);
-      });
-    }
+  };
+  std::vector<ImprintScanStats> morsel_stats(num_morsels);
+  std::vector<Status> morsel_status(num_morsels);
+  for_each_morsel([&](size_t m) {
+    morsel_status[m] =
+        ScanMorsel(plan, lead, morsel_pieces(m), bits, morsel_stats[m]);
+  });
+  if (parallel) {
+    merged.workers = static_cast<uint32_t>(
+        std::min<uint64_t>(num_morsels, pool->num_threads() + 1));
+  }
+  for (Status& st : morsel_status) GEOCOL_RETURN_NOT_OK(std::move(st));
+  std::vector<uint64_t> offset(num_morsels + 1, rows ? rows->size() : 0);
+  for (size_t m = 0; m < num_morsels; ++m) {
+    const ImprintScanStats& st = morsel_stats[m];
+    merged.lines_candidate += st.lines_candidate;
+    merged.lines_full += st.lines_full;
+    merged.lines_visited += st.lines_visited;
+    merged.values_checked += st.values_checked;
+    merged.rows_selected += st.rows_selected;
+    merged.rows_full += st.rows_full;
+    offset[m + 1] = offset[m] + st.rows_selected;
+  }
+  // Row ids: the list is sized once, and each morsel writes its rows in
+  // ascending order at its own offset, so the morsels concatenate in
+  // order without copying.
+  if (rows != nullptr) {
+    rows->resize(offset[num_morsels]);
+    for_each_morsel([&](size_t m) {
+      uint64_t* out = rows->data() + offset[m];
+      for (const ScanRun& p : morsel_pieces(m)) {
+        out = bits->CollectSetBitsInRange(p.bit, p.bit + (p.end - p.begin),
+                                          p.begin, out);
+      }
+    });
   }
   // Work counters feed `geocol metrics` exposition and must stay equal to
   // the span attributes EXPLAIN ANALYZE reports (asserted in tests).
@@ -311,6 +402,8 @@ Status RunScan(const std::vector<RangeTerm>& terms, ThreadPool* pool,
   GEOCOL_METRIC_COUNTER(c_lines_total, "geocol_imprint_cachelines_total");
   GEOCOL_METRIC_COUNTER(c_lines_probed, "geocol_imprint_cachelines_probed_total");
   GEOCOL_METRIC_COUNTER(c_lines_full, "geocol_imprint_cachelines_full_total");
+  GEOCOL_METRIC_COUNTER(c_blocks_visited, "geocol_imprint_blocks_visited_total");
+  GEOCOL_METRIC_COUNTER(c_lines_visited, "geocol_imprint_lines_visited_total");
   GEOCOL_METRIC_COUNTER(c_values, "geocol_imprint_values_checked_total");
   GEOCOL_METRIC_COUNTER(c_rows, "geocol_imprint_rows_selected_total");
   GEOCOL_METRIC_COUNTER(c_rows_full, "geocol_imprint_rows_full_total");
@@ -319,6 +412,8 @@ Status RunScan(const std::vector<RangeTerm>& terms, ThreadPool* pool,
   c_lines_total.Increment(merged.lines_total);
   c_lines_probed.Increment(merged.lines_candidate);
   c_lines_full.Increment(merged.lines_full);
+  c_blocks_visited.Increment(merged.blocks_visited);
+  c_lines_visited.Increment(merged.lines_visited);
   c_values.Increment(merged.values_checked);
   c_rows.Increment(merged.rows_selected);
   c_rows_full.Increment(merged.rows_full);
@@ -385,6 +480,7 @@ Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
   GEOCOL_METRIC_HISTOGRAM(h_build, "geocol_imprint_build_nanos");
 
   std::shared_ptr<const ImprintsIndex> base_index;
+  std::string sidecar_dir;
   {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
@@ -411,12 +507,13 @@ Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
     // Incremental path: a fresh cached index of the COW lineage base lets
     // us extend over the appended tail instead of rebuilding.
     base_index = FreshBaseIndexLocked(*column);
+    sidecar_dir = sidecar_dir_;
     if (cache_.size() >= prune_watermark_) PruneLocked();
   }
 
   c_misses.Increment();
   const auto build_start = std::chrono::steady_clock::now();
-  Result<ImprintsIndex> built = BuildIndex(column, base_index);
+  Result<ImprintsIndex> built = BuildIndex(column, base_index, sidecar_dir);
 
   std::lock_guard<std::mutex> lock(mu_);
   Entry& e = cache_[column.get()];
@@ -456,10 +553,10 @@ Status ImprintManager::StitchFromBase(const ColumnPtr& column) {
 
 Result<ImprintsIndex> ImprintManager::BuildIndex(
     const ColumnPtr& column,
-    const std::shared_ptr<const ImprintsIndex>& base_index) {
+    const std::shared_ptr<const ImprintsIndex>& base_index,
+    const std::string& sidecar_dir) {
   const std::string sidecar =
-      sidecar_dir_.empty() ? ""
-                           : sidecar_dir_ + "/" + column->name() + ".gim";
+      sidecar_dir.empty() ? "" : sidecar_dir + "/" + column->name() + ".gim";
   if (base_index != nullptr && column->size() > base_index->num_rows()) {
     GEOCOL_METRIC_COUNTER(c_incr, "geocol_imprint_incremental_builds_total");
     GEOCOL_METRIC_COUNTER(c_fallback, "geocol_imprint_stitch_fallbacks_total");

@@ -2,20 +2,24 @@
 // paper's query model (§3.3), turned into a row-level selection.
 //
 // The filter is one conjunctive scan over every range of a query (x, y and
-// the residual thematic ranges). It walks the candidate runs of one
-// driving imprint and, at each candidate line, probes every other
-// column's imprint through an ImprintsIndex::Cursor; a column with a
-// different values-per-line is probed by row range. Cache lines where any
-// imprint misses are never touched; lines where every imprint is "full"
-// are accepted wholesale; the SIMD range kernel runs only on the columns
-// whose line is not full, and their selection words are ANDed into one row
-// bitmap. The row space is cut into morsels aligned to lcm(64, every
+// the residual thematic ranges). It first ANDs every imprint's block
+// summaries (one per 64-line checkpoint block) against its query mask and
+// keeps only the rows of blocks that every imprint admits. Within those
+// rows it walks the candidate runs of one driving imprint and, at each
+// candidate line, probes every other column's imprint through an
+// ImprintsIndex::Cursor; a column with a different values-per-line is
+// probed by row range. Cache lines where any imprint misses are never
+// touched; lines where every imprint is "full" are accepted wholesale; the
+// SIMD range kernel runs only on the columns whose line is not full, and
+// their selection words are ANDed into one bitmap. The surviving rows are
+// cut into morsels on a global grid aligned to lcm(64, every
 // values-per-line), so every morsel covers whole cache lines of every
-// column and whole bitmap words; with a thread pool the morsels run in
-// parallel, and the serial scan walks the same morsels in order, so both
-// produce the same rows and stats. Row ids are then written once, each
-// morsel's ascending rows at its own offset of one exactly sized list.
-// The cursors and their checkpoints live in memory only.
+// column and whole bitmap words; the scan runs its morsels in parallel
+// only when the surviving rows are many enough to pay for the fork, and
+// the serial scan walks the same morsels in order, so both produce the
+// same rows and stats. Row ids are then written once, each morsel's
+// ascending rows at its own offset of one exactly sized list. The cursors,
+// checkpoints and block summaries live in memory only.
 #ifndef GEOCOL_CORE_IMPRINT_SCAN_H_
 #define GEOCOL_CORE_IMPRINT_SCAN_H_
 
@@ -35,15 +39,28 @@ namespace geocol {
 
 class ThreadPool;
 
+/// Surviving rows (after block pruning) below this count are scanned
+/// serially even when a pool is given — the fork/join overhead would
+/// dominate. Every surviving row lies in a block that every imprint
+/// admits, so the work per row is denser than a whole column's and the
+/// fork pays off sooner: on a 2 M-point survey, 4 %-of-area windows
+/// filtered and refined no slower than with whole-column forking only
+/// once this bound and the refinement morsel came down to a quarter of
+/// their column-era values.
+inline constexpr uint64_t kMinParallelScanRows = 1 << 15;
+
 /// Work accounting of one imprint-filtered scan (drives E3/E5 reporting).
-/// Lines are cache lines of the driving column. Parallel scans merge
+/// Lines and blocks are those of the driving column. Parallel scans merge
 /// per-morsel counters; because morsels cover whole cache lines, the
-/// merged stats equal the serial scan's exactly. A scan without imprints
-/// counts no lines.
+/// merged stats equal the serial scan's exactly. A scan without a driving
+/// imprint counts no lines or blocks. Block pruning changes only the
+/// visited counts: it drops lines that some imprint misses.
 struct ImprintScanStats {
   uint64_t lines_total = 0;
   uint64_t lines_candidate = 0;  ///< every imprint hit some of its rows
   uint64_t lines_full = 0;       ///< candidate lines with no value checked
+  uint64_t blocks_visited = 0;   ///< checkpoint blocks that survived pruning
+  uint64_t lines_visited = 0;    ///< driving candidate lines in those blocks
   uint64_t values_checked = 0;   ///< per-value comparisons, all columns
   uint64_t rows_selected = 0;
   uint64_t rows_full = 0;        ///< rows accepted via full lines (no check)
@@ -153,9 +170,13 @@ class ImprintManager {
   /// set, a build first tries `<dir>/<column>.gim`; a corrupt or stale
   /// sidecar is quarantined/rebuilt transparently (see
   /// core/imprints_io.h), so a damaged cache file never fails a query.
-  /// Set once at engine construction, before any queries run.
-  void set_sidecar_dir(std::string dir) { sidecar_dir_ = std::move(dir); }
-  const std::string& sidecar_dir() const { return sidecar_dir_; }
+  /// Set at engine construction; a sharded append moves it to the shard's
+  /// next generation directory before stitching there. A build persists
+  /// into the directory set when it starts.
+  void set_sidecar_dir(std::string dir) {
+    std::lock_guard<std::mutex> lock(mu_);
+    sidecar_dir_ = std::move(dir);
+  }
 
   /// Total storage consumed by all cached indexes.
   uint64_t TotalStorageBytes() const;
@@ -180,7 +201,8 @@ class ImprintManager {
   /// (null when unavailable) — triggers the incremental path.
   Result<ImprintsIndex> BuildIndex(
       const ColumnPtr& column,
-      const std::shared_ptr<const ImprintsIndex>& base_index);
+      const std::shared_ptr<const ImprintsIndex>& base_index,
+      const std::string& sidecar_dir);
 
   /// The cached index of `column`'s lineage base when it is fresh and
   /// covers exactly the rows `column` inherits, else null; caller holds mu_.
@@ -192,7 +214,7 @@ class ImprintManager {
 
   ImprintsOptions options_;
   ThreadPool* pool_ = nullptr;
-  std::string sidecar_dir_;  ///< "" = do not persist indexes
+  std::string sidecar_dir_;  ///< "" = do not persist indexes; under mu_
   std::atomic<bool> stitch_fault_{false};
   mutable std::mutex mu_;            ///< guards cache_ and entry fields
   std::condition_variable build_cv_;  ///< signalled when a build publishes

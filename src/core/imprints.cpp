@@ -265,13 +265,27 @@ Result<ImprintsIndex> ImprintsIndex::Restore(BinBounds bins,
 }
 
 void ImprintsIndex::BuildCheckpoints() {
+  const uint64_t blocks =
+      (num_lines_ + kCheckpointLines - 1) / kCheckpointLines;
   checkpoints_.clear();
-  checkpoints_.reserve((num_lines_ + kCheckpointLines - 1) / kCheckpointLines);
+  checkpoints_.reserve(blocks);
+  summaries_.assign(blocks, 0);
   uint64_t first = 0, vec = 0;
   for (size_t e = 0; e < dict_.size(); ++e) {
     const uint64_t end = first + dict_[e].count;
     while (checkpoints_.size() * kCheckpointLines < end) {
       checkpoints_.push_back({first, vec, e});
+    }
+    if (dict_[e].repeat) {
+      // One vector over every block the run touches.
+      for (uint64_t b = first / kCheckpointLines;
+           b * kCheckpointLines < end; ++b) {
+        summaries_[b] |= vectors_[vec];
+      }
+    } else {
+      for (uint64_t line = first; line < end; ++line) {
+        summaries_[line / kCheckpointLines] |= vectors_[vec + line - first];
+      }
     }
     first = end;
     vec += dict_[e].repeat ? 1 : dict_[e].count;

@@ -17,9 +17,13 @@
 // Random access: every index keeps one checkpoint (dictionary entry,
 // vector index, first line of that entry) per kCheckpointLines cache
 // lines, so a Cursor reaches any line after walking at most that many
-// dictionary entries. The checkpoints are derived from the dictionary in
-// memory whenever an index is built, extended or restored; the on-disk
-// GIM2 format (core/imprints_io.h) does not store them and is unchanged.
+// dictionary entries. Each checkpoint block of kCheckpointLines lines also
+// keeps a summary vector, the OR of its line vectors: a block whose summary
+// misses a query mask holds no candidate line, so a scan can skip it
+// without walking its dictionary entries. Checkpoints and summaries are
+// derived from the dictionary in memory whenever an index is built,
+// extended or restored; the on-disk GIM2 format (core/imprints_io.h) does
+// not store them and is unchanged.
 #ifndef GEOCOL_CORE_IMPRINTS_H_
 #define GEOCOL_CORE_IMPRINTS_H_
 
@@ -186,6 +190,10 @@ class ImprintsIndex {
   /// verification.
   uint64_t VectorAtLine(uint64_t line) const { return Cursor(this).Seek(line); }
 
+  /// One summary per checkpoint block: entry b is the OR of the vectors of
+  /// lines [b * kCheckpointLines, (b + 1) * kCheckpointLines).
+  const std::vector<uint64_t>& block_summaries() const { return summaries_; }
+
   /// Reassembles an index from persisted parts (see core/imprints_io.h).
   /// Validates structural invariants (dictionary covers all lines, vector
   /// count matches) and returns Corruption otherwise.
@@ -206,7 +214,8 @@ class ImprintsIndex {
     uint64_t entry;
   };
 
-  /// Derives checkpoints_ from dict_; every constructor path ends here.
+  /// Derives checkpoints_ and summaries_ from dict_; every constructor
+  /// path ends here.
   void BuildCheckpoints();
 
   BinBounds bins_;
@@ -217,6 +226,7 @@ class ImprintsIndex {
   std::vector<uint64_t> vectors_;
   std::vector<DictEntry> dict_;
   std::vector<Checkpoint> checkpoints_;
+  std::vector<uint64_t> summaries_;  ///< per checkpoint block
 };
 
 inline uint64_t ImprintsIndex::Cursor::Seek(uint64_t line) {

@@ -33,10 +33,9 @@ void RecordRefineMetrics(const RefinementStats& st) {
   c_exact.Increment(st.exact_tests);
 }
 
-// Tables below this many rows refine serially even with a pool.
-constexpr size_t kMinParallelRefineRows = 1 << 17;
-// Row-space span of one refinement morsel.
-constexpr size_t kRefineMorselRows = 1 << 16;
+// Candidates per refinement morsel; up to one morsel's worth refines
+// serially even with a pool.
+constexpr size_t kRefineMorselRows = 1 << 14;
 // Candidate rows per SIMD batch: gather + cell assignment + exact tests run
 // over blocks this size, keeping the scratch buffers cache-resident.
 constexpr size_t kRefineBlockRows = 1024;
@@ -166,22 +165,19 @@ Status GridRefine(const Column& x, const Column& y,
     return ExhaustiveRefine(x, y, candidates, geometry, buffer, out_rows,
                             stats);
   }
-  // Morsels: the candidates split at row-space boundaries; a serial
-  // refinement is one morsel.
-  const bool parallel = pool != nullptr && pool->num_threads() > 0 &&
-                        x.size() >= kMinParallelRefineRows;
-  const size_t num_morsels =
-      parallel ? (x.size() + kRefineMorselRows - 1) / kRefineMorselRows : 1;
+  // Morsels: the candidates cut into equal counts of about
+  // kRefineMorselRows each, so the fork follows the work, not the table
+  // size; a serial refinement is one morsel.
+  const size_t count_morsels =
+      (candidates.size() + kRefineMorselRows - 1) / kRefineMorselRows;
+  const bool parallel =
+      pool != nullptr && pool->num_threads() > 0 && count_morsels > 1;
+  const size_t num_morsels = parallel ? count_morsels : 1;
   std::vector<std::span<const uint64_t>> morsel_rows(num_morsels);
-  const uint64_t* at = candidates.data();
-  const uint64_t* const end = at + candidates.size();
   for (size_t m = 0; m < num_morsels; ++m) {
-    const uint64_t* stop =
-        m + 1 == num_morsels
-            ? end
-            : std::lower_bound(at, end, (m + 1) * kRefineMorselRows);
-    morsel_rows[m] = {at, stop};
-    at = stop;
+    const size_t begin = candidates.size() * m / num_morsels;
+    const size_t end = candidates.size() * (m + 1) / num_morsels;
+    morsel_rows[m] = candidates.subspan(begin, end - begin);
   }
   std::vector<Status> morsel_status(num_morsels);
   auto for_each_morsel = [&](const std::function<void(size_t)>& fn) {

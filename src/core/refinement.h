@@ -50,10 +50,10 @@ struct RefinementStats {
 /// accepted row ids are appended to `out_rows` in ascending order. `x`/`y`
 /// must be FlatTable columns of equal length covering the same rows.
 ///
-/// A non-null `pool` splits the candidates at fixed row-space boundaries
-/// (every 65,536 rows of the table) into ranges refined by parallel
-/// workers, each appending to a local row list; the lists are concatenated
-/// in range order, so the result is identical to the serial pass. Cell
+/// A non-null `pool` splits more than 16,384 candidates into ranges of
+/// about that many candidates each, refined by parallel workers that each
+/// append to a local row list; the lists are concatenated in range order,
+/// so the result is identical to the serial pass. Cell
 /// classifications are shared through an atomic per-cell table
 /// (classification is deterministic, so racing workers agree); per-cell
 /// stats are counted by the unique worker that published the

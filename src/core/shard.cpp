@@ -24,6 +24,8 @@ void AccumulateFilterStats(const ImprintScanStats& in, ImprintScanStats* out) {
   out->lines_total += in.lines_total;
   out->lines_candidate += in.lines_candidate;
   out->lines_full += in.lines_full;
+  out->blocks_visited += in.blocks_visited;
+  out->lines_visited += in.lines_visited;
   out->values_checked += in.values_checked;
   out->rows_selected += in.rows_selected;
   out->rows_full += in.rows_full;
@@ -80,6 +82,13 @@ std::shared_ptr<LocalShard> LocalShard::Successor(
     const ShardSlice& next) const {
   const std::shared_ptr<ImprintManager>& imprints =
       engine_.imprint_manager_ptr();
+  // Stitched sidecars go with the columns they index: a sharded append
+  // commits the next table into a new generation directory, and the
+  // superseded one is removed after the swap.
+  const std::string& dir = engine_.options().imprints_dir;
+  if (!dir.empty() && !next.dir.empty() && next.dir != dir) {
+    imprints->set_sidecar_dir(next.dir);
+  }
   for (const ColumnPtr& col : next.table->columns()) {
     (void)imprints->StitchFromBase(col);
   }

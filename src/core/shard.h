@@ -114,7 +114,8 @@ class LocalShard final : public Shard {
   /// this shard's while they are still alive, so the first query of the
   /// new version needs no pinned reader to extend instead of rebuilding,
   /// then returns the replacement shard: same engine options, coordinate
-  /// columns, pool and imprint manager. A failed stitch is not fatal; the
+  /// columns, pool and imprint manager, whose sidecars move to `next.dir`
+  /// when that differs from this shard's. A failed stitch is not fatal; the
   /// first query that needs the index builds it.
   std::shared_ptr<LocalShard> Successor(const ShardSlice& next) const;
 

@@ -190,6 +190,7 @@ Status ShardRouter::Append(const FlatTable& batch) {
   // and the shards.gsm swap is the one crash-commit point for the whole
   // batch. Before it, reopen sees the old epoch; after it, the new one.
   const bool persisted = !table_->shard(0).dir.empty();
+  ShardedTableManifest manifest;  // the committed one, when persisted
   uint64_t new_gen = 0;
   std::string root;
   if (persisted) {
@@ -217,6 +218,7 @@ Status ShardRouter::Append(const FlatTable& batch) {
     }
     // The commit point.
     GEOCOL_RETURN_NOT_OK(WriteShardedTableManifest(root, m));
+    manifest = std::move(m);
   }
 
   // ---- Publish: each affected shard's successor (stitched from the shard
@@ -245,6 +247,11 @@ Status ShardRouter::Append(const FlatTable& batch) {
     if (persisted) table_->set_generation(new_gen);
     view_ = MakeView(view_->version + 1);
   }
+  // The superseded generations go last, after the successors stitched
+  // their imprints. No open table still reads them: only resident columns
+  // are appended to (paged columns refuse CloneAppend), and those hold
+  // their rows in memory.
+  if (persisted) CleanStaleShardDirs(root, manifest);
 
   c_commits.Increment();
   c_rows.Increment(n);

@@ -298,6 +298,8 @@ Result<SelectionResult> SpatialQueryEngine::Execute(
   result.profile.AddAttr(filter_span, "cachelines_probed", fs.lines_candidate);
   result.profile.AddAttr(filter_span, "cachelines_total", fs.lines_total);
   result.profile.AddAttr(filter_span, "cachelines_full", fs.lines_full);
+  result.profile.AddAttr(filter_span, "blocks_visited", fs.blocks_visited);
+  result.profile.AddAttr(filter_span, "lines_visited", fs.lines_visited);
   result.profile.AddAttr(filter_span, "values_checked", fs.values_checked);
   result.profile.AddAttr(filter_span, "rows_selected", fs.rows_selected);
   result.profile.AddAttr(filter_span, "false_positive_rate",

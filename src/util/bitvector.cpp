@@ -102,9 +102,11 @@ void BitVector::CollectSetBits(std::vector<uint64_t>* out) const {
 }
 
 uint64_t* BitVector::CollectSetBitsInRange(size_t begin, size_t end,
+                                           uint64_t first_id,
                                            uint64_t* out) const {
   if (end > size_) end = size_;
   if (begin >= end) return out;
+  const uint64_t delta = first_id - begin;  // wraps when first_id < begin
   const size_t wb = begin >> 6, we = (end - 1) >> 6;
   const uint64_t first_mask = ~uint64_t{0} << (begin & 63);
   const uint64_t last_mask = ~uint64_t{0} >> (63 - ((end - 1) & 63));
@@ -115,7 +117,7 @@ uint64_t* BitVector::CollectSetBitsInRange(size_t begin, size_t end,
     // Zero words skip in one compare; set bits pop via ctz.
     while (word != 0) {
       int bit = std::countr_zero(word);
-      *out++ = (static_cast<uint64_t>(w) << 6) + bit;
+      *out++ = (static_cast<uint64_t>(w) << 6) + bit + delta;
       word &= word - 1;
     }
   }

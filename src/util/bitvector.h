@@ -58,10 +58,11 @@ class BitVector {
   /// Appends the index of every set bit to `out`.
   void CollectSetBits(std::vector<uint64_t>* out) const;
 
-  /// Writes the index of every set bit in [begin, end) to `out`, in
-  /// ascending order, and returns one past the last index written. The
-  /// morsel-driven scan writes each morsel's rows at its own offset.
-  uint64_t* CollectSetBitsInRange(size_t begin, size_t end,
+  /// Writes `first_id + (i - begin)` for every set bit i in [begin, end)
+  /// to `out`, in ascending order, and returns one past the last id
+  /// written. The morsel-driven scan writes each morsel's rows at its own
+  /// offset, mapping the morsel's bits back to its row ids.
+  uint64_t* CollectSetBitsInRange(size_t begin, size_t end, uint64_t first_id,
                                   uint64_t* out) const;
 
   /// ORs `nbits` bits from `words` (LSB-first) into the vector starting at

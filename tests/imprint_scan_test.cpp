@@ -14,6 +14,7 @@
 #include "columns/paged_column.h"
 #include "core/imprint_scan.h"
 #include "core/native_range.h"
+#include "pointcloud/generator.h"
 #include "util/rng.h"
 #include "util/tempdir.h"
 #include "util/thread_pool.h"
@@ -141,18 +142,39 @@ TEST(ImprintScanTest, NativeInt64BoundariesAreExact) {
   EXPECT_TRUE(via_imprints == scan);
 }
 
+// Rows of the blocks whose summary hits the range's query mask: the rows a
+// one-term scan keeps after block pruning.
+uint64_t SurvivingRows(const ImprintsIndex& ix, double lo, double hi) {
+  const ImprintMask m = ix.MaskForRange(lo, hi);
+  const uint64_t block_rows =
+      ImprintsIndex::kCheckpointLines * ix.values_per_line();
+  uint64_t rows = 0;
+  for (uint64_t b = 0; b < ix.block_summaries().size(); ++b) {
+    if ((ix.block_summaries()[b] & m.query) == 0) continue;
+    rows += std::min(ix.num_rows(), (b + 1) * block_rows) - b * block_rows;
+  }
+  return rows;
+}
+
 TEST(ImprintScanTest, ParallelScanMatchesSerial) {
-  // Above the parallelisation threshold the morsel-driven scan must
-  // produce the identical selection and identical merged stats.
+  // The morsel-driven scan produces the identical selection and identical
+  // merged stats. It forks exactly when the rows that survive block
+  // pruning reach kMinParallelScanRows; the whole-column window always
+  // does.
   ColumnPtr col = MakeWalkColumn(400000, 67);
   auto ix = ImprintsIndex::Build(*col);
   ASSERT_TRUE(ix.ok());
   ThreadPool pool(3);
   Rng rng(68);
-  for (int q = 0; q < 10; ++q) {
+  bool forked = false;
+  for (int q = 0; q < 11; ++q) {
     double a = rng.UniformDouble(-300, 300);
     double b = rng.UniformDouble(-300, 300);
     double lo = std::min(a, b), hi = std::max(a, b);
+    if (q == 10) {
+      lo = -std::numeric_limits<double>::infinity();
+      hi = std::numeric_limits<double>::infinity();
+    }
     BitVector serial_rows, parallel_rows;
     ImprintScanStats serial_stats, parallel_stats;
     ASSERT_TRUE(
@@ -165,16 +187,20 @@ TEST(ImprintScanTest, ParallelScanMatchesSerial) {
     EXPECT_EQ(parallel_stats.lines_total, serial_stats.lines_total);
     EXPECT_EQ(parallel_stats.lines_candidate, serial_stats.lines_candidate);
     EXPECT_EQ(parallel_stats.lines_full, serial_stats.lines_full);
+    EXPECT_EQ(parallel_stats.blocks_visited, serial_stats.blocks_visited);
+    EXPECT_EQ(parallel_stats.lines_visited, serial_stats.lines_visited);
     EXPECT_EQ(parallel_stats.values_checked, serial_stats.values_checked);
     EXPECT_EQ(parallel_stats.rows_selected, serial_stats.rows_selected);
     EXPECT_EQ(parallel_stats.rows_full, serial_stats.rows_full);
     EXPECT_DOUBLE_EQ(parallel_stats.FalsePositiveRate(),
                      serial_stats.FalsePositiveRate());
     EXPECT_EQ(serial_stats.workers, 1u);
-    if (serial_stats.lines_candidate > 0) {
-      EXPECT_GT(parallel_stats.workers, 1u);
-    }
+    const bool fork = SurvivingRows(*ix, lo, hi) >= kMinParallelScanRows;
+    EXPECT_EQ(parallel_stats.workers > 1, fork) << "[" << lo << "," << hi
+                                                << "]";
+    forked |= fork;
   }
+  EXPECT_TRUE(forked);
 }
 
 TEST(ImprintScanTest, RowsFullAndFalsePositiveRate) {
@@ -361,28 +387,32 @@ std::vector<uint64_t> AndOfFullScans(const std::vector<ColumnPtr>& cols,
   return out;
 }
 
-struct LineCounts {
+struct BruteCounts {
   uint64_t candidate = 0;
   uint64_t full = 0;
+  uint64_t values_checked = 0;
+  uint64_t rows_full = 0;
 };
 
-// Brute-force line accounting of a conjunctive scan, from fully decoded
-// imprints: a line of the driving column (the one of the first two terms
-// with the shorter dictionary) is a candidate when some row in it hits
-// every term's imprint, and full when no such row needs a value check (its
-// line is full in every term). A term without an imprint hits every line
-// and is never full. An unsatisfiable term, after clamping into the
-// column's type, scans nothing.
-LineCounts BruteForceLines(const std::vector<ColumnPtr>& cols,
+// Brute-force work accounting of a conjunctive scan, from fully decoded
+// imprints and full scans, with no block pruning: a line of the driving
+// column (the one of the first two terms with the shorter dictionary) is a
+// candidate when some row in it hits every term's imprint, and full when
+// no such row needs a value check (its line is full in every term). A term
+// without an imprint hits every line and is never full. Value checks run
+// over maximal runs of rows with the same terms to check, cut at the
+// scan's 4,096-row check grid; each piece checks its terms in order and
+// stops after the first whose AND leaves no row. An unsatisfiable term,
+// after clamping into the column's type, scans nothing.
+BruteCounts BruteForceScan(const std::vector<ColumnPtr>& cols,
                            const std::vector<const ImprintsIndex*>& indexes,
                            const std::vector<Range>& ranges) {
-  LineCounts out;
+  BruteCounts out;
   size_t lead = 0;
   if (indexes.size() > 1 && indexes[0] != nullptr && indexes[1] != nullptr &&
       indexes[1]->dictionary().size() < indexes[0]->dictionary().size()) {
     lead = 1;
   }
-  if (indexes[lead] == nullptr) return out;
   for (size_t t = 0; t < cols.size(); ++t) {
     bool empty = false;
     DispatchDataType(cols[t]->type(), [&]<typename T>() {
@@ -394,7 +424,10 @@ LineCounts BruteForceLines(const std::vector<ColumnPtr>& cols,
   // Per term and row: 0 = miss, 1 = full, 2 = partial.
   std::vector<std::vector<uint8_t>> status(cols.size(),
                                            std::vector<uint8_t>(n, 2));
+  std::vector<BitVector> selected(cols.size());
   for (size_t t = 0; t < cols.size(); ++t) {
+    EXPECT_TRUE(FullScanRangeSelect(*cols[t], ranges[t].lo, ranges[t].hi,
+                                    &selected[t]).ok());
     const ImprintsIndex* ix = indexes[t];
     if (ix == nullptr) continue;
     const ImprintMask m = ix->MaskForRange(ranges[t].lo, ranges[t].hi);
@@ -412,18 +445,52 @@ LineCounts BruteForceLines(const std::vector<ColumnPtr>& cols,
       vec += e.repeat ? 1 : e.count;
     }
   }
+  // Terms to check at row r (0 when r is a miss or full in every term),
+  // and whether every term hits r.
+  auto check_mask = [&](uint64_t r, bool* hit) {
+    uint64_t mask = 0;
+    *hit = true;
+    for (size_t t = 0; t < cols.size(); ++t) {
+      *hit &= status[t][r] != 0;
+      if (status[t][r] == 2) mask |= uint64_t{1} << t;
+    }
+    return *hit ? mask : 0;
+  };
+  for (uint64_t p = 0; p < n;) {
+    bool hit = false;
+    const uint64_t mask = check_mask(p, &hit);
+    uint64_t q = p + 1;
+    bool next_hit = false;
+    while (q < n && q % 4096 != 0 && check_mask(q, &next_hit) == mask &&
+           next_hit == hit) {
+      ++q;
+    }
+    if (hit && mask == 0) out.rows_full += q - p;
+    if (hit && mask != 0) {
+      std::vector<bool> acc(q - p, true);
+      for (size_t t = 0; t < cols.size(); ++t) {
+        if ((mask >> t & 1) == 0) continue;
+        out.values_checked += q - p;
+        bool any = false;
+        for (uint64_t r = p; r < q; ++r) {
+          acc[r - p] = acc[r - p] && selected[t].Get(r);
+          any |= acc[r - p];
+        }
+        if (!any) break;
+      }
+    }
+    p = q;
+  }
+  if (indexes[lead] == nullptr) return out;
   const ImprintsIndex& d = *indexes[lead];
   for (uint64_t line = 0; line < d.num_lines(); ++line) {
     auto [first, last] = d.LineRows(line);
     bool candidate = false, checked = false;
     for (uint64_t r = first; r < last; ++r) {
-      bool hit = true, full = true;
-      for (size_t t = 0; t < cols.size(); ++t) {
-        hit &= status[t][r] != 0;
-        full &= status[t][r] == 1;
-      }
+      bool hit = false;
+      const uint64_t mask = check_mask(r, &hit);
       candidate |= hit;
-      checked |= hit && !full;
+      checked |= hit && mask != 0;
     }
     out.candidate += candidate;
     out.full += candidate && !checked;
@@ -505,7 +572,7 @@ TEST(ConjunctiveScanTest, MatchesAndOfFullScans) {
           brute_ix.push_back(use_index[i] ? &resident_ix.at(names[i])
                                           : nullptr);
         }
-        const LineCounts lines = BruteForceLines(cols, brute_ix, ranges);
+        const BruteCounts brute = BruteForceScan(cols, brute_ix, ranges);
 
         ImprintScanStats first_stats;
         bool have_first = false;
@@ -529,21 +596,94 @@ TEST(ConjunctiveScanTest, MatchesAndOfFullScans) {
             ASSERT_EQ(got, want);
             EXPECT_EQ(st.rows_selected, got.size());
             EXPECT_LE(st.rows_full, st.rows_selected);
-            EXPECT_EQ(st.lines_candidate, lines.candidate);
-            EXPECT_EQ(st.lines_full, lines.full);
+            // Block pruning drops only rows some imprint misses, so the
+            // work equals the unpruned model's exactly.
+            EXPECT_EQ(st.lines_candidate, brute.candidate);
+            EXPECT_EQ(st.lines_full, brute.full);
+            EXPECT_EQ(st.values_checked, brute.values_checked);
+            EXPECT_EQ(st.rows_full, brute.rows_full);
+            EXPECT_LE(st.lines_candidate, st.lines_visited);
             if (!have_first) {
               first_stats = st;
               have_first = true;
             } else {
               EXPECT_EQ(st.lines_total, first_stats.lines_total);
-              EXPECT_EQ(st.values_checked, first_stats.values_checked);
-              EXPECT_EQ(st.rows_full, first_stats.rows_full);
+              EXPECT_EQ(st.blocks_visited, first_stats.blocks_visited);
+              EXPECT_EQ(st.lines_visited, first_stats.lines_visited);
             }
           }
         }
       }
     }
   }
+}
+
+// On a generator survey (flight strips 120 m wide, rows in acquisition
+// order) a viewport's walk follows the window: block pruning keeps only
+// the driving column's candidate lines in blocks that the other imprint
+// admits too. Windows keep the survey's aspect ratio. Every 512-row block
+// of x spans a whole strip, so a window keeps the blocks of the 1 to 4 of
+// the survey's 8.3 strips it touches: 0.2 % and 1 % windows touch at most
+// two (a quarter of the lines the driving column admits), 4 % windows up
+// to four (at most half). A 2-row window scans on the calling thread.
+TEST(ConjunctiveScanTest, BlockPruningFollowsTheWindow) {
+  AhnGenerator gen;
+  auto table = gen.GenerateTable(300000);
+  ASSERT_TRUE(table.ok());
+  ColumnPtr x = *(*table)->GetColumn("x");
+  ColumnPtr y = *(*table)->GetColumn("y");
+  auto xi = ImprintsIndex::Build(*x);
+  auto yi = ImprintsIndex::Build(*y);
+  ASSERT_TRUE(xi.ok());
+  ASSERT_TRUE(yi.ok());
+  // The scan drives from y, whose dictionary is the shorter one.
+  ASSERT_LT(yi->dictionary().size(), xi->dictionary().size());
+  ThreadPool pool(3);
+  const Box e = gen.options().extent;
+  for (double area : {0.002, 0.01, 0.04}) {
+    const double side = std::sqrt(area);
+    for (double at : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+      const double x0 = e.min_x + at * (1 - side) * e.width();
+      const double y0 = e.min_y + at * (1 - side) * e.height();
+      const double x1 = x0 + side * e.width(), y1 = y0 + side * e.height();
+      SCOPED_TRACE(testing::Message() << "area " << area << " at " << at);
+      std::vector<uint64_t> rows;
+      ImprintScanStats st;
+      ASSERT_TRUE(ConjunctiveRangeSelect({{x.get(), &*xi, x0, x1},
+                                          {y.get(), &*yi, y0, y1}},
+                                         &rows, &st, &pool)
+                      .ok());
+      ASSERT_EQ(rows, AndOfFullScans({x, y}, {{x0, x1}, {y0, y1}}));
+      uint64_t admitted = 0;
+      yi->CandidateRuns(yi->MaskForRange(y0, y1), 0, yi->num_lines(),
+                        [&](uint64_t, uint64_t count, bool) {
+                          admitted += count;
+                        });
+      EXPECT_GE(st.lines_visited, st.lines_candidate);
+      EXPECT_GE(st.blocks_visited * ImprintsIndex::kCheckpointLines,
+                st.lines_visited);
+      EXPECT_LE(st.lines_visited * (area < 0.04 ? 4 : 2), admitted)
+          << st.lines_visited << " of " << admitted;
+    }
+  }
+
+  // Two neighbouring points along a scan line.
+  const uint64_t r = x->size() / 3;
+  const double x0 = std::min(x->GetDouble(r), x->GetDouble(r + 1));
+  const double x1 = std::max(x->GetDouble(r), x->GetDouble(r + 1));
+  const double y0 = std::min(y->GetDouble(r), y->GetDouble(r + 1));
+  const double y1 = std::max(y->GetDouble(r), y->GetDouble(r + 1));
+  std::vector<uint64_t> rows;
+  ImprintScanStats st;
+  ASSERT_TRUE(ConjunctiveRangeSelect(
+                  {{x.get(), &*xi, x0, x1}, {y.get(), &*yi, y0, y1}}, &rows,
+                  &st, &pool)
+                  .ok());
+  EXPECT_EQ(rows, AndOfFullScans({x, y}, {{x0, x1}, {y0, y1}}));
+  EXPECT_GE(rows.size(), 2u);
+  EXPECT_LE(rows.size(), 4u);
+  EXPECT_EQ(st.workers, 1u);
+  EXPECT_LE(st.blocks_visited, 4u);
 }
 
 TEST(ConjunctiveScanTest, RejectsStaleIndexAndMismatchedLengths) {

@@ -426,6 +426,22 @@ void ExpectCursorMatchesDecode(const ImprintsIndex& ix, const char* what) {
   }
 }
 
+// Every block summary is the OR of VectorAtLine over its block's lines,
+// including a last block of fewer than kCheckpointLines lines.
+void ExpectSummariesMatchLines(const ImprintsIndex& ix, const char* what) {
+  const uint64_t block = ImprintsIndex::kCheckpointLines;
+  const std::vector<uint64_t>& summaries = ix.block_summaries();
+  ASSERT_EQ(summaries.size(), (ix.num_lines() + block - 1) / block) << what;
+  for (uint64_t b = 0; b < summaries.size(); ++b) {
+    uint64_t want = 0;
+    for (uint64_t line = b * block;
+         line < std::min(ix.num_lines(), (b + 1) * block); ++line) {
+      want |= ix.VectorAtLine(line);
+    }
+    ASSERT_EQ(summaries[b], want) << what << " block " << b;
+  }
+}
+
 TEST(ImprintsCursorTest, MatchesFullDecodeOnBuiltExtendedRestored) {
   ThreadPool pool(3);
   Rng rng(93);
@@ -444,6 +460,10 @@ TEST(ImprintsCursorTest, MatchesFullDecodeOnBuiltExtendedRestored) {
   ASSERT_TRUE(parallel.ok());
   ExpectCursorMatchesDecode(*serial, "serial build");
   ExpectCursorMatchesDecode(*parallel, "parallel build");
+  // 70,001 rows at 8 per line are 8,751 lines: the last block holds 47.
+  ASSERT_NE(serial->num_lines() % ImprintsIndex::kCheckpointLines, 0u);
+  ExpectSummariesMatchLines(*serial, "serial build");
+  ExpectSummariesMatchLines(*parallel, "parallel build");
 
   // Extended over an appended tail whose seam line is partial.
   std::vector<double> head(vals.begin(), vals.begin() + 50003);
@@ -453,15 +473,19 @@ TEST(ImprintsCursorTest, MatchesFullDecodeOnBuiltExtendedRestored) {
   auto extended = ImprintsIndex::ExtendAppend(*base, *col, &pool);
   ASSERT_TRUE(extended.ok());
   ExpectCursorMatchesDecode(*extended, "extended");
+  ExpectSummariesMatchLines(*extended, "extended");
   auto rebuilt = ImprintsIndex::BuildWithBins(*col, base->bins());
   ASSERT_TRUE(rebuilt.ok());
   EXPECT_EQ(FullDecode(*extended), FullDecode(*rebuilt));
+  EXPECT_EQ(extended->block_summaries(), rebuilt->block_summaries());
 
   auto restored = ImprintsIndex::Restore(
       serial->bins(), serial->values_per_line(), serial->num_rows(),
       serial->built_epoch(), serial->vectors(), serial->dictionary());
   ASSERT_TRUE(restored.ok());
   ExpectCursorMatchesDecode(*restored, "restored");
+  ExpectSummariesMatchLines(*restored, "restored");
+  EXPECT_EQ(restored->block_summaries(), serial->block_summaries());
 }
 
 // The encoder splits runs longer than its 2^30-line cap into adjacent
@@ -485,6 +509,10 @@ TEST(ImprintsCursorTest, SplitRunsAndRaggedTailRestore) {
   EXPECT_EQ(ix->LineRows(lines - 1).second - ix->LineRows(lines - 1).first,
             3u);
   ExpectCursorMatchesDecode(*ix, "split runs");
+  // 339 lines: repeat entries cross block seams, and the last block
+  // holds 19 lines.
+  ASSERT_EQ(ix->num_lines() % ImprintsIndex::kCheckpointLines, 19u);
+  ExpectSummariesMatchLines(*ix, "split runs");
 }
 
 // ---------------- compression effectiveness contrast ----------------

@@ -8,6 +8,7 @@
 #include "core/refinement.h"
 #include "geom/wkt.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace geocol {
 namespace {
@@ -159,6 +160,37 @@ TEST(RefinementTest, OutputIsAscending) {
   ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand, g, 0.0, RefineOptions{},
                          &rows, nullptr).ok());
   EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+}
+
+// A pool forks by candidate count, not table size: a sparse candidate set
+// on a large table refines serially, and more than one morsel's worth of
+// candidates (16,384) refines in parallel. Rows and stats equal the
+// serial pass's either way.
+TEST(RefinementTest, PoolForksByCandidateCount) {
+  const size_t n = 200000;
+  XY pts = MakePoints(n, 90, Box(0, 0, 100, 100));
+  Geometry g(Polygon::Circle({50, 50}, 35, 48));
+  ThreadPool pool(3);
+  std::vector<uint64_t> sparse;
+  for (uint64_t r = 0; r < n; r += 20) sparse.push_back(r);
+  for (const std::vector<uint64_t>& cand : {sparse, AllRows(n)}) {
+    std::vector<uint64_t> serial_rows, pooled_rows;
+    RefinementStats serial, pooled;
+    ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand, g, 0.0, RefineOptions{},
+                           &serial_rows, &serial).ok());
+    ASSERT_TRUE(GridRefine(*pts.x, *pts.y, cand, g, 0.0, RefineOptions{},
+                           &pooled_rows, &pooled, &pool).ok());
+    SCOPED_TRACE(testing::Message() << cand.size() << " candidates");
+    EXPECT_EQ(pooled_rows, serial_rows);
+    EXPECT_EQ(pooled.accepted, serial.accepted);
+    EXPECT_EQ(pooled.cells_nonempty, serial.cells_nonempty);
+    EXPECT_EQ(pooled.cells_inside, serial.cells_inside);
+    EXPECT_EQ(pooled.cells_outside, serial.cells_outside);
+    EXPECT_EQ(pooled.cells_boundary, serial.cells_boundary);
+    EXPECT_EQ(pooled.exact_tests, serial.exact_tests);
+    EXPECT_EQ(serial.workers, 1u);
+    EXPECT_EQ(pooled.workers > 1, cand.size() > 16384);
+  }
 }
 
 // Parameterised sweep over grid resolutions: the refinement result must be

@@ -630,6 +630,68 @@ TEST(ShardRouterTest, AppendToLastShardInvalidatesAndIsVisible) {
 // A statement without a spatial predicate selects over the union of the
 // shard bboxes, which appends keep tight: a point appended outside the
 // layout's routing extent (routed by clamping) is still counted.
+// Durable appends supersede shard generations; each commit removes the
+// directories its manifest no longer names, so after three appends that
+// touch every shard the layout holds exactly K shard directories (with the
+// stitched imprint sidecars), and a re-shard to another K leaves exactly
+// the new K.
+TEST(ShardRouterTest, DurableAppendsLeaveOneDirectoryPerShard) {
+  TempDir tmp("shard-gens");
+  const std::string dir = tmp.File("t");
+  ShardingOptions so;
+  so.num_shards = 4;
+  auto sharded = ShardedTable::Create(*MakeTable(3000, 41, Box(0, 0, 100, 100)),
+                                      so);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_TRUE(WriteShardedTableDir(**sharded, dir).ok());
+  auto shard_dirs = [&]() {
+    std::vector<std::string> entries, out;
+    EXPECT_TRUE(ListFiles(dir, "", &entries).ok());
+    for (const std::string& e : entries) {
+      const std::string name = e.substr(e.find_last_of('/') + 1);
+      if (name.rfind("shard_", 0) == 0) out.push_back(name);
+    }
+    return out;
+  };
+
+  auto loaded = ReadShardedTableDir(dir);
+  ASSERT_TRUE(loaded.ok());
+  EngineOptions eo;
+  eo.num_threads = 1;
+  ShardRouter router(*loaded, eo);
+  for (int i = 0; i < 3; ++i) {
+    // A query first, so the append stitches cached imprints.
+    ASSERT_TRUE(router.SelectInBox(Box(10, 10, 60, 60)).ok());
+    ASSERT_TRUE(router.Append(*MakeTable(200, 42 + i, Box(0, 0, 100, 100)))
+                    .ok());
+  }
+  auto m = ReadShardedTableManifest(dir);
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(m->generation, 4u);
+  std::vector<std::string> named;
+  for (const auto& s : m->shards) named.push_back(s.dirname);
+  std::sort(named.begin(), named.end());
+  EXPECT_EQ(shard_dirs(), named);
+  // The stitched imprints were persisted next to the columns they index.
+  for (const std::string& name : named) {
+    EXPECT_TRUE(PathExists(dir + "/" + name + "/x.gim")) << name;
+  }
+  auto reopened = ReadShardedTableDir(dir);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->num_rows(), 3600u);
+  auto sel = router.SelectInBox(Box(-1, -1, 101, 101));
+  ASSERT_TRUE(sel.ok());
+  EXPECT_EQ(sel->count(), 3600u);
+
+  so.num_shards = 3;
+  auto reshard = ShardedTable::Create(*MakeTable(500, 45, Box(0, 0, 100, 100)),
+                                      so);
+  ASSERT_TRUE(reshard.ok());
+  ASSERT_TRUE(WriteShardedTableDir(**reshard, dir).ok());
+  EXPECT_EQ(shard_dirs().size(), 3u);
+  ASSERT_TRUE(ReadShardedTableDir(dir).ok());
+}
+
 TEST(ShardRouterTest, PredicateFreeStatementSeesPointsAppendedOutsideExtent) {
   auto source = MakeTable(1000, 35, Box(0, 0, 100, 100));
   ShardingOptions so;

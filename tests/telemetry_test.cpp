@@ -399,6 +399,10 @@ TEST(EngineTelemetryTest, SpanAttributesMatchCounterDeltas) {
       reg.GetCounter("geocol_imprint_cachelines_probed_total").Value();
   const uint64_t checked0 =
       reg.GetCounter("geocol_imprint_values_checked_total").Value();
+  const uint64_t blocks0 =
+      reg.GetCounter("geocol_imprint_blocks_visited_total").Value();
+  const uint64_t visited0 =
+      reg.GetCounter("geocol_imprint_lines_visited_total").Value();
   const uint64_t selected0 =
       reg.GetCounter("geocol_imprint_rows_selected_total").Value();
   const uint64_t queries0 = reg.GetCounter("geocol_queries_total").Value();
@@ -418,6 +422,13 @@ TEST(EngineTelemetryTest, SpanAttributesMatchCounterDeltas) {
   EXPECT_EQ(AttrSum(res->profile, "values_checked"),
             reg.GetCounter("geocol_imprint_values_checked_total").Value() -
                 checked0);
+  EXPECT_EQ(AttrSum(res->profile, "blocks_visited"),
+            reg.GetCounter("geocol_imprint_blocks_visited_total").Value() -
+                blocks0);
+  EXPECT_EQ(AttrSum(res->profile, "lines_visited"),
+            reg.GetCounter("geocol_imprint_lines_visited_total").Value() -
+                visited0);
+  EXPECT_GT(AttrSum(res->profile, "lines_visited"), 0u);
   EXPECT_EQ(AttrSum(res->profile, "rows_selected"),
             reg.GetCounter("geocol_imprint_rows_selected_total").Value() -
                 selected0);
