@@ -16,8 +16,15 @@
 // of the technique being measured. Per K the bench also reports what the
 // layout costs to build: ShardedTable::Create and WriteShardedTableDir
 // (into a fresh directory per rep), min over the reps.
+//
+// A batch takes about a millisecond, so single timings swing with the
+// host. Each rep therefore times the unsharded engine and K's router back
+// to back, in alternating order, and a bar is judged on the per-rep
+// ratios: the median is reported with its min–max range, and a verdict
+// reads "unresolved" when that range straddles the bar.
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -55,6 +62,28 @@ std::vector<Box> ViewportBatch(const Box& extent) {
   return batch;
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
+/// Per-rep ratios of one K and one bar.
+struct Ratios {
+  std::vector<double> v;
+  double median() const { return Median(v); }
+  double min() const { return *std::min_element(v.begin(), v.end()); }
+  double max() const { return *std::max_element(v.begin(), v.end()); }
+  std::string Range() const {
+    return TablePrinter::Num(min(), 2) + "-" + TablePrinter::Num(max(), 2);
+  }
+};
+
+/// "met" when every ratio clears the bar, "NOT MET" when none does.
+const char* Verdict(bool all_clear, bool none_clear) {
+  return all_clear ? "met" : none_clear ? "NOT MET" : "unresolved";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -77,29 +106,43 @@ int main(int argc, char** argv) {
   };
 
   TablePrinter out({"layout", "create ms", "write ms", "viewport ms",
-                    "speedup", "full ms", "full ratio", "scanned/query"},
+                    "speedup", "speedup range", "full ms", "full ratio",
+                    "full range", "scanned/query"},
                    13);
 
-  // Unsharded baseline.
   SpatialQueryEngine flat(table);
-  uint64_t viewport_rows = 0;
-  double flat_viewport = TimeMs([&] {
-    viewport_rows = 0;
+  const int reps = std::max(1, BenchReps());
+  // Times one viewport batch and one full-extent selection on `select`,
+  // returning the rows each found.
+  auto run = [&](auto&& select, double* viewport_ms, double* full_ms,
+                 uint64_t* viewport_rows, uint64_t* full_rows) {
+    Timer t;
+    *viewport_rows = 0;
     for (const Box& q : viewports) {
-      auto r = flat.SelectInBox(q);
-      viewport_rows += r.ok() ? r->count() : 0;
+      auto r = select(q);
+      *viewport_rows += r.ok() ? r->count() : 0;
     }
-  });
-  uint64_t full_rows = 0;
-  double flat_full = TimeMs([&] {
-    auto r = flat.SelectInBox(full);
-    full_rows = r.ok() ? r->count() : 0;
-  });
-  out.Row({"unsharded", "-", "-", TablePrinter::Num(flat_viewport, 2), "1.00",
-           TablePrinter::Num(flat_full, 2), "1.00", "-"});
+    *viewport_ms = t.ElapsedMillis();
+    t.Restart();
+    auto r = select(full);
+    *full_rows = r.ok() ? r->count() : 0;
+    *full_ms = t.ElapsedMillis();
+  };
+  auto select_flat = [&](const Box& q) { return flat.SelectInBox(q); };
+  uint64_t viewport_rows = 0, full_rows = 0;
+  {
+    double warm_viewport, warm_full;  // warm-up; fixes the expected rows
+    run(select_flat, &warm_viewport, &warm_full, &viewport_rows, &full_rows);
+  }
 
-  double best_speedup = 0.0;
-  double worst_full_ratio = 0.0;
+  std::vector<double> flat_viewport_all, flat_full_all;
+  std::vector<std::vector<std::string>> rows;
+  bool speedup_met = false;       // some K clears 3x in every rep
+  bool speedup_missed = true;     // no K clears 3x in any rep
+  bool full_met = true;           // every K stays <= 1.05 in every rep
+  bool full_missed = false;       // some K exceeds 1.05 in every rep
+  double best_speedup = 0.0, worst_full_ratio = 0.0;
+  std::string best_range, worst_range;
 
   for (uint32_t k : {1u, 4u, 16u, 64u}) {
     ShardingOptions so;
@@ -127,29 +170,39 @@ int main(int argc, char** argv) {
       return 1;
     }
     ShardRouter router(sharded);
+    auto select_router = [&](const Box& q) { return router.SelectInBox(q); };
 
-    uint64_t rows = 0;
-    double viewport_ms = TimeMs([&] {
-      rows = 0;
-      for (const Box& q : viewports) {
-        auto r = router.SelectInBox(q);
-        rows += r.ok() ? r->count() : 0;
+    std::vector<double> router_viewport, router_full;
+    Ratios speedup, full_ratio;
+    double fv, ff, sv, sf;
+    uint64_t fvr, ffr, svr, sfr;
+    run(select_router, &sv, &sf, &svr, &sfr);  // warm-up: builds imprints
+    for (int r = 0; r < reps; ++r) {
+      if (r % 2 == 0) {
+        run(select_flat, &fv, &ff, &fvr, &ffr);
+        run(select_router, &sv, &sf, &svr, &sfr);
+      } else {
+        run(select_router, &sv, &sf, &svr, &sfr);
+        run(select_flat, &fv, &ff, &fvr, &ffr);
       }
-    });
-    if (rows != viewport_rows) {
-      std::fprintf(stderr, "viewport row mismatch at K=%u: %llu vs %llu\n", k,
-                   static_cast<unsigned long long>(rows),
-                   static_cast<unsigned long long>(viewport_rows));
-      return 1;
-    }
-    uint64_t frows = 0;
-    double full_ms = TimeMs([&] {
-      auto r = router.SelectInBox(full);
-      frows = r.ok() ? r->count() : 0;
-    });
-    if (frows != full_rows) {
-      std::fprintf(stderr, "full row mismatch at K=%u\n", k);
-      return 1;
+      if (fvr != viewport_rows || svr != viewport_rows ||
+          ffr != full_rows || sfr != full_rows) {
+        std::fprintf(stderr, "row mismatch at K=%u: viewport %llu/%llu vs "
+                     "%llu, full %llu/%llu vs %llu\n", k,
+                     static_cast<unsigned long long>(fvr),
+                     static_cast<unsigned long long>(svr),
+                     static_cast<unsigned long long>(viewport_rows),
+                     static_cast<unsigned long long>(ffr),
+                     static_cast<unsigned long long>(sfr),
+                     static_cast<unsigned long long>(full_rows));
+        return 1;
+      }
+      flat_viewport_all.push_back(fv);
+      flat_full_all.push_back(ff);
+      router_viewport.push_back(sv);
+      router_full.push_back(sf);
+      speedup.v.push_back(fv / sv);
+      full_ratio.v.push_back(sf / ff);
     }
     // Average shards scanned per clustered viewport (one untimed pass, so
     // the timed reps above don't skew the counter read).
@@ -159,24 +212,44 @@ int main(int argc, char** argv) {
         static_cast<double>(scanned_total() - s0) /
         static_cast<double>(viewports.size());
 
-    best_speedup = std::max(best_speedup, flat_viewport / viewport_ms);
-    worst_full_ratio = std::max(worst_full_ratio, full_ms / flat_full);
+    speedup_met |= speedup.min() >= 3.0;
+    speedup_missed &= speedup.max() < 3.0;
+    full_met &= full_ratio.max() <= 1.05;
+    full_missed |= full_ratio.min() > 1.05;
+    if (speedup.median() > best_speedup) {
+      best_speedup = speedup.median();
+      best_range = speedup.Range();
+    }
+    if (full_ratio.median() > worst_full_ratio) {
+      worst_full_ratio = full_ratio.median();
+      worst_range = full_ratio.Range();
+    }
     char layout[32];
     std::snprintf(layout, sizeof(layout), "K=%u", k);
     char scanned_cell[32];
     std::snprintf(scanned_cell, sizeof(scanned_cell), "%.1f/%u",
                   scanned_per_query, k);
-    out.Row({layout, TablePrinter::Num(create_ms, 1),
-             TablePrinter::Num(write_ms, 1), TablePrinter::Num(viewport_ms, 2),
-             TablePrinter::Num(flat_viewport / viewport_ms, 2),
-             TablePrinter::Num(full_ms, 2),
-             TablePrinter::Num(full_ms / flat_full, 2), scanned_cell});
+    rows.push_back({layout, TablePrinter::Num(create_ms, 1),
+                    TablePrinter::Num(write_ms, 1),
+                    TablePrinter::Num(Median(router_viewport), 2),
+                    TablePrinter::Num(speedup.median(), 2), speedup.Range(),
+                    TablePrinter::Num(Median(router_full), 2),
+                    TablePrinter::Num(full_ratio.median(), 2),
+                    full_ratio.Range(), scanned_cell});
   }
 
+  out.Row({"unsharded", "-", "-",
+           TablePrinter::Num(Median(flat_viewport_all), 2), "1.00", "-",
+           TablePrinter::Num(Median(flat_full_all), 2), "1.00", "-", "-"});
+  for (const auto& row : rows) out.Row(row);
+
   std::printf(
-      "\nacceptance: best-K viewport speedup %.2fx >= 3x: %s; worst "
-      "full-extent ratio %.2f <= 1.05: %s\n",
-      best_speedup, best_speedup >= 3.0 ? "met" : "NOT MET", worst_full_ratio,
-      worst_full_ratio <= 1.05 ? "met" : "NOT MET");
+      "\n%d alternating reps per K; median of the per-rep ratios "
+      "[min-max]\n"
+      "acceptance: best-K viewport speedup %.2fx [%s] >= 3x: %s; worst "
+      "full-extent ratio %.2f [%s] <= 1.05: %s\n",
+      reps, best_speedup, best_range.c_str(),
+      Verdict(speedup_met, speedup_missed), worst_full_ratio,
+      worst_range.c_str(), Verdict(full_met, full_missed));
   return 0;
 }

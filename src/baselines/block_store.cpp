@@ -69,15 +69,12 @@ Result<BlockStore> BlockStore::Build(std::vector<LasPointRecord> points,
 
   // ---- Compress each block's points.
   t.Restart();
-  {
-    std::vector<LasPointRecord> scratch;
-    for (size_t b = 0; b < nblocks; ++b) {
-      size_t first = b * options.points_per_block;
-      Block& block = store.blocks_[b];
-      scratch.assign(points.begin() + first,
-                     points.begin() + first + block.count);
-      GEOCOL_RETURN_NOT_OK(LazCompress(scratch, &block.payload));
-    }
+  for (size_t b = 0; b < nblocks; ++b) {
+    Block& block = store.blocks_[b];
+    GEOCOL_RETURN_NOT_OK(LazCompress(
+        std::span<const LasPointRecord>(points).subspan(
+            b * options.points_per_block, block.count),
+        &block.payload));
   }
   if (stats != nullptr) stats->compress_seconds = t.ElapsedSeconds();
 

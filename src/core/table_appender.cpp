@@ -29,8 +29,10 @@ Status TableAppender::StageLasFile(const std::string& path) {
     return Status::InvalidArgument(
         "live table does not use the LAS point schema");
   }
-  GEOCOL_ASSIGN_OR_RETURN(LasTile tile, ReadLasFile(path));
-  return AppendTileToTable(tile, &staging_);
+  // Staged through a batch, so a tile that fails part way stages nothing.
+  FlatTable batch("batch", staging_.schema());
+  GEOCOL_RETURN_NOT_OK(AppendLasFile(path, &batch));
+  return StageBatch(batch);
 }
 
 Status TableAppender::StageCsvFile(const std::string& path) {

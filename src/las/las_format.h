@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "columns/flat_table.h"
@@ -104,15 +106,71 @@ struct LasTile {
   void RecomputeHeader();
 };
 
+/// Number of attributes (26: x, y, z + 23 properties).
+constexpr size_t kLasAttributeCount = 26;
+
+/// The leading fields x, y, z: scaled integers in a record, world doubles
+/// in a column.
+constexpr size_t kLasCoordinateCount = 3;
+
+/// The one definition of the record layout: calls `f(name, member)` for
+/// every field of LasPointRecord in record, file and column order, with
+/// `member` a pointer to that member. The schema, the record codec, the
+/// columnar gather and scatter and the LAZ streams all derive from it.
+template <typename F>
+constexpr void ForEachLasField(F&& f) {
+#define GEOCOL_LAS_FIELD(m) f(#m, &LasPointRecord::m)
+  GEOCOL_LAS_FIELD(x);
+  GEOCOL_LAS_FIELD(y);
+  GEOCOL_LAS_FIELD(z);
+  GEOCOL_LAS_FIELD(intensity);
+  GEOCOL_LAS_FIELD(return_number);
+  GEOCOL_LAS_FIELD(number_of_returns);
+  GEOCOL_LAS_FIELD(scan_direction);
+  GEOCOL_LAS_FIELD(edge_of_flight_line);
+  GEOCOL_LAS_FIELD(classification);
+  GEOCOL_LAS_FIELD(synthetic_flag);
+  GEOCOL_LAS_FIELD(key_point_flag);
+  GEOCOL_LAS_FIELD(withheld_flag);
+  GEOCOL_LAS_FIELD(scan_angle);
+  GEOCOL_LAS_FIELD(user_data);
+  GEOCOL_LAS_FIELD(point_source_id);
+  GEOCOL_LAS_FIELD(gps_time);
+  GEOCOL_LAS_FIELD(red);
+  GEOCOL_LAS_FIELD(green);
+  GEOCOL_LAS_FIELD(blue);
+  GEOCOL_LAS_FIELD(nir);
+  GEOCOL_LAS_FIELD(wave_descriptor);
+  GEOCOL_LAS_FIELD(wave_offset);
+  GEOCOL_LAS_FIELD(wave_packet_size);
+  GEOCOL_LAS_FIELD(wave_return_location);
+  GEOCOL_LAS_FIELD(wave_x);
+  GEOCOL_LAS_FIELD(wave_y);
+#undef GEOCOL_LAS_FIELD
+}
+
+/// The value type behind a ForEachLasField member pointer.
+template <typename Member>
+using LasFieldType = std::remove_cvref_t<
+    decltype(std::declval<LasPointRecord&>().*std::declval<Member>())>;
+
+/// Calls `f(member)` for field `attribute` of ForEachLasField alone, so a
+/// caller branches on the attribute once and then runs a loop typed to it.
+template <typename F>
+void VisitLasField(size_t attribute, F&& f) {
+  size_t i = 0;
+  ForEachLasField([&](const char*, auto member) {
+    if (i++ == attribute) f(member);
+  });
+}
+
 /// Canonical column order of the flat point-cloud table: x, y, z (float64,
-/// world coordinates) followed by the 23 LAS properties.
+/// world coordinates) followed by the 23 LAS properties, each in its
+/// record type.
 const std::vector<Field>& LasPointFields();
 
 /// Schema built from LasPointFields().
 Schema LasPointSchema();
-
-/// Number of attributes (26: x, y, z + 23 properties).
-constexpr size_t kLasAttributeCount = 26;
 
 /// Serializes one record into exactly kLasRecordBytes at `dst`.
 void SerializeRecord(const LasPointRecord& p, uint8_t* dst);
@@ -128,10 +186,13 @@ void GatherAttribute(const LasHeader& header,
                      std::span<const LasPointRecord> points, size_t attribute,
                      uint8_t* dst);
 
-/// Appends the tile's points to the columns of `table` (which must have
-/// LasPointSchema). Coordinates are converted to world doubles — this is
-/// the per-attribute conversion step of the paper's binary loader.
-Status AppendTileToTable(const LasTile& tile, FlatTable* table);
+/// Appends `points` to the columns of `table` (which must have
+/// LasPointSchema). Coordinates are converted to world doubles through
+/// `header` — this is the per-attribute conversion step of the paper's
+/// binary loader.
+Status AppendTileToTable(const LasHeader& header,
+                         std::span<const LasPointRecord> points,
+                         FlatTable* table);
 
 /// Inverse of AppendTileToTable: reconstructs full point records from a
 /// LAS-schema table (coordinates re-quantised through `header`'s

@@ -33,16 +33,6 @@ Status ReadHeader(BinaryReader* r, LasHeader* h) {
   return Status::OK();
 }
 
-/// Reads and decodes the whole LAZ payload that follows the header.
-Status ReadLazRecords(BinaryReader* r, uint64_t count,
-                      std::vector<LasPointRecord>* out) {
-  uint64_t payload_size = 0;
-  GEOCOL_RETURN_NOT_OK(r->ReadScalar(&payload_size));
-  std::vector<uint8_t> payload;
-  GEOCOL_RETURN_NOT_OK(r->ReadVector(&payload, payload_size));
-  return LazDecompress(payload, count, out);
-}
-
 /// Reads `count` serialized records into `out`; `raw` is the staging
 /// buffer. The count is bounded by the bytes left in the file first.
 Status ReadRecords(BinaryReader* r, uint64_t count, std::vector<uint8_t>* raw,
@@ -72,43 +62,82 @@ Result<LasHeader> ReadLasHeader(const std::string& path) {
 }
 
 Result<LasTile> ReadLasFile(const std::string& path) {
-  BinaryReader r;
-  GEOCOL_RETURN_NOT_OK(r.Open(path));
+  LasTileReader reader;
+  GEOCOL_RETURN_NOT_OK(reader.Open(path));
   LasTile tile;
-  GEOCOL_RETURN_NOT_OK(InFile(path, ReadHeader(&r, &tile.header)));
-  uint64_t n = tile.header.point_count;
-  std::vector<uint8_t> raw;
-  GEOCOL_RETURN_NOT_OK(InFile(
-      path, tile.header.compressed != 0
-                ? ReadLazRecords(&r, n, &tile.points)
-                : ReadRecords(&r, n, &raw, &tile.points)));
-  return tile;
+  tile.header = reader.header();
+  // Open bounded an uncompressed count by the file size; a LAZ count only
+  // by the payload, so its records grow as they decode.
+  if (tile.header.compressed == 0) {
+    tile.points.reserve(tile.header.point_count);
+  }
+  while (true) {
+    GEOCOL_ASSIGN_OR_RETURN(std::span<const LasPointRecord> block,
+                            reader.NextBlock(kLazChunkSize));
+    if (block.empty()) return tile;
+    tile.points.insert(tile.points.end(), block.begin(), block.end());
+  }
+}
+
+Status AppendLasFile(const std::string& path, FlatTable* table) {
+  LasTileReader reader;
+  GEOCOL_RETURN_NOT_OK(reader.Open(path));
+  while (true) {
+    GEOCOL_ASSIGN_OR_RETURN(std::span<const LasPointRecord> block,
+                            reader.NextBlock(kLazChunkSize));
+    if (block.empty()) return Status::OK();
+    GEOCOL_RETURN_NOT_OK(AppendTileToTable(reader.header(), block, table));
+  }
 }
 
 Status LasTileReader::Open(const std::string& path) {
   path_ = path;
   returned_ = 0;
+  chunk_returned_ = 0;
+  records_.clear();
   GEOCOL_RETURN_NOT_OK(file_.Open(path));
   GEOCOL_RETURN_NOT_OK(InFile(path, ReadHeader(&file_, &header_)));
-  return InFile(path,
-                header_.compressed != 0
-                    ? ReadLazRecords(&file_, header_.point_count, &records_)
-                    : file_.CheckRemaining(header_.point_count,
-                                           kLasRecordBytes));
+  if (header_.compressed == 0) {
+    return InFile(path,
+                  file_.CheckRemaining(header_.point_count, kLasRecordBytes));
+  }
+  GEOCOL_RETURN_NOT_OK(InFile(path, file_.ReadScalar(&payload_left_)));
+  GEOCOL_RETURN_NOT_OK(InFile(path, file_.CheckRemaining(payload_left_, 1)));
+  return InFile(path, CheckLazPointCount(header_.point_count, payload_left_));
 }
 
 Result<std::span<const LasPointRecord>> LasTileReader::NextBlock(
     size_t max_records) {
-  const uint64_t count =
-      std::min<uint64_t>(max_records, header_.point_count - returned_);
-  std::span<const LasPointRecord> block;
-  if (header_.compressed != 0) {
-    block = std::span<const LasPointRecord>(records_).subspan(returned_, count);
-  } else {
+  const uint64_t left = header_.point_count - returned_;
+  if (header_.compressed == 0) {
+    const uint64_t count = std::min<uint64_t>(max_records, left);
     GEOCOL_RETURN_NOT_OK(
         InFile(path_, ReadRecords(&file_, count, &raw_, &records_)));
-    block = records_;
+    returned_ += count;
+    return std::span<const LasPointRecord>(records_);
   }
+  if (chunk_returned_ == records_.size() && left > 0) {
+    // Decode the next chunk; its bytes come straight from the file.
+    const LazByteSource source =
+        [this](size_t n) -> Result<std::span<const uint8_t>> {
+      if (n > payload_left_) return Status::Corruption("LAZ payload truncated");
+      raw_.resize(n);
+      GEOCOL_RETURN_NOT_OK(file_.ReadBytes(raw_.data(), n));
+      payload_left_ -= n;
+      return std::span<const uint8_t>(raw_);
+    };
+    records_.resize(std::min<uint64_t>(kLazChunkSize, left));
+    chunk_returned_ = 0;
+    Status st = LazDecodeChunk(source, records_);
+    if (!st.ok()) {
+      records_.clear();
+      return InFile(path_, st);
+    }
+  }
+  const size_t count = std::min(max_records, records_.size() - chunk_returned_);
+  std::span<const LasPointRecord> block =
+      std::span<const LasPointRecord>(records_).subspan(chunk_returned_, count);
+  chunk_returned_ += count;
   returned_ += count;
   return block;
 }

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
+#include <string>
+#include <type_traits>
 
 #include "util/bitpack.h"
 
@@ -10,189 +11,137 @@ namespace geocol {
 
 namespace {
 
-// Each attribute is compressed as a stream of int64s (floats/doubles go
-// through their bit representation, which still deltas well for smooth
-// signals like gps_time).
-constexpr size_t kNumStreams = 26;
+// Each attribute is coded as a stream of int64s: integers widen (signed
+// ones sign-extend), floats and doubles go through their bit pattern,
+// which still deltas well for smooth signals like gps_time.
+template <typename T>
+using StreamBits = std::conditional_t<sizeof(T) == 8, uint64_t, uint32_t>;
 
-void ExtractStream(const std::vector<LasPointRecord>& pts, size_t stream,
-                   size_t begin, size_t end, std::vector<int64_t>* vals) {
-  vals->clear();
-  vals->reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    const LasPointRecord& p = pts[i];
-    int64_t v = 0;
-    switch (stream) {
-      case 0: v = p.x; break;
-      case 1: v = p.y; break;
-      case 2: v = p.z; break;
-      case 3: v = p.intensity; break;
-      case 4: v = p.return_number; break;
-      case 5: v = p.number_of_returns; break;
-      case 6: v = p.scan_direction; break;
-      case 7: v = p.edge_of_flight_line; break;
-      case 8: v = p.classification; break;
-      case 9: v = p.synthetic_flag; break;
-      case 10: v = p.key_point_flag; break;
-      case 11: v = p.withheld_flag; break;
-      case 12: v = p.scan_angle; break;
-      case 13: v = p.user_data; break;
-      case 14: v = p.point_source_id; break;
-      case 15: {
-        uint64_t bits;
-        std::memcpy(&bits, &p.gps_time, 8);
-        v = static_cast<int64_t>(bits);
-        break;
-      }
-      case 16: v = p.red; break;
-      case 17: v = p.green; break;
-      case 18: v = p.blue; break;
-      case 19: v = p.nir; break;
-      case 20: v = p.wave_descriptor; break;
-      case 21: v = static_cast<int64_t>(p.wave_offset); break;
-      case 22: v = p.wave_packet_size; break;
-      case 23: {
-        uint32_t bits;
-        std::memcpy(&bits, &p.wave_return_location, 4);
-        v = bits;
-        break;
-      }
-      case 24: {
-        uint32_t bits;
-        std::memcpy(&bits, &p.wave_x, 4);
-        v = bits;
-        break;
-      }
-      case 25: {
-        uint32_t bits;
-        std::memcpy(&bits, &p.wave_y, 4);
-        v = bits;
-        break;
-      }
-    }
-    vals->push_back(v);
+template <typename T>
+int64_t ToStream(T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return static_cast<int64_t>(std::bit_cast<StreamBits<T>>(v));
+  } else {
+    return static_cast<int64_t>(v);
   }
 }
 
-void InjectStream(std::vector<LasPointRecord>* pts, size_t stream,
-                  size_t begin, const std::vector<int64_t>& vals) {
-  for (size_t i = 0; i < vals.size(); ++i) {
-    LasPointRecord& p = (*pts)[begin + i];
-    int64_t v = vals[i];
-    switch (stream) {
-      case 0: p.x = static_cast<int32_t>(v); break;
-      case 1: p.y = static_cast<int32_t>(v); break;
-      case 2: p.z = static_cast<int32_t>(v); break;
-      case 3: p.intensity = static_cast<uint16_t>(v); break;
-      case 4: p.return_number = static_cast<uint8_t>(v); break;
-      case 5: p.number_of_returns = static_cast<uint8_t>(v); break;
-      case 6: p.scan_direction = static_cast<uint8_t>(v); break;
-      case 7: p.edge_of_flight_line = static_cast<uint8_t>(v); break;
-      case 8: p.classification = static_cast<uint8_t>(v); break;
-      case 9: p.synthetic_flag = static_cast<uint8_t>(v); break;
-      case 10: p.key_point_flag = static_cast<uint8_t>(v); break;
-      case 11: p.withheld_flag = static_cast<uint8_t>(v); break;
-      case 12: p.scan_angle = static_cast<int8_t>(v); break;
-      case 13: p.user_data = static_cast<uint8_t>(v); break;
-      case 14: p.point_source_id = static_cast<uint16_t>(v); break;
-      case 15: {
-        uint64_t bits = static_cast<uint64_t>(v);
-        std::memcpy(&p.gps_time, &bits, 8);
-        break;
-      }
-      case 16: p.red = static_cast<uint16_t>(v); break;
-      case 17: p.green = static_cast<uint16_t>(v); break;
-      case 18: p.blue = static_cast<uint16_t>(v); break;
-      case 19: p.nir = static_cast<uint16_t>(v); break;
-      case 20: p.wave_descriptor = static_cast<uint8_t>(v); break;
-      case 21: p.wave_offset = static_cast<uint64_t>(v); break;
-      case 22: p.wave_packet_size = static_cast<uint32_t>(v); break;
-      case 23: {
-        uint32_t bits = static_cast<uint32_t>(v);
-        std::memcpy(&p.wave_return_location, &bits, 4);
-        break;
-      }
-      case 24: {
-        uint32_t bits = static_cast<uint32_t>(v);
-        std::memcpy(&p.wave_x, &bits, 4);
-        break;
-      }
-      case 25: {
-        uint32_t bits = static_cast<uint32_t>(v);
-        std::memcpy(&p.wave_y, &bits, 4);
-        break;
-      }
-    }
+template <typename T>
+T FromStream(int64_t v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::bit_cast<T>(static_cast<StreamBits<T>>(v));
+  } else {
+    return static_cast<T>(v);
   }
+}
+
+/// Decodes stream `stream` of a chunk: `bits`-wide zigzag deltas in
+/// `data` into that field of every record of `chunk`.
+Status DecodeStream(size_t stream, uint8_t bits, std::span<const uint8_t> data,
+                    std::span<LasPointRecord> chunk) {
+  BitReader reader(data.data(), data.size());
+  bool truncated = false;
+  VisitLasField(stream, [&](auto member) {
+    using T = LasFieldType<decltype(member)>;
+    uint64_t prev = 0;
+    for (LasPointRecord& p : chunk) {
+      uint64_t z = 0;
+      if (bits > 0 && !reader.Read(&z, bits)) {
+        truncated = true;
+        return;
+      }
+      prev += static_cast<uint64_t>(ZigZagDecode(z));
+      p.*member = FromStream<T>(static_cast<int64_t>(prev));
+    }
+  });
+  if (truncated) return Status::Corruption("LAZ payload truncated");
+  return Status::OK();
 }
 
 }  // namespace
 
-Status LazCompress(const std::vector<LasPointRecord>& points,
+Status LazCompress(std::span<const LasPointRecord> points,
                    std::vector<uint8_t>* out) {
   out->clear();
-  std::vector<int64_t> vals;
-  for (size_t begin = 0; begin < points.size() || begin == 0;
-       begin += kLazChunkSize) {
-    size_t end = std::min(points.size(), begin + kLazChunkSize);
-    if (begin >= end && begin > 0) break;
-    for (size_t stream = 0; stream < kNumStreams; ++stream) {
-      ExtractStream(points, stream, begin, end, &vals);
+  std::vector<uint64_t> zz;
+  size_t begin = 0;
+  do {
+    const std::span<const LasPointRecord> chunk =
+        points.subspan(begin, std::min(kLazChunkSize, points.size() - begin));
+    for (size_t stream = 0; stream < kLasAttributeCount; ++stream) {
       // Delta + zigzag; the first value is the chunk base. The delta
       // wraps modulo 2^64 (the decoder's sum wraps back), so extreme
       // neighbours such as INT64_MIN after INT64_MAX round-trip.
+      zz.clear();
       uint64_t max_zz = 0;
-      uint64_t prev = 0;
-      std::vector<uint64_t> zz(vals.size());
-      for (size_t i = 0; i < vals.size(); ++i) {
-        const uint64_t cur = static_cast<uint64_t>(vals[i]);
-        zz[i] = ZigZagEncode(static_cast<int64_t>(cur - prev));
-        prev = cur;
-        max_zz = std::max(max_zz, zz[i]);
-      }
-      uint8_t bits = max_zz == 0
-                         ? 0
-                         : static_cast<uint8_t>(64 - std::countl_zero(max_zz));
+      VisitLasField(stream, [&](auto member) {
+        uint64_t prev = 0;
+        for (const LasPointRecord& p : chunk) {
+          const uint64_t cur = static_cast<uint64_t>(ToStream(p.*member));
+          zz.push_back(ZigZagEncode(static_cast<int64_t>(cur - prev)));
+          prev = cur;
+          max_zz = std::max(max_zz, zz.back());
+        }
+      });
+      const uint8_t bits =
+          max_zz == 0 ? 0
+                      : static_cast<uint8_t>(64 - std::countl_zero(max_zz));
       out->push_back(bits);
       BitWriter bw(out);
       for (uint64_t z : zz) bw.Write(z, bits);
       bw.FlushByte();
     }
-    if (end == points.size()) break;
+    begin += chunk.size();
+  } while (begin < points.size());
+  return Status::OK();
+}
+
+Status CheckLazPointCount(uint64_t count, uint64_t payload_bytes) {
+  const uint64_t chunks =
+      std::max<uint64_t>(1, (count + kLazChunkSize - 1) / kLazChunkSize);
+  if (chunks > payload_bytes / kLasAttributeCount) {
+    return Status::Corruption("LAZ payload of " +
+                              std::to_string(payload_bytes) +
+                              " bytes cannot hold " + std::to_string(count) +
+                              " points");
   }
   return Status::OK();
 }
 
-Status LazDecompress(const std::vector<uint8_t>& data, uint64_t count,
-                     std::vector<LasPointRecord>* out) {
-  out->assign(count, LasPointRecord{});
-  size_t byte_pos = 0;
-  std::vector<int64_t> vals;
-  for (size_t begin = 0; begin < count || begin == 0; begin += kLazChunkSize) {
-    size_t end = std::min<size_t>(count, begin + kLazChunkSize);
-    if (begin >= end && begin > 0) break;
-    size_t n = end - begin;
-    for (size_t stream = 0; stream < kNumStreams; ++stream) {
-      if (byte_pos >= data.size()) {
-        return Status::Corruption("LAZ payload truncated (missing bit width)");
-      }
-      uint8_t bits = data[byte_pos];
-      BitReader chunk(data.data() + byte_pos + 1, data.size() - byte_pos - 1);
-      vals.assign(n, 0);
-      uint64_t prev = 0;
-      for (size_t i = 0; i < n; ++i) {
-        uint64_t z = 0;
-        if (bits > 0 && !chunk.Read(&z, bits)) {
-          return Status::Corruption("LAZ payload truncated (stream data)");
-        }
-        prev += static_cast<uint64_t>(ZigZagDecode(z));
-        vals[i] = static_cast<int64_t>(prev);
-      }
-      InjectStream(out, stream, begin, vals);
-      size_t stream_bytes = (static_cast<size_t>(bits) * n + 7) / 8;
-      byte_pos += 1 + stream_bytes;
+Status LazDecodeChunk(const LazByteSource& source,
+                      std::span<LasPointRecord> chunk) {
+  for (size_t stream = 0; stream < kLasAttributeCount; ++stream) {
+    GEOCOL_ASSIGN_OR_RETURN(std::span<const uint8_t> width, source(1));
+    const uint8_t bits = width[0];
+    if (bits > 64) {
+      return Status::Corruption("LAZ bit width " + std::to_string(bits) +
+                                " exceeds 64");
     }
-    if (end == count) break;
+    GEOCOL_ASSIGN_OR_RETURN(std::span<const uint8_t> data,
+                            source((size_t{bits} * chunk.size() + 7) / 8));
+    GEOCOL_RETURN_NOT_OK(DecodeStream(stream, bits, data, chunk));
+  }
+  return Status::OK();
+}
+
+Status LazDecompress(std::span<const uint8_t> data, uint64_t count,
+                     std::vector<LasPointRecord>* out) {
+  GEOCOL_RETURN_NOT_OK(CheckLazPointCount(count, data.size()));
+  out->resize(count);
+  size_t pos = 0;
+  const LazByteSource source =
+      [&](size_t n) -> Result<std::span<const uint8_t>> {
+    if (n > data.size() - pos) {
+      return Status::Corruption("LAZ payload truncated");
+    }
+    pos += n;
+    return data.subspan(pos - n, n);
+  };
+  const std::span<LasPointRecord> records(*out);
+  for (size_t begin = 0; begin < records.size(); begin += kLazChunkSize) {
+    GEOCOL_RETURN_NOT_OK(LazDecodeChunk(
+        source, records.subspan(
+                    begin, std::min(kLazChunkSize, records.size() - begin))));
   }
   return Status::OK();
 }

@@ -14,12 +14,14 @@ Status CsvLoader::LoadFile(const std::string& path, FlatTable* table,
                            LoadStats* stats) {
   Timer wall;
   Timer t;
-  GEOCOL_ASSIGN_OR_RETURN(LasTile tile, ReadLasFile(path));
+  // The read step streams the tile into a staging table, gather included.
+  FlatTable staging("staging", LasPointSchema());
+  GEOCOL_RETURN_NOT_OK(AppendLasFile(path, &staging));
   if (stats != nullptr) {
     stats->read_seconds += t.ElapsedSeconds();
     GEOCOL_ASSIGN_OR_RETURN(uint64_t sz, FileSizeBytes(path));
     stats->bytes_read += sz;
-    stats->points += tile.points.size();
+    stats->points += staging.num_rows();
     ++stats->files;
   }
 
@@ -28,8 +30,6 @@ Status CsvLoader::LoadFile(const std::string& path, FlatTable* table,
   size_t slash = path.find_last_of('/');
   std::string prefix = slash == std::string::npos ? path : path.substr(slash + 1);
   std::string csv_path = scratch_dir_ + "/" + prefix + ".csv";
-  FlatTable staging("staging", LasPointSchema());
-  GEOCOL_RETURN_NOT_OK(AppendTileToTable(tile, &staging));
   GEOCOL_RETURN_NOT_OK(WriteCsv(staging, csv_path));
   if (stats != nullptr) stats->convert_seconds += t.ElapsedSeconds();
 

@@ -152,7 +152,7 @@ Result<std::shared_ptr<FlatTable>> AhnGenerator::GenerateTable(
   auto table = std::make_shared<FlatTable>("ahn2", LasPointSchema());
   for (const auto& col : table->columns()) col->Reserve(num_points);
   GEOCOL_RETURN_NOT_OK(gen.GenerateTiles([&](LasTile& tile, uint64_t) {
-    return AppendTileToTable(tile, table.get());
+    return AppendTileToTable(tile.header, tile.points, table.get());
   }));
   GEOCOL_RETURN_NOT_OK(table->Validate());
   return table;

@@ -2,13 +2,16 @@
 // compression, corruption handling, table conversion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "las/las_format.h"
 #include "las/las_reader.h"
 #include "las/las_writer.h"
 #include "las/laz.h"
+#include "pointcloud/generator.h"
 #include "util/binary_io.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 #include "util/tempdir.h"
 
@@ -204,6 +207,124 @@ TEST(LasFileTest, EmptyTileRoundTrip) {
   EXPECT_TRUE(back->points.empty());
 }
 
+// A seeded AhnGenerator tile of three full LAZ chunks and a ragged fourth.
+LasTile GeneratorTile() {
+  AhnGeneratorOptions opts;
+  opts.extent = Box(85000, 444000, 85200, 444200);
+  opts.target_points_per_tile = 3 * kLazChunkSize + 1234;
+  LasTile first;
+  EXPECT_TRUE(AhnGenerator(opts)
+                  .GenerateTiles([&](LasTile& tile, uint64_t index) {
+                    if (index == 0) first = tile;
+                    return Status::OK();
+                  })
+                  .ok());
+  return first;
+}
+
+uint32_t FileCrc(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  EXPECT_TRUE(ReadFileBytes(path, &bytes).ok());
+  return Crc32c(bytes.data(), bytes.size());
+}
+
+/// Header bytes before a LAZ tile's uint64 payload size.
+constexpr size_t kLazSizeOffset = 4 + 8 + 12 * 8 + 2 + 1;
+
+/// Cuts a LAZ tile's payload to its first `keep` bytes and patches the
+/// payload size to match, so the file is consistent but a chunk is short.
+void CutLazPayload(const std::string& path, uint64_t keep) {
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes).ok());
+  ASSERT_LT(kLazSizeOffset + 8 + keep, bytes.size());
+  bytes.resize(kLazSizeOffset + 8 + keep);
+  std::memcpy(bytes.data() + kLazSizeOffset, &keep, 8);
+  ASSERT_TRUE(WriteFileBytes(path, bytes.data(), bytes.size()).ok());
+}
+
+TEST(LasFileTest, WrittenBytesArePinned) {
+  // The on-disk LAS and LAZ bytes are a format: these CRCs must never move.
+  LasTile tile = GeneratorTile();
+  ASSERT_EQ(tile.points.size(), 3 * kLazChunkSize + 1234);
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(LazCompress(tile.points, &payload).ok());
+  EXPECT_EQ(Crc32c(payload.data(), payload.size()), 3385451088u);
+  TempDir tmp;
+  ASSERT_TRUE(WriteLasFile(tile, tmp.File("t.las")).ok());
+  ASSERT_TRUE(WriteLazFile(tile, tmp.File("t.laz")).ok());
+  EXPECT_EQ(FileCrc(tmp.File("t.las")), 430962701u);
+  EXPECT_EQ(FileCrc(tmp.File("t.laz")), 3788762193u);
+}
+
+TEST(LasFileTest, EmptyLazTileRoundTrip) {
+  TempDir tmp;
+  LasTile tile;
+  ASSERT_TRUE(WriteLazFile(tile, tmp.File("e.laz")).ok());
+  auto back = ReadLasFile(tmp.File("e.laz"));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE(back->points.empty());
+  EXPECT_EQ(back->header.compressed, 1);
+  LasTileReader reader;
+  ASSERT_TRUE(reader.Open(tmp.File("e.laz")).ok());
+  auto block = reader.NextBlock(kLazChunkSize);
+  ASSERT_TRUE(block.ok());
+  EXPECT_TRUE(block->empty());
+}
+
+// ---------------- streaming reader ----------------
+
+TEST(LasTileReaderTest, HoldsAtMostOneChunkOrBlock) {
+  // 20 LAZ chunks, the last one ragged: whatever the block size, no block
+  // is longer than asked for, and the reader never holds more than one
+  // chunk of LAZ or one block of LAS.
+  TempDir tmp;
+  LasTile tile = MakeTile(19 * kLazChunkSize + 777, 130);
+  ASSERT_TRUE(WriteLazFile(tile, tmp.File("t.laz")).ok());
+  ASSERT_TRUE(WriteLasFile(tile, tmp.File("t.las")).ok());
+  for (bool laz : {true, false}) {
+    const std::string path = tmp.File(laz ? "t.laz" : "t.las");
+    for (size_t max_records : {size_t{1}, size_t{1000}, kLazChunkSize,
+                               size_t{5000}, size_t{1} << 20}) {
+      LasTileReader reader;
+      ASSERT_TRUE(reader.Open(path).ok());
+      size_t read = 0;
+      size_t max_resident = 0;
+      while (true) {
+        auto block = reader.NextBlock(max_records);
+        ASSERT_TRUE(block.ok()) << block.status().ToString();
+        max_resident = std::max(max_resident, reader.resident_records());
+        if (block->empty()) break;
+        ASSERT_LE(block->size(), max_records);
+        for (const LasPointRecord& p : *block) {
+          ASSERT_TRUE(RecordsEqual(tile.points[read], p)) << read;
+          ++read;
+        }
+      }
+      EXPECT_EQ(read, tile.points.size()) << path << " " << max_records;
+      EXPECT_LE(max_resident, laz ? kLazChunkSize : max_records)
+          << path << " " << max_records;
+    }
+  }
+}
+
+TEST(LasTileReaderTest, AppendLasFileMatchesAppendTileToTable) {
+  TempDir tmp;
+  LasTile tile = MakeTile(2 * kLazChunkSize + 5, 132);
+  ASSERT_TRUE(WriteLazFile(tile, tmp.File("t.laz")).ok());
+  FlatTable expect("pc", LasPointSchema());
+  ASSERT_TRUE(AppendTileToTable(tile.header, tile.points, &expect).ok());
+  FlatTable table("pc", LasPointSchema());
+  ASSERT_TRUE(AppendLasFile(tmp.File("t.laz"), &table).ok());
+  ASSERT_EQ(table.num_rows(), expect.num_rows());
+  for (size_t c = 0; c < kLasAttributeCount; ++c) {
+    EXPECT_EQ(std::memcmp(table.column(c)->raw_data(),
+                          expect.column(c)->raw_data(),
+                          expect.column(c)->raw_size_bytes()),
+              0)
+        << c;
+  }
+}
+
 // ---------------- corruption ----------------
 
 TEST(LasCorruptionTest, BadMagicRejected) {
@@ -243,6 +364,63 @@ TEST(LasCorruptionTest, TruncatedLazPayloadRejected) {
   ASSERT_TRUE(
       WriteFileBytes(tmp.File("t.laz"), bytes.data(), bytes.size()).ok());
   EXPECT_FALSE(ReadLasFile(tmp.File("t.laz")).ok());
+  // The payload size outruns the file, so the reader fails before decoding.
+  LasTileReader reader;
+  EXPECT_EQ(reader.Open(tmp.File("t.laz")).code(), StatusCode::kCorruption);
+}
+
+TEST(LasCorruptionTest, ForgedLazPointCountRejected) {
+  // A 10-point tile whose header claims 2^40 points: the payload cannot
+  // hold that many chunks, so both readers fail with Corruption before
+  // sizing anything by the claim.
+  TempDir tmp;
+  LasTile tile = MakeTile(10, 133);
+  ASSERT_TRUE(WriteLazFile(tile, tmp.File("t.laz")).ok());
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(tmp.File("t.laz"), &bytes).ok());
+  const uint64_t forged = uint64_t{1} << 40;
+  std::memcpy(bytes.data() + 4, &forged, 8);
+  ASSERT_TRUE(
+      WriteFileBytes(tmp.File("t.laz"), bytes.data(), bytes.size()).ok());
+  LasTileReader reader;
+  EXPECT_EQ(reader.Open(tmp.File("t.laz")).code(), StatusCode::kCorruption);
+  EXPECT_EQ(ReadLasFile(tmp.File("t.laz")).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(LasCorruptionTest, LazChunkCutShortFailsInNextBlock) {
+  // The payload size is consistent with the file, so Open passes; the
+  // first chunk decodes and the cut second chunk fails in NextBlock.
+  TempDir tmp;
+  LasTile tile = MakeTile(3 * kLazChunkSize, 134);
+  ASSERT_TRUE(WriteLazFile(tile, tmp.File("t.laz")).ok());
+  std::vector<uint8_t> first_chunk;
+  ASSERT_TRUE(LazCompress(std::span<const LasPointRecord>(tile.points)
+                              .first(kLazChunkSize),
+                          &first_chunk)
+                  .ok());
+  CutLazPayload(tmp.File("t.laz"), first_chunk.size() + 100);
+  LasTileReader reader;
+  ASSERT_TRUE(reader.Open(tmp.File("t.laz")).ok());
+  auto first = reader.NextBlock(kLazChunkSize);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->size(), kLazChunkSize);
+  auto second = reader.NextBlock(kLazChunkSize);
+  ASSERT_EQ(second.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(second.status().message().find(tmp.File("t.laz")),
+            std::string::npos);
+  EXPECT_EQ(ReadLasFile(tmp.File("t.laz")).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(LasCorruptionTest, LazBitWidthOver64Rejected) {
+  std::vector<LasPointRecord> pts(3);
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(LazCompress(pts, &payload).ok());
+  payload[0] = 65;  // the x stream's bit width
+  payload.resize(payload.size() + 64);
+  std::vector<LasPointRecord> out;
+  EXPECT_EQ(LazDecompress(payload, 3, &out).code(), StatusCode::kCorruption);
 }
 
 TEST(LasCorruptionTest, ZeroScaleRejected) {
@@ -322,7 +500,7 @@ TEST(AppendTileTest, ConvertsToWorldCoordinates) {
   LasTile tile = MakeTile(2000, 124);
   tile.RecomputeHeader();
   FlatTable table("pc", LasPointSchema());
-  ASSERT_TRUE(AppendTileToTable(tile, &table).ok());
+  ASSERT_TRUE(AppendTileToTable(tile.header, tile.points, &table).ok());
   EXPECT_EQ(table.num_rows(), 2000u);
   for (size_t i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(table.column("x")->GetDouble(i), tile.WorldX(tile.points[i]));
@@ -339,8 +517,8 @@ TEST(AppendTileTest, AccumulatesAcrossTiles) {
   FlatTable table("pc", LasPointSchema());
   LasTile t1 = MakeTile(100, 125);
   LasTile t2 = MakeTile(200, 126);
-  ASSERT_TRUE(AppendTileToTable(t1, &table).ok());
-  ASSERT_TRUE(AppendTileToTable(t2, &table).ok());
+  ASSERT_TRUE(AppendTileToTable(t1.header, t1.points, &table).ok());
+  ASSERT_TRUE(AppendTileToTable(t2.header, t2.points, &table).ok());
   EXPECT_EQ(table.num_rows(), 300u);
 }
 
@@ -348,7 +526,7 @@ TEST(AppendTileTest, TableToRecordsIsInverse) {
   LasTile tile = MakeTile(1500, 128);
   tile.RecomputeHeader();
   FlatTable table("pc", LasPointSchema());
-  ASSERT_TRUE(AppendTileToTable(tile, &table).ok());
+  ASSERT_TRUE(AppendTileToTable(tile.header, tile.points, &table).ok());
   auto records = TableToRecords(table, tile.header);
   ASSERT_TRUE(records.ok());
   ASSERT_EQ(records->size(), tile.points.size());
@@ -368,7 +546,7 @@ TEST(AppendTileTest, WrongSchemaRejected) {
   LasTile tile = MakeTile(10, 127);
   FlatTable table("bad");
   ASSERT_TRUE(table.AddColumn(Column::FromVector<double>("x", {})).ok());
-  EXPECT_FALSE(AppendTileToTable(tile, &table).ok());
+  EXPECT_FALSE(AppendTileToTable(tile.header, tile.points, &table).ok());
 }
 
 }  // namespace

@@ -8,8 +8,11 @@
 #include <cstring>
 #include <memory>
 
+#include "core/live_table.h"
+#include "core/table_appender.h"
 #include "las/las_reader.h"
 #include "las/las_writer.h"
+#include "las/laz.h"
 #include "loader/binary_loader.h"
 #include "loader/csv_loader.h"
 #include "pointcloud/generator.h"
@@ -31,6 +34,22 @@ AhnGeneratorOptions TinyOptions() {
   return opts;
 }
 
+/// Cuts a two-chunk LAZ tile's payload to three quarters and patches its
+/// size to match, so the file opens, the first chunk decodes and the
+/// second is cut short.
+void CutLazPayload(const std::string& path) {
+  constexpr size_t kSizeOffset = 4 + 8 + 12 * 8 + 2 + 1;
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(ReadFileBytes(path, &bytes).ok());
+  uint64_t payload = 0;
+  std::memcpy(&payload, bytes.data() + kSizeOffset, 8);
+  ASSERT_GT(payload, 2 * kLasAttributeCount * 100u);
+  payload = payload * 3 / 4;
+  bytes.resize(kSizeOffset + 8 + payload);
+  std::memcpy(bytes.data() + kSizeOffset, &payload, 8);
+  ASSERT_TRUE(WriteFileBytes(path, bytes.data(), bytes.size()).ok());
+}
+
 class LoaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -43,7 +62,7 @@ class LoaderTest : public ::testing::Test {
     // In-memory reference table (no file round trip).
     reference_ = std::make_shared<FlatTable>("ref", LasPointSchema());
     ASSERT_TRUE(gen_->GenerateTiles([&](LasTile& tile, uint64_t) {
-      return AppendTileToTable(tile, reference_.get());
+      return AppendTileToTable(tile.header, tile.points, reference_.get());
     }).ok());
   }
 
@@ -98,7 +117,7 @@ TEST_F(LoaderTest, MultiBlockTilesMatchReference) {
   AhnGenerator gen(opts);
   FlatTable reference("ref", LasPointSchema());
   ASSERT_TRUE(gen.GenerateTiles([&](LasTile& tile, uint64_t) {
-    return AppendTileToTable(tile, &reference);
+    return AppendTileToTable(tile.header, tile.points, &reference);
   }).ok());
   for (bool compress : {false, true}) {
     std::string dir = tmp_.File(compress ? "big_laz" : "big_las");
@@ -120,6 +139,25 @@ TEST_F(LoaderTest, MultiBlockTilesMatchReference) {
     ASSERT_TRUE(table.ok()) << table.status().ToString();
     ExpectTablesEqual(reference, **table);
     EXPECT_TRUE(ScratchFiles().empty());
+    if (!compress) continue;
+    // LAZ blocks end at chunk boundaries too: blocks smaller than, equal
+    // to and larger than a chunk all rebuild the same table.
+    for (size_t block_records : {size_t{1000}, kLazChunkSize, size_t{5000}}) {
+      FlatTable streamed("streamed", LasPointSchema());
+      for (const std::string& f : files) {
+        LasTileReader reader;
+        ASSERT_TRUE(reader.Open(f).ok());
+        while (true) {
+          auto block = reader.NextBlock(block_records);
+          ASSERT_TRUE(block.ok()) << block.status().ToString();
+          if (block->empty()) break;
+          ASSERT_LE(block->size(), block_records);
+          ASSERT_TRUE(
+              AppendTileToTable(reader.header(), *block, &streamed).ok());
+        }
+      }
+      ExpectTablesEqual(reference, streamed);
+    }
   }
 }
 
@@ -152,6 +190,50 @@ TEST_F(LoaderTest, TruncatedTileAmongGoodTilesFailsAndCleansUp) {
   EXPECT_NE(table.status().message().find(victim), std::string::npos)
       << table.status().message();
   EXPECT_TRUE(ScratchFiles().empty());
+}
+
+TEST_F(LoaderTest, CutLazChunkAmongGoodTilesFailsAndCleansUp) {
+  // The victim's payload size matches its file, so it opens; the cut chunk
+  // fails mid-stream, after its first chunk went into its dumps.
+  std::string laz_dir = tmp_.File("laz_tiles");
+  ASSERT_TRUE(MakeDir(laz_dir).ok());
+  ASSERT_TRUE(gen_->WriteTileDirectory(laz_dir, /*compress=*/true).ok());
+  std::vector<std::string> files;
+  ASSERT_TRUE(ListFiles(laz_dir, ".laz", &files).ok());
+  ASSERT_GE(files.size(), 3u);
+  const std::string& victim = files[files.size() / 2];
+  CutLazPayload(victim);
+  LasTileReader reader;
+  ASSERT_TRUE(reader.Open(victim).ok());
+  BinaryLoader loader(scratch_dir());
+  auto table = loader.LoadDirectory(laz_dir);
+  ASSERT_EQ(table.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(table.status().message().find(victim), std::string::npos)
+      << table.status().message();
+  EXPECT_TRUE(ScratchFiles().empty());
+}
+
+TEST_F(LoaderTest, CutLazTileStagesNothing) {
+  // A tile that fails part way through leaves the appender's staging as
+  // it was, so a later commit publishes only the rows staged before it.
+  std::string laz_dir = tmp_.File("laz_tiles");
+  ASSERT_TRUE(MakeDir(laz_dir).ok());
+  ASSERT_TRUE(gen_->WriteTileDirectory(laz_dir, /*compress=*/true).ok());
+  std::vector<std::string> files;
+  ASSERT_TRUE(ListFiles(laz_dir, ".laz", &files).ok());
+  ASSERT_GE(files.size(), 2u);
+  CutLazPayload(files[1]);
+  auto live = LiveTable::Create(
+      std::make_shared<FlatTable>("ahn2", LasPointSchema()));
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  TableAppender appender(*live);
+  ASSERT_TRUE(appender.StageLasFile(files[0]).ok());
+  const uint64_t staged = appender.staged_rows();
+  EXPECT_GT(staged, 0u);
+  EXPECT_EQ(appender.StageLasFile(files[1]).code(), StatusCode::kCorruption);
+  EXPECT_EQ(appender.staged_rows(), staged);
+  ASSERT_TRUE(appender.Commit().ok());
+  EXPECT_EQ((*live)->Pin().table->num_rows(), staged);
 }
 
 TEST_F(LoaderTest, InjectedWriteFailureFailsLoadAndCleansUp) {

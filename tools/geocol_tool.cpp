@@ -359,9 +359,8 @@ Result<FlatTable> ReadBatchFile(const std::string& path,
         "table does not use the LAS point schema; ingest CSV batches "
         "instead");
   }
-  GEOCOL_ASSIGN_OR_RETURN(LasTile tile, ReadLasFile(path));
   FlatTable batch("batch", schema);
-  GEOCOL_RETURN_NOT_OK(AppendTileToTable(tile, &batch));
+  GEOCOL_RETURN_NOT_OK(AppendLasFile(path, &batch));
   return batch;
 }
 
