@@ -87,8 +87,7 @@ void RunE17(const std::shared_ptr<FlatTable>& table, const Box& extent) {
     std::fprintf(stderr, "catalog: %s\n", st.ToString().c_str());
     return;
   }
-  sql::SessionOptions opts;  // flight on; trace ring on — production shape
-  sql::Session session(&catalog);
+  sql::Session session(&catalog);  // flight on — production shape
 
   TempDir dir("bench-e17");
   const std::string log_path = dir.File("flight.gfr");

@@ -51,14 +51,6 @@ void ChunkCache::SetBudget(uint64_t budget_bytes) {
   UpdateGauge();
 }
 
-void ChunkCache::GrowBudget(uint64_t budget_bytes) {
-  uint64_t cur = budget_.load(std::memory_order_relaxed);
-  while (budget_bytes > cur &&
-         !budget_.compare_exchange_weak(cur, budget_bytes,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
 uint64_t ChunkCache::KeyFor(uint64_t file_id, uint32_t chunk_index) {
   // File ids are a small counter; chunk indexes top out at 2^22 for the
   // largest plausible column (2^40 bytes / 256 KiB), so the pair packs

@@ -52,9 +52,6 @@ class ChunkCache {
 
   /// Sets the total memory budget; shrinking evicts immediately.
   void SetBudget(uint64_t budget_bytes);
-  /// SetBudget(max(budget, current)) — openers declare what they want and
-  /// the process-wide cache takes the largest request.
-  void GrowBudget(uint64_t budget_bytes);
   uint64_t budget_bytes() const {
     return budget_.load(std::memory_order_relaxed);
   }

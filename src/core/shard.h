@@ -56,10 +56,6 @@ class Shard {
       const Geometry& geometry, double buffer,
       const std::vector<AttributeRange>& thematic) const = 0;
 
-  /// Rebinds the shard's result-cache budget (the SQL session's knob;
-  /// see SpatialQueryEngine::set_cache_budget).
-  virtual void set_cache_budget(uint64_t budget_bytes) = 0;
-
   /// The shard's column versions, for merge-side value access.
   virtual const FlatTable& table() const = 0;
 
@@ -97,9 +93,6 @@ class LocalShard final : public Shard {
       const Geometry& geometry, double buffer,
       const std::vector<AttributeRange>& thematic) const override {
     return engine_.SelectionCached(geometry, buffer, thematic);
-  }
-  void set_cache_budget(uint64_t budget_bytes) override {
-    engine_.set_cache_budget(budget_bytes);
   }
   const FlatTable& table() const override { return *table_; }
   uint64_t IndexStorageBytes() const override {

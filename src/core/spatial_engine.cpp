@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <span>
 
-#include "cache/chunk_cache.h"
 #include "columns/types.h"
 #include "telemetry/metrics.h"
 #include "util/timer.h"
@@ -85,19 +84,9 @@ void SpatialQueryEngine::Init() {
   }
   cache_owner_ = options_.cache.instance;
   set_cache_budget(options_.cache.budget_bytes);
-  if (options_.chunk_cache_budget_bytes > 0) {
-    cache::ChunkCache::Global().GrowBudget(options_.chunk_cache_budget_bytes);
-  }
 }
 
 void SpatialQueryEngine::set_cache_budget(uint64_t budget_bytes) {
-  // No-op when already bound at this budget, so repeated per-query calls
-  // (the SQL session applies its knob on every Execute) never touch
-  // engine state.
-  if (budget_bytes == options_.cache.budget_bytes &&
-      (budget_bytes == 0) == (cache_ == nullptr)) {
-    return;
-  }
   options_.cache.budget_bytes = budget_bytes;
   if (budget_bytes == 0) {
     cache_ = nullptr;

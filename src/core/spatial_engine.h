@@ -57,12 +57,6 @@ struct EngineOptions {
   std::string imprints_dir;
   /// Query result cache binding; budget 0 (the default) is cache-off.
   CacheOptions cache;
-  /// Paged-tier chunk cache budget. > 0 grows (never shrinks) the
-  /// process-wide cache::ChunkCache::Global() budget to this many bytes at
-  /// engine construction; 0 leaves the global default
-  /// (GEOCOL_CHUNK_CACHE_MB, else 64 MiB) untouched. Only meaningful when
-  /// the engine's table holds paged columns.
-  uint64_t chunk_cache_budget_bytes = 0;
 };
 
 /// Result of a spatial selection.
@@ -217,10 +211,11 @@ class SpatialQueryEngine {
     return imprints_;
   }
 
-  /// Rebinds the engine's cache budget after construction (the SQL
-  /// session's per-session knob). 0 detaches the engine from the cache;
-  /// > 0 attaches it (growing a shared instance's budget as needed). Not
-  /// thread-safe against queries in flight on this engine.
+  /// Rebinds the engine's cache budget after construction (benchmarks
+  /// that register a table, then size its cache). 0 detaches the engine
+  /// from the cache; > 0 attaches it (growing a shared instance's budget
+  /// as needed). Not thread-safe against queries in flight on this
+  /// engine; everything else binds once, through EngineOptions::cache.
   void set_cache_budget(uint64_t budget_bytes);
 
   /// The cache this engine consults, or nullptr when cache-off.

@@ -31,7 +31,8 @@ struct PinnedPointCloud {
 class Catalog {
  public:
   /// Registers a point cloud table: a constant one-shard view over it,
-  /// whose shard engine is created with `options`.
+  /// whose shard engine is created with `options`. `options.cache` is the
+  /// table's one result-cache binding; nothing rebinds it per statement.
   Status AddPointCloud(const std::string& name,
                        std::shared_ptr<FlatTable> table,
                        EngineOptions options = {});

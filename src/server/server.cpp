@@ -113,9 +113,6 @@ Status Server::Start() {
       options_.rate_limit_qps, options_.rate_limit_burst,
       options_.rate_limit_max_clients);
   counters_ = std::make_unique<Counters>();
-  // Rebinding an engine's cache budget races in-flight queries; worker
-  // sessions must never do it mid-serve.
-  options_.session.cache_budget_bytes = -1;
 
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
@@ -411,9 +408,7 @@ done:
 }
 
 void Server::WorkerLoop() {
-  sql::SessionOptions session_options = options_.session;
-  session_options.cache_budget_bytes = -1;
-  sql::Session session(catalog_, session_options);
+  sql::Session session(catalog_);
   for (;;) {
     TaskPtr task = queue_->PopBlocking();
     if (task == nullptr) return;  // closed and drained

@@ -10,6 +10,10 @@
 // Workers pop tasks; a popped batchable task pulls every queued task on
 // the same engine into a shared-scan batch group (server/batch.h), one
 // superset scan fanning bit-identical per-member selections out.
+//
+// Worker sessions are default sessions: each table's result cache was
+// bound by the EngineOptions it was registered with, so nothing rebinds
+// an engine while queries are in flight.
 #ifndef GEOCOL_SERVER_SERVER_H_
 #define GEOCOL_SERVER_SERVER_H_
 
@@ -50,10 +54,6 @@ struct ServerOptions {
   /// connection closes (the stream is unrecoverable past an oversized
   /// length prefix).
   uint32_t max_request_bytes = 1u << 20;
-  /// Worker session telemetry knobs. cache_budget_bytes is forced to -1:
-  /// rebinding an engine's cache is not safe against in-flight queries,
-  /// so the budget must be configured before serving starts.
-  sql::SessionOptions session;
   /// Test hook: runs on the worker thread after a task (or batch group
   /// leader) is popped, before execution. Blocking here holds the worker,
   /// which is how the drain/saturation tests build deterministic queue

@@ -167,23 +167,6 @@ void FillHeat(telemetry::QueryEvent* ev) {
 
 }  // namespace
 
-SessionOptions SessionOptions::FromEnv() {
-  SessionOptions options;
-  if (const char* env = std::getenv("GEOCOL_SLOW_QUERY_MS")) {
-    char* end = nullptr;
-    double ms = std::strtod(env, &end);
-    if (end != env && ms >= 0) options.slow_query_ms = ms;
-  }
-  if (const char* env = std::getenv("GEOCOL_CACHE_MB")) {
-    char* end = nullptr;
-    double mb = std::strtod(env, &end);
-    if (end != env && mb >= 0) {
-      options.cache_budget_bytes = static_cast<int64_t>(mb * 1024 * 1024);
-    }
-  }
-  return options;
-}
-
 Result<ResultSet> Session::Execute(const std::string& sql_text) {
   return ExecuteRecorded(sql_text, [&](telemetry::QueryEvent* ev) {
     return ExecuteInternal(sql_text, ev);
@@ -195,7 +178,7 @@ Result<ResultSet> Session::ExecutePrepared(const std::string& sql_text,
   return ExecuteRecorded(sql_text, [&](telemetry::QueryEvent* ev) {
     Timer timer;
     if (ev != nullptr) ev->start_unix_nanos = NowUnixNanos();
-    return RunPlanned(sql_text, plan, ev, nullptr, nullptr, timer);
+    return RunPlanned(plan, ev, nullptr, nullptr, timer);
   });
 }
 
@@ -206,7 +189,7 @@ Result<ResultSet> Session::ExecutePreparedWithRows(const std::string& sql_text,
   return ExecuteRecorded(sql_text, [&](telemetry::QueryEvent* ev) {
     Timer timer;
     if (ev != nullptr) ev->start_unix_nanos = NowUnixNanos();
-    return RunPlanned(sql_text, plan, ev, &rows, &pre_profile, timer);
+    return RunPlanned(plan, ev, &rows, &pre_profile, timer);
   });
 }
 
@@ -264,11 +247,10 @@ Result<ResultSet> Session::ExecuteInternal(const std::string& sql_text,
   if (ev != nullptr) ev->start_unix_nanos = NowUnixNanos();
   GEOCOL_ASSIGN_OR_RETURN(SelectStmt stmt, Parse(sql_text));
   GEOCOL_ASSIGN_OR_RETURN(PlannedQuery plan, PlanQuery(catalog_, std::move(stmt)));
-  return RunPlanned(sql_text, plan, ev, nullptr, nullptr, timer);
+  return RunPlanned(plan, ev, nullptr, nullptr, timer);
 }
 
-Result<ResultSet> Session::RunPlanned(const std::string& sql_text,
-                                      PlannedQuery& plan,
+Result<ResultSet> Session::RunPlanned(PlannedQuery& plan,
                                       telemetry::QueryEvent* ev,
                                       std::vector<uint64_t>* batched_rows,
                                       QueryProfile* batched_profile,
@@ -291,12 +273,6 @@ Result<ResultSet> Session::RunPlanned(const std::string& sql_text,
       }
     }
   }
-  if (options_.cache_budget_bytes >= 0 && plan.view != nullptr) {
-    for (const auto& shard : plan.view->shards) {
-      shard->set_cache_budget(
-          static_cast<uint64_t>(options_.cache_budget_bytes));
-    }
-  }
   GEOCOL_ASSIGN_OR_RETURN(
       ResultSet rs,
       batched_rows != nullptr
@@ -304,9 +280,8 @@ Result<ResultSet> Session::RunPlanned(const std::string& sql_text,
                                       std::move(*batched_profile))
           : ExecuteQuery(plan));
   last_profile_ = rs.profile;
-  const int64_t wall_nanos = timer.ElapsedNanos();
   GEOCOL_METRIC_HISTOGRAM(h_wall, "geocol_sql_wall_nanos");
-  h_wall.Observe(wall_nanos);
+  h_wall.Observe(timer.ElapsedNanos());
   if (ev != nullptr) {
     Timer fill_timer;
     FillFromProfile(last_profile_, ev);
@@ -314,18 +289,6 @@ Result<ResultSet> Session::RunPlanned(const std::string& sql_text,
                           "geocol_flight_overhead_nanos_total");
     flight_overhead_nanos.Increment(
         static_cast<uint64_t>(fill_timer.ElapsedNanos()));
-  }
-
-  if (options_.slow_query_ms >= 0 &&
-      wall_nanos / 1e6 > options_.slow_query_ms) {
-    GEOCOL_LOG(Warning)
-            .With("wall_ms", wall_nanos / 1e6)
-            .With("threshold_ms", options_.slow_query_ms)
-            .With("p99_ms", h_wall.ValueAtQuantile(0.99) / 1e6)
-            .With("query", sql_text)
-        << "slow query\n"
-        << last_plan_ << "\n"
-        << last_profile_.ToString();
   }
   return rs;
 }

@@ -20,38 +20,22 @@ struct QueryEvent;
 
 namespace sql {
 
-/// Telemetry knobs for a Session.
+/// Per-session settings. A table's result cache is bound once, by the
+/// EngineOptions it is registered with (DESIGN.md §11); slow statements
+/// are a `geocol top` view over the flight recorder (DESIGN.md §15).
 struct SessionOptions {
   /// Append a structured event per statement to the process-wide flight
   /// recorder when it is open (telemetry/recorder.h). Off only for
   /// sessions that must not observe themselves — `geocol replay` replays
   /// a log without appending to it.
   bool record_flight = true;
-
-  /// Queries slower than this (end-to-end: parse + plan + execute) are
-  /// logged at Warning with their plan and span tree. <0 disables; the
-  /// default comes from the GEOCOL_SLOW_QUERY_MS env var (unset = off).
-  double slow_query_ms = -1.0;
-
-  /// Result-cache budget applied to every shard engine of every view this
-  /// session queries (DESIGN.md §11). <0 leaves each engine's own
-  /// configuration untouched; 0 forces the cache off; >0 binds the engine
-  /// to the process-wide cache with at least this many bytes. The default comes
-  /// from the GEOCOL_CACHE_MB env var (unset = leave engines alone).
-  int64_t cache_budget_bytes = -1;
-
-  /// Fills slow_query_ms from GEOCOL_SLOW_QUERY_MS and cache_budget_bytes
-  /// from GEOCOL_CACHE_MB when set.
-  static SessionOptions FromEnv();
 };
 
 /// A lightweight SQL session over a catalog (not thread safe; create one
 /// per thread).
 class Session {
  public:
-  explicit Session(Catalog* catalog)
-      : catalog_(catalog), options_(SessionOptions::FromEnv()) {}
-  Session(Catalog* catalog, SessionOptions options)
+  explicit Session(Catalog* catalog, SessionOptions options = {})
       : catalog_(catalog), options_(options) {}
 
   /// Parses, plans and executes `sql_text`.
@@ -59,9 +43,8 @@ class Session {
 
   /// Executes an already-planned statement (the server plans at admission
   /// time so a live-table epoch is pinned per statement, then hands the
-  /// plan to a worker session). Telemetry (flight event, slow-query log)
-  /// matches Execute except that wall time excludes the parse/plan
-  /// already paid by the caller.
+  /// plan to a worker session). The flight event matches Execute except
+  /// that wall time excludes the parse/plan already paid by the caller.
   Result<ResultSet> ExecutePrepared(const std::string& sql_text,
                                     PlannedQuery plan);
 
@@ -86,8 +69,6 @@ class Session {
   /// Per-operator profile of the last executed statement.
   const QueryProfile& last_profile() const { return last_profile_; }
 
-  const SessionOptions& options() const { return options_; }
-
  private:
   /// Wraps `body` (the parse/plan/execute core, or a prepared variant)
   /// with flight recording: counter-delta sampling, heat drain, digest,
@@ -104,13 +85,11 @@ class Session {
   Result<ResultSet> ExecuteInternal(const std::string& sql_text,
                                     telemetry::QueryEvent* ev);
 
-  /// Everything after planning: event identity fill, cache budget,
-  /// execution (ExecuteQuery, or the batched fan-out when `batched_rows`
-  /// is non-null), wall histogram, profile mining, slow-query log.
-  /// `timer` was started by the caller so wall time covers whatever work
-  /// preceded planning.
-  Result<ResultSet> RunPlanned(const std::string& sql_text, PlannedQuery& plan,
-                               telemetry::QueryEvent* ev,
+  /// Everything after planning: event identity fill, execution
+  /// (ExecuteQuery, or the batched fan-out when `batched_rows` is
+  /// non-null), wall histogram and profile mining. `timer` was started by
+  /// the caller so wall time covers whatever work preceded planning.
+  Result<ResultSet> RunPlanned(PlannedQuery& plan, telemetry::QueryEvent* ev,
                                std::vector<uint64_t>* batched_rows,
                                QueryProfile* batched_profile,
                                const Timer& timer);

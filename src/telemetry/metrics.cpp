@@ -18,29 +18,6 @@ std::atomic<bool> g_metrics_enabled{true};
 /// concurrent writers across cache lines even when thread ids collide.
 std::atomic<size_t> g_next_shard{0};
 
-/// Escapes a string for embedding in a JSON document.
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendFormat(std::string* out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
@@ -202,6 +179,28 @@ std::string EscapeLabelValue(const std::string& value) {
     }
   }
   return out;
+}
+
+void AppendJsonString(std::string* out, const std::string& s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
 }
 
 std::string MetricsRegistry::RenderPrometheus() const {

@@ -187,6 +187,11 @@ class MetricsRegistry {
 /// become \\, \" and \n per the text exposition format.
 std::string EscapeLabelValue(const std::string& value);
 
+/// Appends `s` to `out` as a quoted JSON string: double quote, backslash,
+/// \n, \t and \r get their short escapes, other bytes below 0x20 become
+/// \u00XX, and every other byte (UTF-8 included) passes through.
+void AppendJsonString(std::string* out, const std::string& s);
+
 /// One-line operator summary built from the registry: bytes read, CRC
 /// verifies, imprint hit rate. Printed by `geocol verify` and the bench
 /// binaries on exit when GEOCOL_METRICS=1.

@@ -23,28 +23,6 @@ constexpr uint64_t kHeaderBytes = sizeof(kMagic) + sizeof(uint32_t);
 /// as a torn/corrupt tail. Events cap their heat lists well below this.
 constexpr uint32_t kMaxPayloadBytes = 16u << 20;
 
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 /// Length of the valid prefix of `bytes`: the header plus every whole
 /// frame whose CRC matches. 0 when even the header is bad.
 uint64_t ValidPrefixLength(const std::vector<uint8_t>& bytes) {

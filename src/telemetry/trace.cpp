@@ -4,32 +4,12 @@
 #include <cstdio>
 #include <ctime>
 
+#include "telemetry/metrics.h"
+
 namespace geocol {
 namespace telemetry {
 
 namespace {
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
 
 /// One trace_event object for span `op` (no trailing separator).
 void AppendSpanEvent(std::string* out, const OperatorProfile& op,

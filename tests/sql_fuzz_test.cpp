@@ -2,7 +2,7 @@
 // lexer/parser/planner/executor — every outcome is either a result set or
 // a clean Status. Also mutates valid statements (truncation, token swaps).
 //
-// Every fuzzed statement is executed THREE times through a session whose
+// Every fuzzed statement is executed THREE times against a table whose
 // result cache is enabled — the first execution misses, the second misses
 // and is admitted, the third is served by the cache — and all outcomes
 // must agree cell for cell
@@ -55,14 +55,6 @@ bool SameResultSet(const sql::ResultSet& a, const sql::ResultSet& b) {
   return true;
 }
 
-// Session options with the result cache enabled, so the executions of
-// every fuzzed statement run miss, admit, hit through src/cache/.
-sql::SessionOptions CacheOnOptions() {
-  auto opts = sql::SessionOptions::FromEnv();
-  opts.cache_budget_bytes = 32ll << 20;
-  return opts;
-}
-
 // Executes `text` three times through the same session and checks the
 // later outcomes agree with the first: same ok-ness, same error code on
 // failure, identical result set on success. EXPLAIN ANALYZE output is
@@ -95,7 +87,14 @@ class SqlFuzzTest : public ::testing::Test {
     auto table = gen.GenerateTable(5000);
     ASSERT_TRUE(table.ok());
     catalog_ = new Catalog();
-    ASSERT_TRUE(catalog_->AddPointCloud("ahn2", *table).ok());
+    // The table is registered with its result cache on, so the executions
+    // of every fuzzed statement run miss, admit, hit through src/cache/.
+    EngineOptions engine;
+    engine.cache.budget_bytes = 32ull << 20;
+    ASSERT_TRUE(catalog_->AddPointCloud("ahn2", *table, engine).ok());
+    auto bound = catalog_->GetEngine("ahn2");
+    ASSERT_TRUE(bound.ok());
+    ASSERT_NE((*bound)->result_cache(), nullptr);
     TerrainModel terrain(opts.seed);
     OsmGenerator og(1, opts.extent, terrain);
     ASSERT_TRUE(catalog_
@@ -125,7 +124,7 @@ const char* kTokens[] = {
 
 TEST_F(SqlFuzzTest, RandomTokenSoupNeverCrashes) {
   Rng rng(701);
-  sql::Session session(catalog_, CacheOnOptions());
+  sql::Session session(catalog_);
   int executed = 0;
   for (int iter = 0; iter < 3000; ++iter) {
     // Half the soups get a plausible prefix so some reach the executor.
@@ -153,7 +152,7 @@ TEST_F(SqlFuzzTest, RandomTokenSoupNeverCrashes) {
 }
 
 TEST_F(SqlFuzzTest, TruncationsOfValidQueryNeverCrash) {
-  sql::Session session(catalog_, CacheOnOptions());
+  sql::Session session(catalog_);
   const std::string query =
       "SELECT COUNT(*), AVG(z) FROM ahn2 WHERE ST_Within(pt, "
       "'BOX(85010 444010, 85050 444050)') AND classification BETWEEN 2 AND "
@@ -169,7 +168,7 @@ TEST_F(SqlFuzzTest, TruncationsOfValidQueryNeverCrash) {
 
 TEST_F(SqlFuzzTest, RandomByteMutationsNeverCrash) {
   Rng rng(702);
-  sql::Session session(catalog_, CacheOnOptions());
+  sql::Session session(catalog_);
   const std::string base =
       "SELECT x, y FROM ahn2 WHERE ST_DWithin(pt, 'POINT (85030 444030)', "
       "12.5) LIMIT 5";
@@ -189,7 +188,7 @@ TEST_F(SqlFuzzTest, RandomByteMutationsNeverCrash) {
 }
 
 TEST_F(SqlFuzzTest, DeepNestingAndLongInputs) {
-  sql::Session session(catalog_, CacheOnOptions());
+  sql::Session session(catalog_);
   // Very long predicate chain.
   std::string text = "SELECT COUNT(*) FROM ahn2 WHERE z >= 0";
   for (int i = 0; i < 500; ++i) text += " AND z <= 1000";
@@ -208,9 +207,8 @@ TEST_F(SqlFuzzTest, DeepNestingAndLongInputs) {
 // threads whose sessions share one engine and result cache must produce,
 // statement for statement, the same outcome as a serial replay of the
 // identical stream — same ok-ness, same error Status, bit-identical
-// result digest. The cache is bound once before the threads start
-// (rebinding an engine's cache is not safe against in-flight queries,
-// which is also why the query server pins the budget at startup).
+// result digest. The cache was bound once, when the table was registered
+// (rebinding an engine's cache is not safe against in-flight queries).
 TEST_F(SqlFuzzTest, ConcurrentSessionsMatchSerialReplay) {
   Rng rng(704);
   std::vector<std::string> statements;
@@ -239,14 +237,6 @@ TEST_F(SqlFuzzTest, ConcurrentSessionsMatchSerialReplay) {
     }
   }
 
-  // Bind the shared result cache once, before any concurrency.
-  {
-    sql::Session binder(catalog_, CacheOnOptions());
-    ASSERT_TRUE(binder.Execute("SELECT COUNT(*) FROM ahn2").ok());
-  }
-  sql::SessionOptions shared = sql::SessionOptions::FromEnv();
-  shared.cache_budget_bytes = -1;  // inherit the bound cache, never rebind
-
   struct Outcome {
     bool ok = false;
     uint32_t digest = 0;
@@ -258,7 +248,7 @@ TEST_F(SqlFuzzTest, ConcurrentSessionsMatchSerialReplay) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      sql::Session session(catalog_, shared);
+      sql::Session session(catalog_);
       for (size_t i = t; i < statements.size(); i += kThreads) {
         auto rs = session.Execute(statements[i]);
         Outcome& o = concurrent[i];
@@ -275,7 +265,7 @@ TEST_F(SqlFuzzTest, ConcurrentSessionsMatchSerialReplay) {
   }
   for (auto& t : threads) t.join();
 
-  sql::Session serial(catalog_, shared);
+  sql::Session serial(catalog_);
   for (size_t i = 0; i < statements.size(); ++i) {
     auto rs = serial.Execute(statements[i]);
     ASSERT_EQ(concurrent[i].ok, rs.ok()) << statements[i];

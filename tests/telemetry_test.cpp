@@ -254,6 +254,21 @@ TEST(MetricsTest, EscapeLabelValue) {
   EXPECT_EQ(telemetry::EscapeLabelValue("a\nb"), "a\\nb");
 }
 
+TEST(MetricsTest, AppendJsonString) {
+  auto json = [](const std::string& s) {
+    std::string out = "[";
+    telemetry::AppendJsonString(&out, s);
+    return out;
+  };
+  EXPECT_EQ(json("plain"), "[\"plain\"");
+  EXPECT_EQ(json("a\"b"), "[\"a\\\"b\"");
+  EXPECT_EQ(json("a\\b"), "[\"a\\\\b\"");
+  EXPECT_EQ(json("a\nb\tc\rd"), "[\"a\\nb\\tc\\rd\"");
+  EXPECT_EQ(json(std::string("a\x01" "b")), "[\"a\\u0001b\"");
+  // UTF-8 (here "é" and "€") passes through byte for byte.
+  EXPECT_EQ(json("caf\xc3\xa9 \xe2\x82\xac"), "[\"caf\xc3\xa9 \xe2\x82\xac\"");
+}
+
 TEST(MetricsTest, JsonRendering) {
   MetricsRegistry::Global().GetCounter("test_json_total").Increment();
   std::string json = MetricsRegistry::Global().RenderJson();

@@ -451,5 +451,66 @@ TEST_F(ToolTest, ParallelLoadMatchesSequential) {
             Slurp(out2).substr(Slurp(out2).find('\n')));
 }
 
+TEST_F(ToolTest, FlightRecorderOnByDefaultAndNoFlightOptsOut) {
+  const std::string on = tmp_->File("flight_on");
+  const std::string off = tmp_->File("flight_off");
+  for (const std::string& dir : {on, off}) {
+    ASSERT_EQ(RunTool("load " + tmp_->File("tiles") + " " + dir, nullptr,
+                      tmp_),
+              0);
+  }
+  const std::string sql = " \"SELECT COUNT(*) FROM ahn2\"";
+  ASSERT_EQ(RunTool("query " + on + sql, nullptr, tmp_), 0);
+  ASSERT_EQ(RunTool("query " + off + sql + " --no-flight", nullptr, tmp_), 0);
+  EXPECT_TRUE(PathExists(on + "/flight/flight.gfr"));
+  EXPECT_FALSE(PathExists(off + "/flight/flight.gfr"));
+}
+
+// The third run of a statement is the first result-cache hit (run 1
+// misses, run 2 is admitted) when the table is registered with a cache,
+// and no run hits when it is registered without one.
+TEST_F(ToolTest, CacheSubcommandHitsOnlyWithABudget) {
+  const std::string cmd =
+      "cache " + tmp_->File("table") +
+      " \"SELECT COUNT(*) FROM ahn2 WHERE x BETWEEN 85020 AND 85050 AND y "
+      "BETWEEN 444020 AND 444050\" --repeat 3 --no-flight --budget-mb ";
+  auto run_line = [](const std::string& text, int run) {
+    const std::string tag = "run " + std::to_string(run) + ":";
+    const size_t at = text.find(tag);
+    return at == std::string::npos
+               ? std::string()
+               : text.substr(at, text.find('\n', at) - at);
+  };
+  std::string out;
+  ASSERT_EQ(RunTool(cmd + "32", &out, tmp_), 0);
+  std::string text = Slurp(out);
+  EXPECT_EQ(run_line(text, 2).find("[cache hit]"), std::string::npos) << text;
+  EXPECT_NE(run_line(text, 3).find("[cache hit]"), std::string::npos) << text;
+  ASSERT_EQ(RunTool(cmd + "0", &out, tmp_), 0);
+  text = Slurp(out);
+  EXPECT_NE(run_line(text, 3).find("run 3:"), std::string::npos) << text;
+  EXPECT_EQ(text.find("[cache hit]"), std::string::npos) << text;
+}
+
+// `geocol top` is the slow-query log: its slowest section lists recorded
+// statements by text.
+TEST_F(ToolTest, TopListsSlowestRecordedStatements) {
+  const std::string dir = tmp_->File("top_table");
+  ASSERT_EQ(RunTool("load " + tmp_->File("tiles") + " " + dir, nullptr, tmp_),
+            0);
+  const std::string q1 = "SELECT COUNT(*) FROM ahn2";
+  const std::string q2 =
+      "SELECT AVG(z) FROM ahn2 WHERE x BETWEEN 85010 AND 85040";
+  ASSERT_EQ(RunTool("query " + dir + " \"" + q1 + "\"", nullptr, tmp_), 0);
+  ASSERT_EQ(RunTool("query " + dir + " \"" + q2 + "\"", nullptr, tmp_), 0);
+  std::string out;
+  ASSERT_EQ(RunTool("top " + dir + " --once", &out, tmp_), 0);
+  const std::string text = Slurp(out);
+  const size_t slowest = text.find("slowest 2 of 2:");
+  ASSERT_NE(slowest, std::string::npos) << text;
+  EXPECT_NE(text.find(q1, slowest), std::string::npos) << text;
+  EXPECT_NE(text.find(q2, slowest), std::string::npos) << text;
+}
+
 }  // namespace
 }  // namespace geocol

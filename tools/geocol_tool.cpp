@@ -36,8 +36,8 @@
 //
 // Every query-executing command appends one structured event per statement
 // to the workload flight recorder at <table_dir>/flight/flight.gfr
-// (DESIGN.md §15). Disable with --no-flight or GEOCOL_FLIGHT=0. The log
-// feeds `geocol top` (live workload view), `geocol heat` (shard/chunk
+// (DESIGN.md §15). Disable with --no-flight. The log feeds `geocol top`
+// (live workload view and slowest statements), `geocol heat` (shard/chunk
 // access heat) and `geocol replay` (deterministic re-execution diffing
 // result digests bit-for-bit).
 #include <algorithm>
@@ -46,7 +46,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <random>
@@ -147,7 +146,7 @@ int Usage() {
                "           [--oracle <table_dir>] [--sweep N] [--seed S]\n"
                "  simd     (print CPU features and active kernel dispatch)\n"
                "query-running commands record to <table_dir>/flight/flight.gfr"
-               " (disable: --no-flight or GEOCOL_FLIGHT=0)\n");
+               " (disable: --no-flight)\n");
   return 2;
 }
 
@@ -573,12 +572,10 @@ std::string FlightLogPath(const std::string& table_dir) {
 }
 
 /// Opens the flight recorder for `table_dir` unless opted out via
-/// --no-flight or GEOCOL_FLIGHT=0. Failure to open is a warning, never a
-/// query failure — recording is diagnostics, not a dependency.
+/// --no-flight. Failure to open is a warning, never a query failure —
+/// recording is diagnostics, not a dependency.
 void MaybeOpenFlightRecorder(const Args& args, const std::string& table_dir) {
   if (args.Has("--no-flight")) return;
-  const char* env = std::getenv("GEOCOL_FLIGHT");
-  if (env != nullptr && std::strcmp(env, "0") == 0) return;
   if (Status st = MakeDir(table_dir + "/flight"); !st.ok()) {
     std::fprintf(stderr, "warning: flight recorder off: %s\n",
                  st.ToString().c_str());
@@ -591,12 +588,14 @@ void MaybeOpenFlightRecorder(const Args& args, const std::string& table_dir) {
   }
 }
 
-/// Opens the table (and any --layers) into `catalog`; shared by the
-/// query/metrics/trace subcommands. Unless `open_flight` is false (replay
-/// must not observe itself) the workload flight recorder is opened at
+/// Opens the table (and any --layers) into `catalog`; shared by every
+/// query-running subcommand. The table's engines bind the process-wide
+/// result cache at `cache_bytes` (0 = cache off) once, here, before any
+/// query runs (DESIGN.md §11). Unless `open_flight` is false (replay must
+/// not observe itself) the workload flight recorder is opened at
 /// <table_dir>/flight/flight.gfr, so every Session query gets recorded.
 Status SetupCatalog(const Args& args, Catalog* catalog,
-                    bool open_flight = true) {
+                    uint64_t cache_bytes = 0, bool open_flight = true) {
   const std::string& table_dir = args.positional[0];
   const bool paged = args.Has("--paged");
   if (paged) {
@@ -607,18 +606,20 @@ Status SetupCatalog(const Args& args, Catalog* catalog,
       cache::ChunkCache::Global().SetBudget(chunk_mb * 1024 * 1024);
     }
   }
+  EngineOptions engine;
+  engine.cache.budget_bytes = cache_bytes;
   if (IsShardedTableDir(table_dir)) {
     GEOCOL_ASSIGN_OR_RETURN(
         auto sharded,
         ReadShardedTableDir(table_dir, /*verify_checksums=*/true, paged));
     std::string name = sharded->name().empty() ? "ahn2" : sharded->name();
     GEOCOL_RETURN_NOT_OK(
-        catalog->AddShardedPointCloud(name, std::move(sharded)));
+        catalog->AddShardedPointCloud(name, std::move(sharded), engine));
   } else {
     GEOCOL_ASSIGN_OR_RETURN(FlatTable table, OpenTable(table_dir, paged));
     GEOCOL_RETURN_NOT_OK(catalog->AddPointCloud(
         table.name().empty() ? "ahn2" : table.name(),
-        std::make_shared<FlatTable>(std::move(table))));
+        std::make_shared<FlatTable>(std::move(table)), engine));
   }
   std::string layers_dir = args.Value("--layers", "");
   if (!layers_dir.empty()) {
@@ -722,22 +723,23 @@ int CmdTrace(const Args& args) {
 
 /// `geocol cache <table_dir> "<SQL>" [--budget-mb N] [--repeat N]`: runs
 /// the query --repeat times (default 3) through one session with the
-/// result cache bound at --budget-mb, printing per-run wall times and the
+/// table registered with its result cache bound at --budget-mb (default
+/// 64; 0 = cache off), printing per-run wall times and the
 /// cache's statistics — the interactive proof of the repeated-viewport
 /// speedup (EXPERIMENTS.md E13). A selection is admitted on its second
 /// sighting, so run 1 misses, run 2 misses and is stored, and run 3 is
 /// the first hit.
 int CmdCache(const Args& args) {
   if (args.positional.size() < 2) return Usage();
+  const uint64_t budget_mb = args.U64("--budget-mb", 64);
   Catalog catalog;
-  if (Status st = SetupCatalog(args, &catalog); !st.ok()) return Fail(st);
-  sql::SessionOptions opts = sql::SessionOptions::FromEnv();
-  opts.cache_budget_bytes =
-      static_cast<int64_t>(args.U64("--budget-mb", 64)) * 1024 * 1024;
-  sql::Session session(&catalog, opts);
+  if (Status st = SetupCatalog(args, &catalog, budget_mb << 20); !st.ok()) {
+    return Fail(st);
+  }
+  sql::Session session(&catalog);
   uint64_t repeat = std::max<uint64_t>(1, args.U64("--repeat", 3));
-  std::printf("budget: %.0f MB, %llu run(s)\n",
-              opts.cache_budget_bytes / 1048576.0,
+  std::printf("budget: %llu MB, %llu run(s)\n",
+              static_cast<unsigned long long>(budget_mb),
               static_cast<unsigned long long>(repeat));
   for (uint64_t i = 0; i < repeat; ++i) {
     Timer t;
@@ -766,33 +768,10 @@ int CmdCache(const Args& args) {
   return 0;
 }
 
-/// Minimal JSON string escaping for the replay --json export.
-std::string JsonQuote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
 /// `geocol top <table_dir>`: live view of the recorded workload. Each tick
 /// re-reads the flight log and prints totals, rate deltas since the
-/// previous tick, and HDR latency quantiles aggregated from the events.
+/// previous tick, HDR latency quantiles aggregated from the events, and
+/// the five slowest statements with their leaf-span times in ms.
 /// --once prints a single snapshot; --export <path> dumps the raw events
 /// as JSONL (one query_event object per line) and exits.
 int CmdTop(const Args& args) {
@@ -882,6 +861,26 @@ int CmdTop(const Args& args) {
                   static_cast<unsigned long long>(kv.second),
                   kv.second == 1 ? "y" : "ies");
     }
+    // The slow-query log is this view: the slowest retained statements
+    // with the leaf-span breakdown their events carry.
+    std::vector<const telemetry::QueryEvent*> slowest;
+    for (const auto& ev : *events) slowest.push_back(&ev);
+    const size_t shown = std::min<size_t>(5, slowest.size());
+    std::partial_sort(slowest.begin(), slowest.begin() + shown, slowest.end(),
+                      [](const auto* a, const auto* b) {
+                        return a->wall_nanos > b->wall_nanos;
+                      });
+    std::printf("  slowest %zu of %llu:\n", shown,
+                static_cast<unsigned long long>(total));
+    for (size_t i = 0; i < shown; ++i) {
+      const telemetry::QueryEvent& ev = *slowest[i];
+      std::printf("  %10.3f ms  %s\n", ev.wall_nanos / 1e6, ev.query.c_str());
+      std::printf("                spans ms:");
+      for (const auto& [name, nanos] : ev.span_nanos) {
+        std::printf(" %s %.3f", name.c_str(), nanos / 1e6);
+      }
+      std::printf("\n");
+    }
     if (once) break;
     prev_total = total;
     first = false;
@@ -962,7 +961,8 @@ int CmdHeat(const Args& args) {
 int CmdReplay(const Args& args) {
   if (args.positional.empty()) return Usage();
   Catalog catalog;
-  if (Status st = SetupCatalog(args, &catalog, /*open_flight=*/false);
+  if (Status st = SetupCatalog(args, &catalog, /*cache_bytes=*/0,
+                               /*open_flight=*/false);
       !st.ok()) {
     return Fail(st);
   }
@@ -970,7 +970,7 @@ int CmdReplay(const Args& args) {
       telemetry::ReadFlightLogWithRotation(FlightLogPath(args.positional[0]));
   if (!events.ok()) return Fail(events.status());
 
-  sql::SessionOptions opts = sql::SessionOptions::FromEnv();
+  sql::SessionOptions opts;
   opts.record_flight = false;  // a replay must not observe itself
   sql::Session session(&catalog, opts);
 
@@ -1001,8 +1001,9 @@ int CmdReplay(const Args& args) {
                 replay_ms, recorded_ms, ev.query.c_str());
     if (json.size() > 1) json += ",";
     json += "\n  {\"bench\": \"REPLAY\", \"config\": {\"source\": \"geocol "
-            "replay\"}, \"metrics\": {\"query\": " +
-            JsonQuote(ev.query) + ", \"verdict\": \"" + verdict + "\"";
+            "replay\"}, \"metrics\": {\"query\": ";
+    telemetry::AppendJsonString(&json, ev.query);
+    json += std::string(", \"verdict\": \"") + verdict + "\"";
     char buf[128];
     std::snprintf(buf, sizeof(buf),
                   ", \"recorded ms\": %.3f, \"replay ms\": %.3f, "
@@ -1082,25 +1083,12 @@ void HandleServeSignal(int) { g_serve_stop = 1; }
 int CmdServe(const Args& args) {
   if (args.positional.empty()) return Usage();
   Catalog catalog;
-  if (Status st = SetupCatalog(args, &catalog); !st.ok()) return Fail(st);
-  // Bind the shared result cache once, before any query runs — worker
-  // sessions never rebind (cache_budget_bytes is forced to -1), so this
-  // is the only budget the serving process uses. All tenants share it:
-  // a viewport one client computed is a hit for every other client. The
-  // cache lives in the shard engines, so a sharded table binds each shard.
+  // Every tenant shares the one result cache each table binds at
+  // registration: a viewport one client computed is a hit for every other
+  // client.
   const uint64_t cache_mb = args.U64("--cache-mb", 64);
-  if (cache_mb > 0) {
-    std::vector<std::string> names = catalog.PointCloudNames();
-    for (const std::string& name : catalog.ShardedPointCloudNames()) {
-      names.push_back(name);
-    }
-    for (const std::string& name : names) {
-      if (auto pinned = catalog.PinPointCloud(name); pinned.ok()) {
-        for (const auto& shard : pinned->view->shards) {
-          shard->set_cache_budget(cache_mb * 1024 * 1024);
-        }
-      }
-    }
+  if (Status st = SetupCatalog(args, &catalog, cache_mb << 20); !st.ok()) {
+    return Fail(st);
   }
   server::ServerOptions opts;
   opts.host = args.Value("--host", "127.0.0.1");
@@ -1244,7 +1232,8 @@ int CmdClient(const Args& args) {
   oargs.positional.push_back(oracle_dir);
   oargs.flags = args.flags;
   Catalog oracle;
-  if (Status st = SetupCatalog(oargs, &oracle, /*open_flight=*/false);
+  if (Status st = SetupCatalog(oargs, &oracle, /*cache_bytes=*/0,
+                               /*open_flight=*/false);
       !st.ok()) {
     return Fail(st);
   }
