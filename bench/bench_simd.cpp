@@ -1,7 +1,7 @@
 // E11: SIMD kernel throughput by dispatch level. Runs the four vectorized
 // hot loops — range-compare selection, batched coordinate gather, grid-cell
 // assignment and batched point-in-polygon — at every dispatch level the CPU
-// supports (scalar -> sse2 -> avx2) on cache-hot inputs, single core, and
+// supports (scalar -> avx2) on cache-hot inputs, single core, and
 // reports throughput plus speedup over the scalar reference. Every level
 // must produce bit-identical outputs; the harness cross-checks a digest of
 // each kernel's result against the scalar run before reporting.
@@ -137,7 +137,7 @@ std::vector<KernelRun> RunLevel(const std::vector<double>& vals,
 int main(int argc, char** argv) {
   bench::InitBench(argc, argv);
   bench::Banner("E11",
-                "SIMD kernel throughput by dispatch level (scalar/sse2/avx2),"
+                "SIMD kernel throughput by dispatch level (scalar/avx2),"
                 " single core, cache-hot; outputs cross-checked bit-identical");
 
   Rng rng(20150831);
@@ -165,8 +165,8 @@ int main(int argc, char** argv) {
       {"kernel", "level", "ms", "Mvals_per_s", "speedup_vs_scalar"});
   std::vector<KernelRun> scalar_runs;
   bool parity_ok = true;
-  for (int lv = 0; lv <= static_cast<int>(max_level); ++lv) {
-    const simd::SimdLevel want = static_cast<simd::SimdLevel>(lv);
+  for (simd::SimdLevel want : {simd::SimdLevel::kScalar,
+                               simd::SimdLevel::kAvx2}) {
     if (simd::SetSimdLevel(want) != want) continue;
     std::vector<KernelRun> runs = RunLevel(vals, xs, ys, rows, grid, geom);
     if (want == simd::SimdLevel::kScalar) scalar_runs = runs;

@@ -472,7 +472,7 @@ bool IndexFresh(const ImprintsIndex* index, const Column& column) {
 }  // namespace
 
 Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
-    const ColumnPtr& column) {
+    const ColumnPtr& column, bool* cold) {
   if (column == nullptr) return Status::InvalidArgument("null column");
   GEOCOL_METRIC_COUNTER(c_hits, "geocol_imprint_cache_hits_total");
   GEOCOL_METRIC_COUNTER(c_misses, "geocol_imprint_cache_misses_total");
@@ -495,6 +495,7 @@ Result<std::shared_ptr<const ImprintsIndex>> ImprintManager::GetOrBuild(
         c_hits.Increment();
         return e.index;
       }
+      if (cold != nullptr) *cold = true;
       if (!e.building) {
         e.building = true;
         break;

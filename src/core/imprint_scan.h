@@ -148,9 +148,11 @@ class ImprintManager {
   explicit ImprintManager(ImprintsOptions options = {})
       : options_(options) {}
 
-  /// Returns the (possibly freshly built) index for `column`.
+  /// Returns the (possibly freshly built) index for `column`. Sets `*cold`
+  /// (when given) if this call built the index or waited for another
+  /// thread's build of it; a cache hit leaves it untouched.
   Result<std::shared_ptr<const ImprintsIndex>> GetOrBuild(
-      const ColumnPtr& column);
+      const ColumnPtr& column, bool* cold = nullptr);
 
   /// Builds `column`'s index incrementally when its CloneAppend lineage
   /// base has a fresh cached index (GetOrBuild's stitch path); does nothing

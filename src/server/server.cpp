@@ -71,6 +71,16 @@ Status Server::Start() {
   if (running_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("server is already running");
   }
+  // Checked before the socket exists: zero workers would admit tasks no
+  // thread ever pops, and htons would silently truncate a port > 65535.
+  if (options_.workers < 1) {
+    return Status::InvalidArgument("workers must be at least 1, got " +
+                                   std::to_string(options_.workers));
+  }
+  if (options_.port < 0 || options_.port > 65535) {
+    return Status::InvalidArgument("port must be in 0-65535, got " +
+                                   std::to_string(options_.port));
+  }
 
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {

@@ -5,6 +5,7 @@
 
 #include "simd/kernels_generic.h"
 #include "telemetry/metrics.h"
+#include "util/logging.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define GEOCOL_X86_64 1
@@ -18,8 +19,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
     case SimdLevel::kAvx2:
       return "avx2";
   }
@@ -30,10 +29,6 @@ bool ParseSimdLevel(const char* s, SimdLevel* out) {
   if (s == nullptr) return false;
   if (std::strcmp(s, "scalar") == 0) {
     *out = SimdLevel::kScalar;
-    return true;
-  }
-  if (std::strcmp(s, "sse2") == 0) {
-    *out = SimdLevel::kSse2;
     return true;
   }
   if (std::strcmp(s, "avx2") == 0) {
@@ -50,8 +45,6 @@ CpuFeatures DetectCpuFeaturesImpl() {
 #if GEOCOL_X86_64
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0) {
-    f.sse2 = (edx & (1u << 26)) != 0;
-    f.sse42 = (ecx & (1u << 20)) != 0;
     f.avx = (ecx & (1u << 28)) != 0;
     const bool osxsave = (ecx & (1u << 27)) != 0;
     if (osxsave) {
@@ -63,8 +56,6 @@ CpuFeatures DetectCpuFeaturesImpl() {
   }
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0) {
     f.avx2 = (ebx & (1u << 5)) != 0;
-    f.bmi2 = (ebx & (1u << 8)) != 0;
-    f.avx512f = (ebx & (1u << 16)) != 0;
   }
 #endif
   return f;
@@ -80,7 +71,7 @@ SimdLevel ClampLevel(SimdLevel level) {
   return level > max ? max : level;
 }
 
-/// Publishes the active dispatch level (0=scalar, 1=sse2, 2=avx2) so
+/// Publishes the active dispatch level (0=scalar, 2=avx2) so
 /// `geocol metrics` can attribute results to the code path that ran.
 void PublishSimdLevelGauge(SimdLevel level) {
   GEOCOL_METRIC_GAUGE(g_level, "geocol_simd_dispatch_level");
@@ -91,9 +82,15 @@ Runtime& GetRuntime() {
   static Runtime rt = [] {
     Runtime r;
     r.level = MaxSupportedSimdLevel();
+    const char* env = std::getenv("GEOCOL_SIMD");
     SimdLevel forced;
-    if (ParseSimdLevel(std::getenv("GEOCOL_SIMD"), &forced)) {
+    if (ParseSimdLevel(env, &forced)) {
       r.level = ClampLevel(forced);
+    } else if (env != nullptr) {
+      GEOCOL_LOG(Warning)
+              .With("value", env)
+              .With("level", SimdLevelName(r.level))
+          << "ignoring unrecognised GEOCOL_SIMD (expected scalar or avx2)";
     }
     BindKernelsForLevel(r.level, &r.table);
     PublishSimdLevelGauge(r.level);
@@ -112,7 +109,6 @@ const CpuFeatures& DetectCpuFeatures() {
 SimdLevel MaxSupportedSimdLevel() {
   const CpuFeatures& f = DetectCpuFeatures();
   if (f.avx2 && f.avx && f.os_ymm) return SimdLevel::kAvx2;
-  if (f.sse2) return SimdLevel::kSse2;
   return SimdLevel::kScalar;
 }
 
@@ -135,8 +131,7 @@ const KernelTable& Kernels() { return GetRuntime().table; }
 
 void BindKernelsForLevel(SimdLevel level, KernelTable* table) {
   BindScalarKernels(table);
-  if (level >= SimdLevel::kSse2) BindSse2Kernels(table);
-  if (level >= SimdLevel::kAvx2) BindAvx2Kernels(table);
+  if (level == SimdLevel::kAvx2) BindAvx2Kernels(table);
 }
 
 }  // namespace simd

@@ -1,9 +1,10 @@
 // Runtime CPU dispatch for the SIMD kernel layer. The best instruction-set
 // level is detected once at startup (cpuid + OS ymm-state check) and can be
-// forced down with GEOCOL_SIMD=scalar|sse2|avx2 for testing and debugging.
-// Every kernel has a scalar reference implementation with *identical*
-// results (bit-identical selection words, row ids and stats), so switching
-// levels is purely a performance decision.
+// forced down with GEOCOL_SIMD=scalar|avx2 for testing and debugging; any
+// other value logs one warning and is ignored. Every kernel has a scalar
+// reference implementation with *identical* results (bit-identical
+// selection words, row ids and stats), so switching levels is purely a
+// performance decision.
 #ifndef GEOCOL_SIMD_DISPATCH_H_
 #define GEOCOL_SIMD_DISPATCH_H_
 
@@ -12,25 +13,21 @@
 namespace geocol {
 namespace simd {
 
-/// Kernel instruction-set tiers, ordered: a higher level implies the lower
-/// ones are also usable. kSse2 is the x86-64 baseline; kAvx2 requires CPU
-/// and OS support for 256-bit state.
-enum class SimdLevel : uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Kernel instruction-set tiers: the portable scalar reference, or AVX2
+/// (requires CPU and OS support for 256-bit state). The numeric values are
+/// published as the geocol_simd_dispatch_level gauge.
+enum class SimdLevel : uint8_t { kScalar = 0, kAvx2 = 2 };
 
 const char* SimdLevelName(SimdLevel level);
 
-/// Parses "scalar" / "sse2" / "avx2"; returns false on anything else.
+/// Parses "scalar" / "avx2"; returns false on anything else.
 bool ParseSimdLevel(const char* s, SimdLevel* out);
 
-/// Raw CPU capability bits, for `geocol simd` and diagnostics.
+/// The CPU capability bits AVX2 dispatch needs, for `geocol simd`.
 struct CpuFeatures {
-  bool sse2 = false;
-  bool sse42 = false;
   bool avx = false;
   bool os_ymm = false;  ///< OS saves/restores ymm state (xgetbv)
   bool avx2 = false;
-  bool bmi2 = false;
-  bool avx512f = false;
 };
 
 /// Detected once, cached.

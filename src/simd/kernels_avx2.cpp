@@ -308,8 +308,8 @@ void CellOf(const double* xs, const double* ys, size_t n, const GridParams& g,
 void RingMasks(const double* xs, const double* ys, size_t n, const Point* pts,
                size_t npts, uint8_t* in_out, uint8_t* edge_out) {
   if (npts < 3) {
-    std::memset(in_out, 0, n);
-    std::memset(edge_out, 0, n);
+    std::fill_n(in_out, n, uint8_t{0});
+    std::fill_n(edge_out, n, uint8_t{0});
     return;
   }
   const __m256d zero = _mm256_setzero_pd();

@@ -1,6 +1,6 @@
 // Scalar reference implementations of every kernel in simd/kernels.h.
-// These are the parity oracles: the SSE2/AVX2 translation units reuse them
-// for remainder tails, and the scalar dispatch level binds them directly.
+// These are the parity oracles: the AVX2 translation unit reuses them for
+// remainder tails, and the scalar dispatch level binds them directly.
 // The formulas mirror geom/predicates.cpp and geom/grid.h operation by
 // operation — do not "simplify" an expression here without changing the
 // scalar predicate the same way, or the bit-identical contract breaks.
@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "simd/kernels.h"
 
@@ -70,8 +69,8 @@ inline void CellOf(const double* xs, const double* ys, size_t n,
 inline void RingMasks(const double* xs, const double* ys, size_t n,
                       const Point* pts, size_t npts, uint8_t* in_out,
                       uint8_t* edge_out) {
-  std::memset(in_out, 0, n);
-  std::memset(edge_out, 0, n);
+  std::fill_n(in_out, n, uint8_t{0});
+  std::fill_n(edge_out, n, uint8_t{0});
   if (npts < 3) return;
   for (size_t e = 0, j = npts - 1; e < npts; j = e++) {
     const Point& a = pts[e];
@@ -102,7 +101,7 @@ inline void RingMasks(const double* xs, const double* ys, size_t n,
 
 inline void OnSegments(const double* xs, const double* ys, size_t n,
                        const Point* pts, size_t npts, uint8_t* out) {
-  std::memset(out, 0, n);
+  std::fill_n(out, n, uint8_t{0});
   for (size_t s = 1; s < npts; ++s) {
     const Point& a = pts[s - 1];
     const Point& b = pts[s];
@@ -171,8 +170,6 @@ inline void BoxContains(const double* xs, const double* ys, size_t n,
 
 /// Fills `table` with the scalar reference kernels.
 void BindScalarKernels(KernelTable* table);
-/// Overlays the SSE2 kernels (no-op when not compiled for x86-64).
-void BindSse2Kernels(KernelTable* table);
 /// Overlays the AVX2 kernels (no-op when not compiled for x86-64).
 void BindAvx2Kernels(KernelTable* table);
 

@@ -1,6 +1,6 @@
 // Scalar binding of the kernel table. These are the reference kernels used
 // directly at the kScalar dispatch level (GEOCOL_SIMD=scalar) and as the
-// remainder tails of the vector levels.
+// remainder tails of the AVX2 kernels.
 #include "simd/kernels_generic.h"
 
 namespace geocol {

@@ -434,6 +434,51 @@ TEST_F(SessionRecordingTest, ExplainIsDigestValidButAnalyzeIsNot) {
   EXPECT_FALSE((*events)[1].digest_valid);  // embeds timings
 }
 
+// A statement that builds the imprint indexes records the build as its own
+// filter.build span ahead of the scan, so the profile's TOTAL and the
+// recorded span_nanos account for it; a warm statement has no build span.
+TEST_F(SessionRecordingTest, ColdImprintBuildIsItsOwnSpan) {
+  const std::string path = dir_.File("flight.gfr");
+  ASSERT_TRUE(FlightRecorder::Global().Open(path).ok());
+  auto span_index = [](const QueryProfile& profile, const std::string& name) {
+    const auto& ops = profile.operators();
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (ops[i].name == name) return static_cast<int>(i);
+    }
+    return -1;
+  };
+
+  ASSERT_TRUE(session_->Execute("SELECT COUNT(*) FROM ahn2").ok());
+  const QueryProfile cold = session_->last_profile();
+  const int build = span_index(cold, "filter.build");
+  ASSERT_GE(build, 0) << cold.ToString();
+  EXPECT_LT(build, span_index(cold, "filter.imprints")) << cold.ToString();
+  const int64_t build_nanos = cold.operators()[build].nanos;
+  EXPECT_GT(build_nanos, 0);
+  EXPECT_GE(cold.TotalNanos(), build_nanos);
+
+  ASSERT_TRUE(session_
+                  ->Execute("SELECT COUNT(*) FROM ahn2 WHERE x BETWEEN 85050 "
+                            "AND 85100")
+                  .ok());
+  const QueryProfile& warm = session_->last_profile();
+  EXPECT_GE(span_index(warm, "filter.imprints"), 0) << warm.ToString();
+  EXPECT_EQ(span_index(warm, "filter.build"), -1) << warm.ToString();
+  FlightRecorder::Global().Close();
+
+  auto events = ReadFlightLog(path);
+  ASSERT_TRUE(events.ok()) << events.status().ToString();
+  ASSERT_EQ(events->size(), 2u);
+  auto recorded = [](const QueryEvent& ev) -> int64_t {
+    for (const auto& [name, nanos] : ev.span_nanos) {
+      if (name == "filter.build") return nanos;
+    }
+    return -1;
+  };
+  EXPECT_EQ(recorded((*events)[0]), build_nanos);
+  EXPECT_EQ(recorded((*events)[1]), -1);
+}
+
 TEST_F(SessionRecordingTest, RecordFlightOffSkipsRecorder) {
   const std::string path = dir_.File("flight.gfr");
   ASSERT_TRUE(FlightRecorder::Global().Open(path).ok());

@@ -115,6 +115,28 @@ TEST_F(ServerTest, StartStopIdempotentAndRestartable) {
   srv.Stop();
 }
 
+// Options that cannot serve are rejected before a socket exists: zero or
+// negative workers would admit tasks no thread pops, and a port above
+// 65535 would be truncated into some other port.
+TEST_F(ServerTest, StartRejectsBadWorkersAndPort) {
+  struct Case {
+    int workers;
+    int port;
+  };
+  for (const Case& c : {Case{0, 0}, Case{-1, 0}, Case{2, 70000}}) {
+    server::ServerOptions opts;
+    opts.workers = c.workers;
+    opts.port = c.port;
+    server::Server srv(catalog_, opts);
+    const Status st = srv.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "workers=" << c.workers << " port=" << c.port << ": "
+        << st.ToString();
+    EXPECT_FALSE(srv.running());
+    EXPECT_EQ(srv.port(), 0);
+  }
+}
+
 TEST_F(ServerTest, StopDrainsInFlightQueries) {
   // One worker, blocked in the test hook while holding the first task;
   // a second task sits admitted in the queue. Stop() must complete both

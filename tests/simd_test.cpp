@@ -37,8 +37,7 @@ class LevelGuard {
 template <typename Fn>
 void ForEachLevel(Fn&& fn) {
   LevelGuard guard;
-  for (int lv = 0; lv <= static_cast<int>(SimdLevel::kAvx2); ++lv) {
-    const SimdLevel want = static_cast<SimdLevel>(lv);
+  for (SimdLevel want : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
     if (simd::SetSimdLevel(want) != want) continue;  // not supported here
     fn(want);
   }
@@ -548,23 +547,21 @@ TEST(SimdDispatch, ParseAndName) {
   SimdLevel lv;
   EXPECT_TRUE(simd::ParseSimdLevel("scalar", &lv));
   EXPECT_EQ(lv, SimdLevel::kScalar);
-  EXPECT_TRUE(simd::ParseSimdLevel("sse2", &lv));
-  EXPECT_EQ(lv, SimdLevel::kSse2);
   EXPECT_TRUE(simd::ParseSimdLevel("avx2", &lv));
   EXPECT_EQ(lv, SimdLevel::kAvx2);
+  // The retired SSE2 tier is no longer a level.
+  EXPECT_FALSE(simd::ParseSimdLevel("sse2", &lv));
   EXPECT_FALSE(simd::ParseSimdLevel("avx512", &lv));
   EXPECT_FALSE(simd::ParseSimdLevel("", &lv));
   EXPECT_FALSE(simd::ParseSimdLevel(nullptr, &lv));
   EXPECT_STREQ(simd::SimdLevelName(SimdLevel::kScalar), "scalar");
-  EXPECT_STREQ(simd::SimdLevelName(SimdLevel::kSse2), "sse2");
   EXPECT_STREQ(simd::SimdLevelName(SimdLevel::kAvx2), "avx2");
 }
 
 TEST(SimdDispatch, SetLevelClampsToHardware) {
   LevelGuard guard;
   const SimdLevel max = simd::MaxSupportedSimdLevel();
-  EXPECT_EQ(simd::SetSimdLevel(SimdLevel::kAvx2),
-            max >= SimdLevel::kAvx2 ? SimdLevel::kAvx2 : max);
+  EXPECT_EQ(simd::SetSimdLevel(SimdLevel::kAvx2), max);
   EXPECT_EQ(simd::SetSimdLevel(SimdLevel::kScalar), SimdLevel::kScalar);
   EXPECT_EQ(simd::ActiveSimdLevel(), SimdLevel::kScalar);
 }
@@ -573,10 +570,8 @@ TEST(SimdDispatch, FeatureBitsAreConsistent) {
   const simd::CpuFeatures& f = simd::DetectCpuFeatures();
   if (simd::MaxSupportedSimdLevel() >= SimdLevel::kAvx2) {
     EXPECT_TRUE(f.avx2);
+    EXPECT_TRUE(f.avx);
     EXPECT_TRUE(f.os_ymm);
-  }
-  if (simd::MaxSupportedSimdLevel() >= SimdLevel::kSse2) {
-    EXPECT_TRUE(f.sse2);
   }
 }
 

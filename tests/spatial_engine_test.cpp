@@ -225,10 +225,12 @@ TEST(SpatialEngineTest, ProfileHasFilterAndRefineOperators) {
   auto res = eng.SelectInGeometry(Geometry(Polygon::Circle({50, 50}, 20)));
   ASSERT_TRUE(res.ok());
   const auto& ops = res->profile.operators();
-  ASSERT_EQ(ops.size(), 2u);
-  // One conjunctive imprint scan over x and y, then the refinement.
-  EXPECT_EQ(ops[0].name, "filter.imprints");
-  EXPECT_EQ(ops[0].parent, -1);
+  ASSERT_EQ(ops.size(), 3u);
+  // The first query builds the imprints, then one conjunctive imprint scan
+  // over x and y, then the refinement.
+  EXPECT_EQ(ops[0].name, "filter.build");
+  EXPECT_EQ(ops[1].name, "filter.imprints");
+  EXPECT_EQ(ops[1].parent, -1);
   bool has_refine = false;
   for (const auto& op : ops) has_refine |= op.name.rfind("refine", 0) == 0;
   EXPECT_TRUE(has_refine);

@@ -536,7 +536,8 @@ std::string SpanShape(const ResultSet& rs) {
 }
 
 // num_threads=1 executes the filter branches serially, so the span order
-// is deterministic and the rendered tree shape is stable.
+// is deterministic and the rendered tree shape is stable. Each test's
+// table is fresh, so its statement builds the imprints (filter.build).
 class SqlExplainAnalyzeGoldenTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -561,6 +562,7 @@ TEST_F(SqlExplainAnalyzeGoldenTest, SingleThreadedBoxQueryShape) {
       "'BOX(85010 444010, 85060 444060)')");
   ASSERT_TRUE(rs.ok());
   EXPECT_EQ(SpanShape(*rs),
+            "  filter.build\n"
             "  filter.imprints\n"
             "  refine.none(box)\n"
             "  TOTAL (sum)\n"
@@ -577,6 +579,7 @@ TEST_F(SqlExplainAnalyzeGoldenTest, BetweenViewportFoldsIntoWindow) {
   auto rs = session_->Execute("EXPLAIN ANALYZE SELECT COUNT(*)" + where);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(SpanShape(*rs),
+            "  filter.build\n"
             "  filter.imprints\n"
             "  refine.none(box)\n"
             "  TOTAL (sum)\n"

@@ -9,6 +9,7 @@
 
 #include "columns/column_file.h"
 #include "core/imprints_io.h"
+#include "simd/dispatch.h"
 #include "util/binary_io.h"
 #include "util/crc32c.h"
 #include "util/tempdir.h"
@@ -510,6 +511,28 @@ TEST_F(ToolTest, TopListsSlowestRecordedStatements) {
   ASSERT_NE(slowest, std::string::npos) << text;
   EXPECT_NE(text.find(q1, slowest), std::string::npos) << text;
   EXPECT_NE(text.find(q2, slowest), std::string::npos) << text;
+}
+
+// An unrecognised GEOCOL_SIMD value (here the retired "sse2" tier) is
+// ignored with one warning naming the value and the level used instead.
+TEST_F(ToolTest, SimdWarnsOnUnrecognisedOverride) {
+  ASSERT_EQ(::setenv("GEOCOL_SIMD", "sse2", 1), 0);
+  std::string out;
+  const int rc = RunTool("simd", &out, tmp_);
+  ::unsetenv("GEOCOL_SIMD");
+  ASSERT_EQ(rc, 0);
+  const std::string text = Slurp(out);
+  const std::string level =
+      simd::SimdLevelName(simd::MaxSupportedSimdLevel());
+  const size_t warning = text.find("ignoring unrecognised GEOCOL_SIMD");
+  ASSERT_NE(warning, std::string::npos) << text;
+  EXPECT_EQ(text.find("ignoring unrecognised", warning + 1), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("value=sse2 level=" + level), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("active dispatch level: " + level + "\n"),
+            std::string::npos)
+      << text;
 }
 
 }  // namespace

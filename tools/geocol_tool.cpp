@@ -152,9 +152,8 @@ int Usage() {
 
 int CmdSimd(const Args&) {
   const simd::CpuFeatures& f = simd::DetectCpuFeatures();
-  std::printf("cpu features: sse2=%d sse4.2=%d avx=%d os_ymm=%d avx2=%d "
-              "bmi2=%d avx512f=%d\n",
-              f.sse2, f.sse42, f.avx, f.os_ymm, f.avx2, f.bmi2, f.avx512f);
+  std::printf("cpu features: avx=%d os_ymm=%d avx2=%d\n", f.avx, f.os_ymm,
+              f.avx2);
   std::printf("max supported level: %s\n",
               simd::SimdLevelName(simd::MaxSupportedSimdLevel()));
   const char* forced = std::getenv("GEOCOL_SIMD");
